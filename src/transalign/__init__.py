@@ -7,6 +7,8 @@ source line: every line comes out aligned to a real target sentence or
 carried by its own translation.
 """
 
+import types
+
 from .align import (
     ALIGNED,
     FILLED,
@@ -62,6 +64,7 @@ from .similarity import (
     ChainDecision,
     Comparator,
     ComparatorChain,
+    PairScores,
     evaluate_chain,
     matching_blocks,
     ratio,
@@ -79,72 +82,6 @@ from .tuning import TuningJob, TuningOutcome, TuningReport, tune_chain, tune_thr
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALIGNED",
-    "FILLED",
-    "TRANSLATED",
-    "AlignmentConfig",
-    "AlignmentDecision",
-    "AlignmentResult",
-    "align",
-    "read_report",
-    "write_alignment",
-    "Corpus",
-    "Sentence",
-    "load_corpus",
-    "normalize",
-    "save_corpus",
-    "split_tokens",
-    "ConfigError",
-    "CorpusFormatError",
-    "DataError",
-    "GoldMismatchError",
-    "LexiconFormatError",
-    "ProviderError",
-    "TransalignError",
-    "TranslationFailedError",
-    "EMPTY_LEXICON",
-    "EMPTY_STOPWORDS",
-    "StopWordList",
-    "SynonymLexicon",
-    "expand_sentence",
-    "load_stopwords",
-    "load_synonyms",
-    "BP_PAPER",
-    "BP_STANDARD",
-    "NgramStats",
-    "ScoreCard",
-    "alignment_score",
-    "bleu",
-    "bleu_stats",
-    "brevity_penalty",
-    "cer",
-    "edit_distance",
-    "evaluate_against_gold",
-    "evaluate_corpus",
-    "ter",
-    "ter_edits",
-    "MATCHING_BLOCKS_RATIO",
-    "SYNONYM_RATIO",
-    "TOKEN_OVERLAP",
-    "ChainContext",
-    "ChainDecision",
-    "Comparator",
-    "ComparatorChain",
-    "evaluate_chain",
-    "matching_blocks",
-    "ratio",
-    "synonym_ratio",
-    "token_overlap",
-    "FileProvider",
-    "HttpProvider",
-    "TranslationCache",
-    "TranslationProvider",
-    "translate_corpus",
-    "TuningJob",
-    "TuningOutcome",
-    "TuningReport",
-    "tune_chain",
-    "tune_threshold",
-    "__version__",
-]
+# Every name imported above, plus the version; submodules are not exported.
+__all__ = [name for name, value in globals().items() if not name.startswith("_")
+           and not isinstance(value, types.ModuleType)] + ["__version__"]

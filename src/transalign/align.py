@@ -11,17 +11,18 @@ the raw size difference between the two input files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Corpus, Sentence
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .lexicon import EMPTY_LEXICON, EMPTY_STOPWORDS, StopWordList, SynonymLexicon
 from .similarity import (
     ChainContext,
     ChainDecision,
-    Comparator,
     ComparatorChain,
+    PairScores,
     evaluate_chain,
 )
 
@@ -82,52 +83,23 @@ class AlignmentResult:
     unmatched_target_indices: tuple[int, ...] = ()
 
 
-class _PairScorer:
-    """Memoized chain evaluation over (translation line, target line) pairs.
-
-    Lookahead re-scores pairs the main loop will visit again; within one
-    run the inputs are immutable so a dictionary is safe and exact.
-    """
-
-    def __init__(self, trans: Corpus, target: Corpus, chain, context):
-        self.trans = trans
-        self.target = target
-        self.chain = chain
-        self.context = context
-        self._memo: dict[tuple[int, int], ChainDecision] = {}
-
-    def decide(self, trans_index: int, target_index: int) -> ChainDecision:
-        key = (trans_index, target_index)
-        decision = self._memo.get(key)
-        if decision is None:
-            decision = evaluate_chain(
-                self.trans[trans_index], self.target[target_index], self.chain, self.context
-            )
-            self._memo[key] = decision
-        return decision
-
-
 def select_candidate(
     trans_line: Sentence,
     pool: list[Sentence],
     expected_position: float,
     chain: ComparatorChain,
     context: ChainContext,
-    score_fn=None,
+    scores: PairScores | None = None,
 ) -> tuple[Sentence, ChainDecision] | None:
     """Best accepted candidate for one translation line, or None.
 
     Ties on score break toward the smallest distance from the expected
     position, then the smallest target index.
     """
-    if score_fn is None:
-        def score_fn(candidate):
-            return evaluate_chain(trans_line, candidate, chain, context)
-
     best = None
     best_key = None
     for candidate in pool:
-        decision = score_fn(candidate)
+        decision = evaluate_chain(trans_line, candidate, chain, context, scores)
         if not decision.accepted:
             continue
         key = (-decision.score, abs(candidate.index - expected_position), candidate.index)
@@ -144,28 +116,32 @@ def lookahead_resolve(
     depth: int,
     context: ChainContext = ChainContext(),
     current_score: float | None = None,
-    score_fn=None,
+    scores: PairScores | None = None,
 ) -> bool:
     """Keep the candidate for this line? False defers it to a later line.
 
     The candidate is deferred iff some translation line within ``depth``
-    lines after this one scores strictly higher against it.
+    lines after this one accepts it with a strictly higher score. A later
+    line whose chain rejects the candidate cannot contest it.
     """
-    if score_fn is None:
-        def score_fn(trans_index, cand):
-            return evaluate_chain(trans[trans_index], cand, chain, context)
-
     if current_score is None:
-        current_score = score_fn(source_index, candidate).score
+        current_score = evaluate_chain(
+            trans[source_index], candidate, chain, context, scores
+        ).score
     last = min(source_index + depth, len(trans) - 1)
     for later in range(source_index + 1, last + 1):
-        if score_fn(later, candidate).score > current_score:
+        decision = evaluate_chain(trans[later], candidate, chain, context, scores)
+        if decision.accepted and decision.score > current_score:
             return False
     return True
 
 
 def align(
-    source: Corpus, target: Corpus, trans: Corpus, config: AlignmentConfig
+    source: Corpus,
+    target: Corpus,
+    trans: Corpus,
+    config: AlignmentConfig,
+    scores: PairScores | None = None,
 ) -> AlignmentResult:
     """Assign every source line a target-side line.
 
@@ -178,57 +154,48 @@ def align(
     |len(source) - len(target)| such fills are attributed to the size
     disproportion of the inputs. Each target line is consumed at most once
     and the output always has exactly one pair per source line.
+
+    ``scores`` is a pair-score table over ``trans`` and ``target`` with the
+    config's context; pass the same one to several runs that differ only
+    in thresholds to score each pair once. By default a fresh one is used.
     """
     if len(trans) != len(source):
         raise DataError(
             f"translation corpus has {len(trans)} lines, source has {len(source)}"
         )
+    context = config.context()
+    if scores is None:
+        scores = PairScores(trans, target, context)
+    elif scores.trans is not trans or scores.target is not target or scores.context != context:
+        raise ConfigError("pair-score table belongs to other corpora or comparator settings")
     n_source, n_target = len(source), len(target)
-    scorer = _PairScorer(trans, target, config.chain, config.context())
-    unconsumed = sorted(range(n_target))
+    unconsumed = list(range(n_target))
 
     picks: list[tuple[int, ChainDecision] | None] = []
     for i in range(n_source):
         expected = i * n_target / n_source
+        lo, hi = 0, len(unconsumed)
         if config.window > 0:
-            lo, hi = expected - config.window, expected + config.window
-            pool = [j for j in unconsumed if lo <= j <= hi]
-        else:
-            pool = list(unconsumed)
-
-        rejected: set[int] = set()
+            lo = bisect_left(unconsumed, expected - config.window)
+            hi = bisect_right(unconsumed, expected + config.window)
+        candidates = [target.sentences[j] for j in unconsumed[lo:hi]]
         chosen = None
-        while pool:
-            candidates = [target[j] for j in pool if j not in rejected]
-            if not candidates:
-                break
+        while candidates:
             selected = select_candidate(
-                trans[i],
-                candidates,
-                expected,
-                config.chain,
-                config.context(),
-                score_fn=lambda cand: scorer.decide(i, cand.index),
+                trans[i], candidates, expected, config.chain, context, scores
             )
             if selected is None:
                 break
             candidate, decision = selected
-            keep = lookahead_resolve(
-                i,
-                candidate,
-                trans,
-                config.chain,
-                config.lookahead_depth,
-                current_score=decision.score,
-                score_fn=lambda later, cand: scorer.decide(later, cand.index),
-            )
-            if keep:
+            if lookahead_resolve(
+                i, candidate, trans, config.chain, config.lookahead_depth,
+                context, decision.score, scores,
+            ):
                 chosen = (candidate.index, decision)
+                del unconsumed[bisect_left(unconsumed, candidate.index)]
                 break
-            rejected.add(candidate.index)  # at most one retry per candidate
-
-        if chosen is not None:
-            unconsumed.remove(chosen[0])
+            # at most one retry per candidate
+            candidates = [c for c in candidates if c is not candidate]
         picks.append(chosen)
 
     fill_quota = min(abs(n_source - n_target), sum(1 for p in picks if p is None))

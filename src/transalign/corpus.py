@@ -58,15 +58,14 @@ class Sentence:
 
 @dataclass(frozen=True)
 class TokenizedSentence:
-    """Word tokens of a sentence plus the index of the sentence they came from."""
+    """Word tokens of a sentence."""
 
     tokens: tuple[str, ...]
-    source_index: int = -1
 
 
 def tokenize(sentence: Sentence) -> TokenizedSentence:
     """Tokenize a sentence's normalized text."""
-    return TokenizedSentence(split_tokens(sentence.normalized), sentence.index)
+    return TokenizedSentence(split_tokens(sentence.normalized))
 
 
 @dataclass(frozen=True)

@@ -114,5 +114,5 @@ def expand_sentence(
             if len(variants) == cap:
                 return variants
             swapped = tokens[:position] + (synonym,) + tokens[position + 1 :]
-            variants.append(TokenizedSentence(swapped, sentence.source_index))
+            variants.append(TokenizedSentence(swapped))
     return variants

@@ -18,7 +18,7 @@ from .corpus import Corpus
 from .errors import ConfigError, DataError
 from .lexicon import EMPTY_LEXICON, EMPTY_STOPWORDS, StopWordList, SynonymLexicon
 from .metrics import evaluate_against_gold
-from .similarity import ComparatorChain
+from .similarity import ComparatorChain, PairScores
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +44,9 @@ class TuningJob:
     cap: int = 64
     stopwords: StopWordList = EMPTY_STOPWORDS
     lexicon: SynonymLexicon = EMPTY_LEXICON
+    # One pair-score table for every evaluation: thresholds change between
+    # evaluations, raw scores do not.
+    scores: PairScores = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.bounds:
@@ -73,6 +76,9 @@ class TuningJob:
                 "dev set has %d lines; %d-%d lines give the most reliable tuning",
                 len(self.source), lo, hi,
             )
+        self.scores = PairScores(
+            self.trans, self.target, self.config_for(self.chain_template).context()
+        )
 
     def config_for(self, chain: ComparatorChain) -> AlignmentConfig:
         return AlignmentConfig(
@@ -134,9 +140,8 @@ class TuningReport:
         }
 
 
-def _score_with_threshold(job: TuningJob, position: int, threshold: float) -> int:
-    chain = job.chain_template.with_threshold(position, threshold)
-    result = align(job.source, job.target, job.trans, job.config_for(chain))
+def _score(job: TuningJob, chain: ComparatorChain) -> int:
+    result = align(job.source, job.target, job.trans, job.config_for(chain), job.scores)
     return evaluate_against_gold(result, job.gold).score
 
 
@@ -162,7 +167,8 @@ def tune_threshold(
     def score_at(threshold: float) -> int:
         threshold = min(max(threshold, bound_lo), bound_hi)
         if threshold not in memo:
-            memo[threshold] = _score_with_threshold(job, comparator_position, threshold)
+            chain = job.chain_template.with_threshold(comparator_position, threshold)
+            memo[threshold] = _score(job, chain)
             if align_counter is not None:
                 align_counter.append(threshold)
         return memo[threshold]
@@ -199,8 +205,7 @@ def tune_chain(job: TuningJob, align_counter: list | None = None) -> TuningRepor
     chain = job.chain_template
     for position, threshold in enumerate(thresholds):
         chain = chain.with_threshold(position, threshold)
-    result = align(job.source, job.target, job.trans, job.config_for(chain))
-    achieved = evaluate_against_gold(result, job.gold).score
+    achieved = _score(job, chain)
     if align_counter is not None:
         align_counter.append("assembled")
     evaluations = sum(outcome.evaluations for outcome in outcomes) + 1

@@ -15,8 +15,9 @@ from transalign.align import (
     write_alignment,
 )
 from transalign.corpus import Corpus, Sentence
-from transalign.errors import DataError
-from transalign.similarity import ChainContext, Comparator, ComparatorChain
+from transalign.errors import ConfigError, DataError
+from transalign.lexicon import StopWordList, SynonymLexicon
+from transalign.similarity import ChainContext, Comparator, ComparatorChain, PairScores
 
 
 def corpus(*lines, language="x"):
@@ -78,6 +79,27 @@ def test_lookahead_disabled_takes_greedy_best():
     # without lookahead the first line grabs the contested sentence
     result = lookahead_fixture(lookahead=0)
     assert result.decisions[0].text == "I do not go to school every day."
+
+
+def test_lookahead_rejecting_later_line_cannot_defer():
+    # line 1's Dice score (0.947) beats line 0's accepted ratio (0.943), but
+    # line 1's chain rejects the target, so it must not take it from line 0
+    chain = ComparatorChain(
+        (Comparator("token_overlap", 0.99), Comparator("matching_blocks_ratio", 0.9))
+    )
+    src = corpus("zrodlo jeden", "zrodlo dwa", language="src")
+    trans = corpus(
+        "the cat sat on a mat near the door",
+        "door the near mat the on sat cat the dog",
+        language="en",
+    )
+    tgt = corpus("the cat sat on the mat near the door", language="en")
+    for lookahead in (0, 1):
+        config = AlignmentConfig(chain=chain, window=0, lookahead_depth=lookahead)
+        first, second = align(src, tgt, trans, config).decisions
+        assert first.outcome == ALIGNED and first.target_index == 0
+        assert first.score == pytest.approx(0.943, abs=5e-4)
+        assert second.outcome != ALIGNED
 
 
 def test_lookahead_requires_strictly_higher_score():
@@ -285,3 +307,82 @@ def test_write_empty_result(tmp_path):
     assert out_t.read_bytes() == b""
     trailer = json.loads(report.read_text(encoding="utf-8").splitlines()[-1])
     assert trailer["A"] == trailer["T"] == trailer["D"] == trailer["L"] == 0
+
+
+def test_align_rejects_a_table_over_other_inputs():
+    src = corpus("a b", language="src")
+    tgt = corpus("a b", language="tgt")
+    config = config_of()
+    with pytest.raises(ConfigError):
+        align(src, tgt, src, config, PairScores(src, corpus("a b"), config.context()))
+    with pytest.raises(ConfigError):
+        align(src, tgt, src, config, PairScores(src, tgt, ChainContext(cap=3)))
+
+
+def test_warm_pair_table_gives_identical_reports(tmp_path):
+    # A table filled by runs at other thresholds must not change any
+    # decision: the report bytes equal those of a run on a fresh table.
+    letters = "abcdefgh"
+    for seed in range(2):
+        rng = random.Random(seed)
+
+        def word():
+            return "".join(rng.choice(letters) for _ in range(rng.randrange(2, 5)))
+
+        vocab = [word() for _ in range(30)]
+        stop = vocab[:4]
+        base = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(3, 8))) for _ in range(40)]
+        entries = {}
+        trans_lines = []
+        for line in base:
+            tokens = line.split()
+            if rng.random() < 0.4:
+                position = rng.randrange(len(tokens))
+                alternative = word()
+                entries.setdefault(alternative, (tokens[position],))
+                tokens[position] = alternative
+            if rng.random() < 0.3:
+                del tokens[rng.randrange(len(tokens))]
+            trans_lines.append(" ".join(tokens) or "x")
+        kept = [line for line in base if rng.random() > 0.1]
+        src = Corpus.from_lines([f"zrodlo {i}" for i in range(40)], "src")
+        trans = Corpus.from_lines(trans_lines, "y")
+        tgt = Corpus.from_lines(window_shuffled(kept, rng), "tgt")
+        extras = dict(stopwords=StopWordList(frozenset(stop)), lexicon=SynonymLexicon(entries))
+
+        def chain(t1, t2, t3):
+            return ComparatorChain(
+                (
+                    Comparator("token_overlap", t1),
+                    Comparator("matching_blocks_ratio", t2),
+                    Comparator("synonym_ratio", t3),
+                )
+            )
+
+        for window in (0, 3, 20):
+            for lookahead in (0, 1, 2):
+                def config(c):
+                    return AlignmentConfig(
+                        chain=c, window=window, lookahead_depth=lookahead, **extras
+                    )
+
+                target_config = config(chain(0.99, 0.8, 0.85))
+                warm = PairScores(trans, tgt, target_config.context())
+                for other in (chain(0.6, 0.95, 0.99), chain(1.0, 0.7, 0.7)):
+                    align(src, tgt, trans, config(other), warm)
+                reports = []
+                for scores in (None, warm):
+                    result = align(src, tgt, trans, target_config, scores)
+                    paths = [tmp_path / name for name in ("s", "t", "r")]
+                    write_alignment(result, *paths)
+                    reports.append(tuple(path.read_bytes() for path in paths))
+                assert reports[0] == reports[1], (seed, window, lookahead)
+
+
+def window_shuffled(lines, rng, width=10):
+    out = []
+    for start in range(0, len(lines), width):
+        block = list(lines[start : start + width])
+        rng.shuffle(block)
+        out.extend(block)
+    return out

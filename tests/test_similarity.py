@@ -9,6 +9,7 @@ from transalign.errors import ConfigError
 from transalign.lexicon import EMPTY_LEXICON, StopWordList, SynonymLexicon
 from transalign.similarity import (
     ChainContext,
+    char_index,
     Comparator,
     ComparatorChain,
     evaluate_chain,
@@ -56,6 +57,22 @@ def test_matching_blocks_equals_oracle_on_random_pairs():
         a = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 9)))
         b = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 9)))
         assert blocks(a, b) == brute_matching_blocks(a, b), (a, b)
+
+
+def test_reused_target_index_equals_oracle():
+    # one target's index serves many sources, as in a pair-score table
+    rng = random.Random(23)
+    for k in range(40):
+        b = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 9) if k else 0))
+        index = char_index(b)
+        for m in range(15):
+            a = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 9) if m else 0))
+            assert blocks_with(a, b, index) == brute_matching_blocks(a, b), (a, b)
+            assert ratio(a, b, index) == float(brute_ratio(a, b)), (a, b)
+
+
+def blocks_with(a, b, index):
+    return [(blk.a_start, blk.b_start, blk.length) for blk in matching_blocks(a, b, index)]
 
 
 def test_ratio_paper_fixture():

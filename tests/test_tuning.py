@@ -1,8 +1,12 @@
 import logging
 import math
+import random
+from collections import Counter
 
 import pytest
 
+import transalign.similarity as sim
+import transalign.tuning as tuning
 from transalign.align import align
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError, DataError
@@ -202,3 +206,56 @@ def test_report_serialization_and_config_fragment():
     fragment = report.config_fragment()
     assert fragment["chain"][0]["kind"] == "matching_blocks_ratio"
     assert fragment["chain"][0]["threshold"] == report.thresholds[0]
+
+
+def drift_job(chain):
+    """Dev set with shuffled targets, near-miss translations and a few
+    unmatched lines, so every threshold probe changes some decisions."""
+    rng = random.Random(5)
+    words = ["".join(rng.choice("abcdefg") for _ in range(4)) for _ in range(40)]
+    gold = [" ".join(rng.sample(words, 5)) + f" n{i}" for i in range(30)]
+    trans = [line[: -rng.randrange(1, 6)] if rng.random() < 0.5 else line for line in gold]
+    target = list(gold)
+    for start in range(0, 30, 6):
+        block = target[start : start + 6]
+        rng.shuffle(block)
+        target[start : start + 6] = block
+    return TuningJob(
+        source=corpus([f"zrodlo {i}" for i in range(30)], "src"),
+        target=corpus(target[:-2], "tgt"),
+        trans=corpus(trans, "tgt"),
+        gold=gold,
+        chain_template=chain,
+        bounds=[(0.5, 1.0)] * len(chain),
+        resolution=1 / 32,
+        window=6,
+    )
+
+
+def test_shared_pair_table_gives_the_same_report(monkeypatch):
+    chain = ComparatorChain(
+        (Comparator("token_overlap", 0.9), Comparator("matching_blocks_ratio", 0.9))
+    )
+    shared = tune_chain(drift_job(chain))
+    real_align = tuning.align
+
+    def align_on_fresh_table(source, target, trans, config, scores=None):
+        return real_align(source, target, trans, config)
+
+    monkeypatch.setattr(tuning, "align", align_on_fresh_table)
+    assert tune_chain(drift_job(chain)) == shared
+
+
+def test_tuning_computes_each_ratio_once(monkeypatch):
+    calls = Counter()
+    real_ratio = sim.ratio
+
+    def counting_ratio(a, b, b_index=None):
+        calls[a, b] += 1
+        return real_ratio(a, b, b_index)
+
+    monkeypatch.setattr(sim, "ratio", counting_ratio)
+    job = drift_job(chain_of(0.9))
+    report = tune_chain(job)
+    assert report.evaluations > 3
+    assert calls and max(calls.values()) == 1
