@@ -38,7 +38,9 @@ class AlignmentConfig:
     ``window`` is the candidate-search half-width around the expected
     target position (0 disables windowing, i.e. full scan); ``lookahead_depth``
     is how many following translation lines may contest a selected candidate
-    (0 disables lookahead).
+    (0 disables lookahead); ``cap`` bounds the synonym variants per sentence.
+    This is the one place these settings are defaulted and checked: each
+    must be an ``int`` (not a ``bool``), else ``ConfigError``.
     """
 
     chain: ComparatorChain
@@ -49,10 +51,11 @@ class AlignmentConfig:
     lexicon: SynonymLexicon = EMPTY_LEXICON
 
     def __post_init__(self):
-        if self.window < 0:
-            raise DataError(f"window must be >= 0, got {self.window}")
-        if self.lookahead_depth < 0:
-            raise DataError(f"lookahead_depth must be >= 0, got {self.lookahead_depth}")
+        for name, value in (("window", self.window), ("lookahead_depth", self.lookahead_depth)):
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+        if type(self.cap) is not int or self.cap < 1:
+            raise ConfigError(f"cap must be an integer >= 1, got {self.cap!r}")
 
     def context(self) -> ChainContext:
         return ChainContext(self.stopwords, self.lexicon, self.cap)
@@ -281,25 +284,31 @@ def read_report(report_path) -> AlignmentResult:
     The report does not carry source text, so ``output_pairs`` stays empty;
     decisions and counts are enough for gold-based scoring.
     """
-    lines = Path(report_path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"empty report file: {report_path}")
     try:
+        # Split on LF only: text fields may hold U+2028 and the like raw.
+        lines = Path(report_path).read_text(encoding="utf-8").split("\n")
         objects = [json.loads(line) for line in lines if line.strip()]
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed report {report_path}: {exc}") from exc
+    if not objects:
+        raise DataError(f"empty report file: {report_path}")
+    if not all(isinstance(obj, dict) for obj in objects):
+        raise DataError(f"report {report_path} has a line that is not a JSON object")
     trailer = objects[-1]
     for key in ("A", "T", "D", "L"):
-        if key not in trailer:
+        if type(trailer.get(key)) is not int:
             raise DataError(f"report {report_path} has no counts trailer")
     decisions = []
     for record in objects[:-1]:
         outcome = record.get("outcome")
         if outcome not in (ALIGNED, TRANSLATED, FILLED):
             raise DataError(f"report record has unknown outcome: {outcome!r}")
+        source_index = record.get("source_index")
+        if type(source_index) is not int or source_index < 0:
+            raise DataError(f"report record has no valid source_index: {source_index!r}")
         decisions.append(
             AlignmentDecision(
-                source_index=record["source_index"],
+                source_index=source_index,
                 outcome=outcome,
                 text=record.get("text", ""),
                 target_index=record.get("target_index"),

@@ -85,7 +85,12 @@ def _load_config_file(path: str | None) -> dict:
 
 
 class Settings:
-    """Merged view of config file + flags (flags win), validated up front."""
+    """Merged view of config file + flags (flags win).
+
+    Settings only merge values and load the files they name; the objects
+    built from them (``AlignmentConfig``, ``HttpProvider``) supply the
+    defaults and check every value.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.config = _load_config_file(getattr(args, "config", None))
@@ -96,8 +101,6 @@ class Settings:
         if value is not None:
             return value
         return self.config.get(config_key or flag_name, default)
-
-    # -- validated pieces ------------------------------------------------
 
     def source_language(self) -> str:
         return self.get("source_language", default="src")
@@ -125,42 +128,18 @@ class Settings:
             return ComparatorChain(tuple(comparators))
         raise ConfigError("config chain must be a string spec or a list of objects")
 
-    def window(self) -> int:
-        value = int(self.get("window", default=20))
-        if value < 0:
-            raise ConfigError(f"window must be >= 0, got {value}")
-        return value
-
-    def lookahead(self) -> int:
-        value = int(self.get("lookahead", "lookahead_depth", default=1))
-        if value < 0:
-            raise ConfigError(f"lookahead depth must be >= 0, got {value}")
-        return value
-
-    def cap(self) -> int:
-        value = int(self.get("cap", default=64))
-        if value < 1:
-            raise ConfigError(f"synonym cap must be >= 1, got {value}")
-        return value
-
-    def bp_form(self) -> str:
-        value = self.get("bp_form", default=BP_STANDARD)
-        if value not in (BP_STANDARD, BP_PAPER):
-            raise ConfigError(f"--bp-form must be standard or paper, got {value!r}")
-        return value
-
     def stopwords(self):
         path = self.get("stopwords")
         if not path:
             return EMPTY_STOPWORDS
-        self._require_file(path, "stop-word file")
+        _require_file(path, "stop-word file")
         return load_stopwords(path)
 
     def lexicon(self):
         path = self.get("synonyms")
         if not path:
             return EMPTY_LEXICON
-        self._require_file(path, "synonym file")
+        _require_file(path, "synonym file")
         return load_synonyms(path)
 
     def cache(self) -> TranslationCache | None:
@@ -172,45 +151,39 @@ class Settings:
         settings = self.config.get("provider_settings", {})
         if isinstance(kind, dict):  # whole provider object in config
             settings, kind = kind, kind.get("type")
+        if not isinstance(settings, dict):
+            raise ConfigError("provider settings must be a JSON object")
         if kind is None:
             raise ConfigError("no translation provider configured")
         if kind == "file":
             path = self.get("provider_path", default=settings.get("path"))
             if not path:
                 raise ConfigError("file provider needs a path (--provider-path)")
-            self._require_file(path, "translation file")
+            _require_file(path, "translation file")
             return FileProvider(path)
         if kind == "http":
             endpoint = self.get("endpoint", default=settings.get("endpoint"))
             if not endpoint:
                 raise ConfigError("http provider needs an endpoint URL")
-            return HttpProvider(
-                endpoint=endpoint,
-                response_path=settings.get("response_path", ""),
-                max_concurrency=int(settings.get("max_concurrency", 4)),
-                timeout=float(settings.get("timeout", 10.0)),
-                retries=int(settings.get("retries", 2)),
-                backoff=float(settings.get("backoff", 0.25)),
-            )
+            optional = ("response_path", "max_concurrency", "timeout", "retries", "backoff")
+            given = {key: settings[key] for key in optional if key in settings}
+            return HttpProvider(endpoint=endpoint, **given)
         raise ConfigError(f"unknown provider type {kind!r} (expected file or http)")
 
     def alignment_config(self) -> AlignmentConfig:
+        given = {
+            field: self.get(flag, field)
+            for flag, field in (("window", "window"), ("lookahead", "lookahead_depth"), ("cap", "cap"))
+            if getattr(self.args, flag, None) is not None or field in self.config
+        }
         return AlignmentConfig(
-            chain=self.chain(),
-            window=self.window(),
-            lookahead_depth=self.lookahead(),
-            cap=self.cap(),
-            stopwords=self.stopwords(),
-            lexicon=self.lexicon(),
+            chain=self.chain(), stopwords=self.stopwords(), lexicon=self.lexicon(), **given
         )
 
-    @staticmethod
-    def _require_file(path, description: str) -> None:
-        if not Path(path).is_file():
-            raise ConfigError(f"{description} not found: {path}")
 
-
-def _require_input(path, description: str) -> None:
+def _require_file(path, description: str) -> None:
+    if not isinstance(path, str):
+        raise ConfigError(f"{description} must be a path string, got {path!r}")
     if not Path(path).is_file():
         raise ConfigError(f"{description} not found: {path}")
 
@@ -220,8 +193,11 @@ def _print_json(payload: dict) -> None:
 
 
 def _read_gold_lines(path) -> list[str]:
-    _require_input(path, "gold file")
-    text = Path(path).read_bytes().decode("utf-8")
+    _require_file(path, "gold file")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"gold file {path} is not valid UTF-8: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -233,7 +209,7 @@ def _read_gold_lines(path) -> list[str]:
 
 def cmd_translate(args) -> int:
     settings = Settings(args)
-    _require_input(args.source, "source file")
+    _require_file(args.source, "source file")
     provider = settings.provider()
     corpus = load_corpus(args.source, settings.source_language())
     stats: dict = {}
@@ -253,14 +229,14 @@ def cmd_translate(args) -> int:
 def cmd_align(args) -> int:
     settings = Settings(args)
     config = settings.alignment_config()  # reject bad thresholds before any I/O
-    _require_input(args.source, "source file")
-    _require_input(args.target, "target file")
+    _require_file(args.source, "source file")
+    _require_file(args.target, "target file")
     source = load_corpus(args.source, settings.source_language())
     target = load_corpus(args.target, settings.target_language())
 
     trans_path = args.trans or settings.config.get("trans")
     if trans_path:
-        _require_input(trans_path, "translation file")
+        _require_file(trans_path, "translation file")
         trans = load_corpus(trans_path, settings.target_language())
         if len(trans) != len(source):
             raise DataError(
@@ -289,7 +265,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_score(args) -> int:
-    _require_input(args.report, "report file")
+    _require_file(args.report, "report file")
     result = read_report(args.report)
     gold = _read_gold_lines(args.gold)
     card = evaluate_against_gold(result, gold)
@@ -299,12 +275,13 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     settings = Settings(args)
-    _require_input(args.hyp, "hypothesis file")
-    _require_input(args.ref, "reference file")
+    _require_file(args.hyp, "hypothesis file")
+    _require_file(args.ref, "reference file")
     hyp = load_corpus(args.hyp, "hyp")
     ref = load_corpus(args.ref, "ref")
     report = evaluate_corpus(
-        hyp, ref, max_order=args.max_order, bp_form=settings.bp_form()
+        hyp, ref, max_order=args.max_order,
+        bp_form=settings.get("bp_form", default=BP_STANDARD),
     )
     _print_json(report)
     return EXIT_OK
@@ -312,13 +289,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tune(args) -> int:
     settings = Settings(args)
-    chain = settings.chain()  # reject bad thresholds before any I/O
+    config = settings.alignment_config()  # reject bad thresholds before any I/O
     for path, what in (
         (args.source, "dev source"),
         (args.target, "dev target"),
         (args.trans, "dev translation"),
     ):
-        _require_input(path, f"{what} file")
+        _require_file(path, f"{what} file")
     source = load_corpus(args.source, settings.source_language())
     target = load_corpus(args.target, settings.target_language())
     trans = load_corpus(args.trans, settings.target_language())
@@ -340,14 +317,9 @@ def cmd_tune(args) -> int:
         target=target,
         trans=trans,
         gold=gold,
-        chain_template=chain,
+        config=config,
         bounds=bounds,
         resolution=args.resolution,
-        window=settings.window(),
-        lookahead_depth=settings.lookahead(),
-        cap=settings.cap(),
-        stopwords=settings.stopwords(),
-        lexicon=settings.lexicon(),
     )
     report = tune_chain(job)
     payload = report.as_json_dict()

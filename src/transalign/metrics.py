@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .align import ALIGNED, FILLED, TRANSLATED, AlignmentResult
 from .corpus import normalize, split_tokens
-from .errors import DataError, GoldMismatchError
+from .errors import ConfigError, DataError, GoldMismatchError
 
 log = logging.getLogger(__name__)
 
@@ -312,6 +312,8 @@ def evaluate_corpus(
     per-sentence sufficient statistics, TER and CER divide summed edits by
     the summed reference sizes.
     """
+    if bp_form not in (BP_STANDARD, BP_PAPER):
+        raise ConfigError(f"bp_form must be {BP_STANDARD} or {BP_PAPER}, got {bp_form!r}")
     if len(hyp_corpus) != len(ref_corpus):
         raise DataError(
             f"hypothesis has {len(hyp_corpus)} lines, reference has {len(ref_corpus)}"

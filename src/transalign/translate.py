@@ -9,6 +9,9 @@ that tests back with a local mock server. Results are cached per
 from __future__ import annotations
 
 import json
+import math
+import os
+import tempfile
 import threading
 import time
 import urllib.error
@@ -18,8 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, load_corpus
 from .errors import (
+    ConfigError,
     DataError,
     ProviderError,
     ProviderResponseError,
@@ -54,29 +58,26 @@ class TranslationProvider:
 class FileProvider(TranslationProvider):
     """Serves translations positionally from a pre-translated file.
 
-    The file must hold exactly one line per source sentence; the length is
-    checked against the corpus before any translation happens.
+    The file is read with the corpus line rules (``load_corpus``) and must
+    hold exactly one sentence per source sentence; the length is checked
+    against the corpus before any translation happens.
     """
 
     name = "file"
 
     def __init__(self, path):
-        self.path = Path(path)
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read translation file {path}: {exc}") from exc
-        self.lines = text.splitlines()
+        self.path = path
+        self.translations = load_corpus(path, "translation")
 
     def prepare(self, corpus: Corpus) -> None:
-        if len(self.lines) != len(corpus):
+        if len(self.translations) != len(corpus):
             raise DataError(
-                f"translation file {self.path} has {len(self.lines)} lines "
+                f"translation file {self.path} has {len(self.translations)} lines "
                 f"but the source corpus has {len(corpus)}"
             )
 
     def translate_line(self, text, source_language, target_language, index):
-        return self.lines[index]
+        return self.translations[index].raw
 
 
 def _walk_response_path(payload, path: str):
@@ -102,6 +103,9 @@ class HttpProvider(TranslationProvider):
     (values are URL-encoded before substitution). An empty ``response_path``
     takes the whole response body as the translation; otherwise the body is
     parsed as JSON and the dotted path (list indices allowed) is followed.
+    ``max_concurrency`` (>= 1) and ``retries`` (>= 0) are ints, ``timeout``
+    (> 0) and ``backoff`` (>= 0) finite seconds; anything else is a
+    ``ConfigError``.
     """
 
     endpoint: str
@@ -111,6 +115,17 @@ class HttpProvider(TranslationProvider):
     retries: int = 2
     backoff: float = 0.25
     name: str = "http"
+
+    def __post_init__(self):
+        valid = {
+            "max_concurrency": type(self.max_concurrency) is int and self.max_concurrency >= 1,
+            "retries": type(self.retries) is int and self.retries >= 0,
+            "timeout": type(self.timeout) in (int, float) and 0 < self.timeout < math.inf,
+            "backoff": type(self.backoff) in (int, float) and 0 <= self.backoff < math.inf,
+        }
+        for name, ok in valid.items():
+            if not ok:
+                raise ConfigError(f"invalid provider {name}: {getattr(self, name)!r}")
 
     def translate_line(self, text, source_language, target_language, index):
         return http_translate(text, (source_language, target_language), self)
@@ -200,9 +215,10 @@ class TranslationCache:
     """Persistent (source line, language pair) -> translation map.
 
     Stored as one `source<TAB>translation` TSV per language pair under a
-    directory; tabs/newlines inside lines are backslash-escaped. A cache
-    hit never triggers a provider call. Reads are lock-free after load;
-    writes are serialized.
+    directory; tabs/newlines inside lines are backslash-escaped, so records
+    are split on LF alone. A cache hit never triggers a provider call.
+    Reads are lock-free after load; writes are serialized, and each file is
+    replaced whole, so an interrupted save leaves the previous one intact.
     """
 
     def __init__(self, directory):
@@ -220,7 +236,7 @@ class TranslationCache:
             table: dict[str, str] = {}
             path = self._pair_file(pair)
             if path.exists():
-                for line in path.read_text(encoding="utf-8").splitlines():
+                for line in path.read_text(encoding="utf-8").split("\n"):
                     if "\t" not in line:
                         continue
                     source, translation = line.split("\t", 1)
@@ -243,7 +259,18 @@ class TranslationCache:
                     f"{_escape(source)}\t{_escape(translation)}\n"
                     for source, translation in sorted(table.items())
                 )
-                self._pair_file(pair).write_text(lines, encoding="utf-8")
+                handle = tempfile.NamedTemporaryFile(
+                    "w", encoding="utf-8", dir=self.directory, suffix=".tmp", delete=False
+                )
+                try:
+                    with handle:
+                        handle.write(lines)
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                    os.replace(handle.name, self._pair_file(pair))
+                except BaseException:
+                    os.unlink(handle.name)
+                    raise
 
 
 def translate_corpus(

@@ -10,13 +10,12 @@ evaluated, and the full score trace is reported for inspection.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .align import AlignmentConfig, align
 from .corpus import Corpus
 from .errors import ConfigError, DataError
-from .lexicon import EMPTY_LEXICON, EMPTY_STOPWORDS, StopWordList, SynonymLexicon
 from .metrics import evaluate_against_gold
 from .similarity import ComparatorChain, PairScores
 
@@ -29,32 +28,27 @@ RECOMMENDED_DEV_LINES = (1_000, 10_000)
 
 @dataclass
 class TuningJob:
-    """Everything one tuning run needs: dev corpora, gold, chain template,
+    """Everything one tuning run needs: dev corpora, gold, the alignment
+    settings (their chain is the template whose thresholds are searched),
     per-comparator search bounds and the stop resolution."""
 
     source: Corpus
     target: Corpus
     trans: Corpus
     gold: Sequence[str]
-    chain_template: ComparatorChain
+    config: AlignmentConfig
     bounds: Sequence[tuple[float, float]] = ()
     resolution: float = 1 / 256
-    window: int = 20
-    lookahead_depth: int = 1
-    cap: int = 64
-    stopwords: StopWordList = EMPTY_STOPWORDS
-    lexicon: SynonymLexicon = EMPTY_LEXICON
     # One pair-score table for every evaluation: thresholds change between
     # evaluations, raw scores do not.
     scores: PairScores = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        template = self.config.chain
         if not self.bounds:
-            self.bounds = [(0.0, 1.0)] * len(self.chain_template)
-        if len(self.bounds) != len(self.chain_template):
-            raise ConfigError(
-                f"{len(self.bounds)} bounds for {len(self.chain_template)} comparators"
-            )
+            self.bounds = [(0.0, 1.0)] * len(template)
+        if len(self.bounds) != len(template):
+            raise ConfigError(f"{len(self.bounds)} bounds for {len(template)} comparators")
         for lo, hi in self.bounds:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ConfigError(f"invalid search bounds [{lo}, {hi}]")
@@ -76,19 +70,7 @@ class TuningJob:
                 "dev set has %d lines; %d-%d lines give the most reliable tuning",
                 len(self.source), lo, hi,
             )
-        self.scores = PairScores(
-            self.trans, self.target, self.config_for(self.chain_template).context()
-        )
-
-    def config_for(self, chain: ComparatorChain) -> AlignmentConfig:
-        return AlignmentConfig(
-            chain=chain,
-            window=self.window,
-            lookahead_depth=self.lookahead_depth,
-            cap=self.cap,
-            stopwords=self.stopwords,
-            lexicon=self.lexicon,
-        )
+        self.scores = PairScores(self.trans, self.target, self.config.context())
 
 
 @dataclass
@@ -141,7 +123,8 @@ class TuningReport:
 
 
 def _score(job: TuningJob, chain: ComparatorChain) -> int:
-    result = align(job.source, job.target, job.trans, job.config_for(chain), job.scores)
+    config = replace(job.config, chain=chain)
+    result = align(job.source, job.target, job.trans, config, job.scores)
     return evaluate_against_gold(result, job.gold).score
 
 
@@ -157,7 +140,7 @@ def tune_threshold(
     midpoint. ``align_counter``, when given, receives one appended entry
     per actual alignment run (instrumentation for evaluation-count checks).
     """
-    if not 0 <= comparator_position < len(job.chain_template):
+    if not 0 <= comparator_position < len(job.config.chain):
         raise ConfigError(f"no comparator at position {comparator_position}")
     lo, hi = job.bounds[comparator_position]
     bound_lo, bound_hi = lo, hi
@@ -167,7 +150,7 @@ def tune_threshold(
     def score_at(threshold: float) -> int:
         threshold = min(max(threshold, bound_lo), bound_hi)
         if threshold not in memo:
-            chain = job.chain_template.with_threshold(comparator_position, threshold)
+            chain = job.config.chain.with_threshold(comparator_position, threshold)
             memo[threshold] = _score(job, chain)
             if align_counter is not None:
                 align_counter.append(threshold)
@@ -199,10 +182,10 @@ def tune_chain(job: TuningJob, align_counter: list | None = None) -> TuningRepor
     """
     outcomes = tuple(
         tune_threshold(job, position, align_counter)
-        for position in range(len(job.chain_template))
+        for position in range(len(job.config.chain))
     )
     thresholds = tuple(outcome.threshold for outcome in outcomes)
-    chain = job.chain_template
+    chain = job.config.chain
     for position, threshold in enumerate(thresholds):
         chain = chain.with_threshold(position, threshold)
     achieved = _score(job, chain)
@@ -214,5 +197,5 @@ def tune_chain(job: TuningJob, align_counter: list | None = None) -> TuningRepor
         achieved_score=achieved,
         evaluations=evaluations,
         outcomes=outcomes,
-        chain=job.chain_template,
+        chain=job.config.chain,
     )

@@ -272,9 +272,10 @@ def test_08_threshold_search_matches_grid_scan_with_log_evaluations():
         target=Corpus.from_lines(target, "tgt"),
         trans=Corpus.from_lines(trans, "y"),
         gold=target,
-        chain_template=ComparatorChain((Comparator("matching_blocks_ratio", 0.9),)),
+        config=AlignmentConfig(
+            chain=ComparatorChain((Comparator("matching_blocks_ratio", 0.9),)), window=0
+        ),
         resolution=1 / 256,
-        window=0,
     )
 
     probes = []
@@ -282,7 +283,7 @@ def test_08_threshold_search_matches_grid_scan_with_log_evaluations():
 
     grid_best = None
     for k in range(257):
-        chain = job.chain_template.with_threshold(0, k / 256)
+        chain = job.config.chain.with_threshold(0, k / 256)
         config = AlignmentConfig(chain=chain, window=0, lookahead_depth=1)
         scored = evaluate_against_gold(
             align(job.source, job.target, job.trans, config), job.gold

@@ -195,10 +195,19 @@ def test_window_zero_scans_everything():
 
 
 def test_config_rejects_negative_values():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         AlignmentConfig(chain=chain_of(), window=-1)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         AlignmentConfig(chain=chain_of(), lookahead_depth=-2)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"cap": 0}, {"window": True}, {"window": 2.9}, {"lookahead_depth": None}],
+)
+def test_config_rejects_bools_non_integers_and_a_zero_cap(settings):
+    with pytest.raises(ConfigError):
+        AlignmentConfig(chain=chain_of(), **settings)
 
 
 def test_zero_line_loss_over_random_corpora():

@@ -274,6 +274,10 @@ def test_usage_errors_exit_one(capsys):
     assert main(["align"]) == 1  # missing required flags
     assert main(["nonsense"]) == 1
     assert main(["evaluate", "--hyp", "a", "--ref", "b", "--bp-form", "wat"]) == 1
+    assert main(["align", "--source", "a", "--target", "b", "--out-source", "c",
+                 "--out-target", "d", "--report", "e", "--cap", "0"]) == 1
+    assert main(["tune", "--source", "a", "--target", "b", "--trans", "c",
+                 "--gold", "d", "--lookahead", "-1"]) == 1
     capsys.readouterr()
 
 
@@ -329,6 +333,79 @@ def test_config_invalid_json_exit_one(tmp_path, capsys):
     source = write(tmp_path, "src.txt", ["a"])
     argv, _ = align_argv(tmp_path, source, source, source, extra=["--config", str(config)])
     assert main(argv) == 1
+    config.write_text("[]", encoding="utf-8")
+    assert main(argv) == 1
+
+
+def cli_argv(command, path, tmp_path):
+    """Valid argv for ``command`` with every input file set to ``path``."""
+    if command == "align":
+        return align_argv(tmp_path, path, path, path)[0]
+    return {
+        "tune": ["tune", "--source", path, "--target", path, "--trans", path, "--gold", path],
+        "evaluate": ["evaluate", "--hyp", path, "--ref", path],
+        "translate": ["translate", "--source", path, "--out", str(tmp_path / "out.txt")],
+    }[command]
+
+
+def http_config(**settings):
+    endpoint = "http://127.0.0.1:9/{text}"
+    return {"provider": "http", "provider_settings": {"endpoint": endpoint, **settings}}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("align", {"window": "wide"}),
+        ("align", {"window": -1}),
+        ("align", {"window": True}),
+        ("align", {"window": 2.9}),
+        ("align", {"lookahead_depth": None}),
+        ("align", {"cap": "x"}),
+        ("align", {"cap": 0}),
+        ("align", {"stopwords": 5}),
+        ("tune", {"window": "wide"}),
+        ("tune", {"synonyms": ["a.tsv"]}),
+        ("evaluate", {"bp_form": "bogus"}),
+        ("translate", http_config(timeout="x")),
+        ("translate", http_config(retries=1.5)),
+        ("translate", {"provider": "http", "provider_settings": ["not", "an", "object"]}),
+    ],
+)
+def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(cli_argv(command, path, tmp_path) + ["--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+RECORD = {"source_index": 0, "outcome": "translated", "text": "x"}
+TRAILER = {"A": 0, "T": 1, "D": 0, "L": 1, "unmatched_targets": []}
+
+
+def jsonl(*objects):
+    return "".join(json.dumps(obj) + "\n" for obj in objects).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "report, gold",
+    [
+        (jsonl({"outcome": "translated", "text": "x"}, TRAILER), b"x\n"),
+        (jsonl({**RECORD, "source_index": "0"}, TRAILER), b"x\n"),
+        (jsonl(RECORD, TRAILER).replace(b'"x"', b'"\xff"'), b"x\n"),
+        (jsonl(RECORD, TRAILER), b"\xff\n"),
+    ],
+    ids=["no-source-index", "string-source-index", "report-not-utf8", "gold-not-utf8"],
+)
+def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
+    (tmp_path / "r.jsonl").write_bytes(report)
+    (tmp_path / "gold.txt").write_bytes(gold)
+    argv = ["score", "--report", str(tmp_path / "r.jsonl"), "--gold", str(tmp_path / "gold.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_tune_command_step_fixture(tmp_path, capsys, caplog):

@@ -12,7 +12,7 @@ from oracles import (
 )
 from transalign.align import AlignmentDecision, AlignmentResult
 from transalign.corpus import Corpus
-from transalign.errors import DataError, GoldMismatchError
+from transalign.errors import ConfigError, DataError, GoldMismatchError
 from transalign.metrics import (
     BP_PAPER,
     NgramStats,
@@ -347,6 +347,15 @@ def test_evaluate_corpus_line_count_mismatch():
         evaluate_corpus(
             Corpus.from_lines(["a"], "hyp"), Corpus.from_lines(["a", "b"], "ref")
         )
+
+
+@pytest.mark.parametrize("hyp_line", ["a b c d e f", "a b c"])
+def test_evaluate_corpus_rejects_unknown_bp_form(hyp_line):
+    # a longer hypothesis never reaches the penalty, a shorter one does
+    hyp = Corpus.from_lines([hyp_line], "hyp")
+    ref = Corpus.from_lines(["a b c d e"], "ref")
+    with pytest.raises(ConfigError):
+        evaluate_corpus(hyp, ref, bp_form="bogus")
 
 
 def test_evaluate_corpus_paper_bp_flag():

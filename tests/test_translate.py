@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import transalign.translate as translate_module
 from transalign.corpus import Corpus
 from transalign.errors import (
     DataError,
@@ -67,6 +68,13 @@ def test_file_provider_pass_through(tmp_path):
     assert out.language == "tgt"
 
 
+def test_file_provider_uses_the_corpus_line_rules(tmp_path):
+    path = tmp_path / "pre.txt"
+    path.write_text("one\x0ctwo\nthree\n", encoding="utf-8")
+    out = translate_corpus(corpus("a", "b"), FileProvider(path))
+    assert [s.raw for s in out] == ["one\x0ctwo", "three"]
+
+
 def test_file_provider_length_mismatch_names_both_counts(tmp_path):
     path = tmp_path / "pre.txt"
     path.write_text("one\ntwo\n", encoding="utf-8")
@@ -119,6 +127,35 @@ def test_cache_round_trips_awkward_characters(tmp_path):
     fresh = TranslationCache(tmp_path / "cache")
     for t in texts:
         assert fresh.get(t, pair) == "T:" + t
+
+
+def test_cache_round_trips_unicode_line_separators(tmp_path):
+    cache = TranslationCache(tmp_path / "cache")
+    pair = ("pl", "en")
+    texts = ["a\u2028b", "c\u0085d", "e\x0cf"]
+    for t in texts:
+        cache.put(t, pair, "T:" + t)
+    cache.save()
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["pl-en.tsv"]
+    fresh = TranslationCache(tmp_path / "cache")
+    assert {t: fresh.get(t, pair) for t in texts} == {t: "T:" + t for t in texts}
+
+
+def test_interrupted_cache_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    cache = TranslationCache(tmp_path / "cache")
+    cache.put("a", ("pl", "en"), "A")
+    cache.save()
+    before = (tmp_path / "cache" / "pl-en.tsv").read_bytes()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(translate_module.os, "replace", interrupted)
+    cache.put("b", ("pl", "en"), "B")
+    with pytest.raises(KeyboardInterrupt):
+        cache.save()
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["pl-en.tsv"]
+    assert (tmp_path / "cache" / "pl-en.tsv").read_bytes() == before
 
 
 def test_cache_keys_by_language_pair(tmp_path):

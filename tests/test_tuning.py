@@ -2,12 +2,13 @@ import logging
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import transalign.similarity as sim
 import transalign.tuning as tuning
-from transalign.align import align
+from transalign.align import AlignmentConfig, align
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError, DataError
 from transalign.metrics import evaluate_against_gold
@@ -43,10 +44,9 @@ def step_job(bounds=(), resolution=1 / 256):
         target=corpus(target, "tgt"),
         trans=corpus(trans, "tgt"),
         gold=list(target),
-        chain_template=chain_of(0.9),
+        config=AlignmentConfig(chain=chain_of(0.9), window=0),
         bounds=bounds,
         resolution=resolution,
-        window=0,
     )
 
 
@@ -56,8 +56,8 @@ def grid_scan(job, position, resolution):
     steps = int(round((hi - lo) / resolution))
     for k in range(steps + 1):
         threshold = min(lo + k * resolution, hi)
-        chain = job.chain_template.with_threshold(position, threshold)
-        result = align(job.source, job.target, job.trans, job.config_for(chain))
+        chain = job.config.chain.with_threshold(position, threshold)
+        result = align(job.source, job.target, job.trans, replace(job.config, chain=chain))
         score = evaluate_against_gold(result, job.gold).score
         if best is None or score > best[1]:
             best = (threshold, score)
@@ -105,8 +105,7 @@ def test_flat_objective_returns_constant_score():
         target=corpus(lines, "tgt"),
         trans=corpus(lines, "tgt"),
         gold=list(lines),
-        chain_template=chain_of(0.4),
-        window=0,
+        config=AlignmentConfig(chain=chain_of(0.4), window=0),
     )
     outcome = tune_threshold(job, 0)
     assert outcome.score == 100
@@ -137,10 +136,12 @@ def test_two_comparators_on_duplicates_assemble_to_100():
         target=corpus(lines, "tgt"),
         trans=corpus(lines, "tgt"),
         gold=list(lines),
-        chain_template=ComparatorChain(
-            (Comparator("token_overlap", 0.9), Comparator("matching_blocks_ratio", 0.9))
+        config=AlignmentConfig(
+            chain=ComparatorChain(
+                (Comparator("token_overlap", 0.9), Comparator("matching_blocks_ratio", 0.9))
+            ),
+            window=0,
         ),
-        window=0,
     )
     report = tune_chain(job)
     assert report.achieved_score == 100
@@ -151,10 +152,10 @@ def test_two_comparators_on_duplicates_assemble_to_100():
 def test_achieved_score_is_reproducible():
     job = step_job()
     report = tune_chain(job)
-    chain = job.chain_template
+    chain = job.config.chain
     for position, threshold in enumerate(report.thresholds):
         chain = chain.with_threshold(position, threshold)
-    rerun = align(job.source, job.target, job.trans, job.config_for(chain))
+    rerun = align(job.source, job.target, job.trans, replace(job.config, chain=chain))
     assert evaluate_against_gold(rerun, job.gold).score == report.achieved_score
 
 
@@ -165,7 +166,7 @@ def test_empty_gold_fails_before_any_alignment():
             target=corpus(["a"], "tgt"),
             trans=corpus(["a"], "tgt"),
             gold=[],
-            chain_template=chain_of(),
+            config=AlignmentConfig(chain=chain_of()),
         )
 
 
@@ -182,7 +183,7 @@ def test_mismatched_dev_lengths_rejected():
             target=corpus(["a"], "tgt"),
             trans=corpus(["a"], "tgt"),
             gold=["a", "b"],
-            chain_template=chain_of(),
+            config=AlignmentConfig(chain=chain_of()),
         )
 
 
@@ -225,10 +226,9 @@ def drift_job(chain):
         target=corpus(target[:-2], "tgt"),
         trans=corpus(trans, "tgt"),
         gold=gold,
-        chain_template=chain,
+        config=AlignmentConfig(chain=chain, window=6),
         bounds=[(0.5, 1.0)] * len(chain),
         resolution=1 / 32,
-        window=6,
     )
 
 
