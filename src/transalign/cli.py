@@ -144,6 +144,8 @@ class Settings:
 
     def cache(self) -> TranslationCache | None:
         directory = self.get("cache", "cache_dir")
+        if directory is not None and not isinstance(directory, str):
+            raise ConfigError(f"cache_dir must be a path string, got {directory!r}")
         return TranslationCache(directory) if directory else None
 
     def provider(self):

@@ -221,25 +221,54 @@ def precisions(stats: NgramStats) -> list[float]:
     ]
 
 
-def edit_distance(a: Sequence, b: Sequence) -> int:
-    """Unit-cost Levenshtein distance over any two sequences."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
+def _position_masks(b: Sequence) -> dict:
+    """Map each item of ``b`` to the bitmask of the positions it occupies."""
+    masks: dict = {}
+    bit = 1
+    for item in b:
+        masks[item] = masks.get(item, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _levenshtein(a: Sequence, masks: dict, length: int) -> int:
+    """Levenshtein distance from ``a`` to the ``length``-item sequence whose
+    position masks are ``masks``.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 formulation): bit i of the
+    vertical delta vectors ``vp``/``vn`` says whether row i of the current
+    DP column is one more/one less than row i-1, so one column costs a
+    handful of integer operations whatever ``length`` is. Python ints make
+    any length one word. Exact, not an approximation.
+    """
+    if not length:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, item_a in enumerate(a, start=1):
-        current = [i] + [0] * len(b)
-        for j, item_b in enumerate(b, start=1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (item_a != item_b),
-            )
-        previous = current
-    return previous[-1]
+    full = (1 << length) - 1
+    last = 1 << (length - 1)
+    vp, vn, distance = full, 0, length
+    get = masks.get
+    for item in a:
+        eq = get(item, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+    return distance
+
+
+def edit_distance(a: Sequence, b: Sequence) -> int:
+    """Unit-cost Levenshtein distance between two sequences of hashable items.
+
+    Items match when they are equal as dict keys, so a ``str`` and a list
+    of its characters compare item by item.
+    """
+    return _levenshtein(a, _position_masks(b), len(b))
 
 
 def _shifted_variants(tokens: tuple, max_block: int):
@@ -263,18 +292,29 @@ def ter_edits(
     Hill-climbing: repeatedly apply the single block shift that most
     reduces the word edit distance, but only while a shift pays for its
     own cost of one (reduction of at least two); then the remaining edit
-    distance is added. Never exceeds the shift-free edit distance.
+    distance is added. Never exceeds the shift-free edit distance. A
+    variant met twice in one round is scored once, and a round ends early
+    once a variant reaches the length gap, which no shift can beat; both
+    keep the first strictly best shift, so the result is the plain greedy's.
     """
     current = tuple(hyp_tokens)
-    reference = tuple(ref_tokens)
+    masks, length = _position_masks(ref_tokens), len(ref_tokens)
+    # A shift keeps the hypothesis length, so no variant scores below this.
+    floor = abs(len(current) - length)
     shifts = 0
-    distance = edit_distance(current, reference)
-    while distance > 1:
+    distance = _levenshtein(current, masks, length)
+    while distance > floor + 1:
         best_distance, best_variant = distance, None
+        seen = set()
         for variant in _shifted_variants(current, max_shift_size):
-            candidate = edit_distance(variant, reference)
+            if variant in seen:
+                continue
+            seen.add(variant)
+            candidate = _levenshtein(variant, masks, length)
             if candidate < best_distance:
                 best_distance, best_variant = candidate, variant
+                if candidate == floor:
+                    break
         if best_variant is None or best_distance + 1 >= distance:
             break
         current, distance = best_variant, best_distance
@@ -314,6 +354,8 @@ def evaluate_corpus(
     """
     if bp_form not in (BP_STANDARD, BP_PAPER):
         raise ConfigError(f"bp_form must be {BP_STANDARD} or {BP_PAPER}, got {bp_form!r}")
+    if type(max_order) is not int or max_order < 1:
+        raise ConfigError(f"max_order must be an int >= 1, got {max_order!r}")
     if len(hyp_corpus) != len(ref_corpus):
         raise DataError(
             f"hypothesis has {len(hyp_corpus)} lines, reference has {len(ref_corpus)}"

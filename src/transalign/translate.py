@@ -236,7 +236,11 @@ class TranslationCache:
             table: dict[str, str] = {}
             path = self._pair_file(pair)
             if path.exists():
-                for line in path.read_text(encoding="utf-8").split("\n"):
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"cache file {path} is not valid UTF-8: {exc}") from exc
+                for line in text.split("\n"):
                     if "\t" not in line:
                         continue
                     source, translation = line.split("\t", 1)
@@ -286,7 +290,8 @@ def translate_corpus(
     at most ``provider.max_concurrency`` concurrent provider calls and are
     reassembled strictly by index. Any provider failure (after the
     provider's own retries) aborts the whole translation, reporting the
-    smallest failing line index; there is no partial output.
+    smallest failing line index; there is no partial output, but every
+    line that did translate is cached first, so a rerun resumes.
     """
     pair = (corpus.language, target_language)
     if not provider.supports(*pair):
@@ -324,14 +329,14 @@ def translate_corpus(
                     translations[text] = future.result()
                 except Exception as exc:  # noqa: BLE001 - every failure aborts
                     failures.append((index, exc))
+    if cache is not None:
+        for text, _ in todo:
+            if text in translations:
+                cache.put(text, pair, translations[text])
+        cache.save()
     if failures:
         index, cause = min(failures, key=lambda item: item[0])
         raise TranslationFailedError(index, cause)
-
-    if cache is not None:
-        for text, _ in todo:
-            cache.put(text, pair, translations[text])
-        cache.save()
 
     if stats_out is not None:
         stats_out.update(

@@ -121,6 +121,46 @@ def ter_oracle_edits(hyp, ref, max_shifts=2):
     return best
 
 
+def _single_shifts_by_size(tokens, max_block):
+    """Every list reachable by moving one block of at most ``max_block``
+    tokens elsewhere, smallest blocks first, then by start, then by
+    destination (duplicates kept): the order the greedy TER scans in."""
+    results = []
+    n = len(tokens)
+    for size in range(1, min(n, max_block) + 1):
+        for start in range(n - size + 1):
+            block = tokens[start : start + size]
+            rest = tokens[:start] + tokens[start + size :]
+            for dest in range(len(rest) + 1):
+                if dest != start:
+                    results.append(rest[:dest] + block + rest[dest:])
+    return results
+
+
+def ter_greedy_oracle(hyp, ref, max_shift_size=10):
+    """The greedy TER hill-climb, spelled out with full DP matrices.
+
+    Each round scores every single-block shift of the current hypothesis
+    and keeps the first one with the strictly lowest edit distance; it is
+    applied only when it saves at least two edits (one pays for the shift
+    itself). Returns shifts taken plus the remaining edit distance.
+    """
+    current = list(hyp)
+    distance = levenshtein_matrix(current, ref)
+    shifts = 0
+    while distance > 1:
+        best, best_distance = None, distance
+        for shifted in _single_shifts_by_size(current, max_shift_size):
+            d = levenshtein_matrix(shifted, ref)
+            if d < best_distance:
+                best, best_distance = shifted, d
+        if best is None or distance - best_distance < 2:
+            break
+        current, distance = best, best_distance
+        shifts += 1
+    return shifts + distance
+
+
 def bleu_direct(pairs, max_order=4, weights=None):
     """BLEU recomputed from scratch on whole token-list pairs.
 

@@ -81,6 +81,18 @@ def test_translate_cached_rerun_zero_provider_calls(tmp_path, capsys):
     assert second == {"lines": 2, "provider_calls": 0, "cache_hits": 2}
 
 
+def test_translate_cache_not_utf8_exits_two(tmp_path, capsys):
+    source = write(tmp_path, "src.txt", ["jeden"])
+    pre = write(tmp_path, "pre.txt", ["one"])
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "src-tgt.tsv").write_bytes(b"\xffjeden\tone\n")
+    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+            "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "src-tgt.tsv" in err and "Traceback" not in err
+
+
 def align_argv(tmp_path, source, target, trans, subdir="run", extra=()):
     out = tmp_path / subdir
     out.mkdir(exist_ok=True)
@@ -281,6 +293,14 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_evaluate_max_order_below_one_exits_one(tmp_path, capsys, order):
+    path = write(tmp_path, "lines.txt", ["a b c"])
+    assert main(["evaluate", "--hyp", path, "--ref", path, "--max-order", order]) == 1
+    err = capsys.readouterr().err
+    assert "max_order" in err and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -370,6 +390,7 @@ def http_config(**settings):
         ("translate", http_config(timeout="x")),
         ("translate", http_config(retries=1.5)),
         ("translate", {"provider": "http", "provider_settings": ["not", "an", "object"]}),
+        ("translate", {**http_config(), "cache_dir": 5}),
     ],
 )
 def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):

@@ -8,6 +8,7 @@ from oracles import (
     bleu_direct,
     levenshtein_matrix,
     score_oracle,
+    ter_greedy_oracle,
     ter_oracle_edits,
 )
 from transalign.align import AlignmentDecision, AlignmentResult
@@ -266,6 +267,41 @@ def test_edit_distance_matches_matrix_oracle():
         assert d == edit_distance(b, a)
 
 
+def test_edit_distance_matches_matrix_oracle_across_machine_words():
+    rng = random.Random(41)
+    for _ in range(60):
+        alphabet = "abcdefgh"[: rng.randrange(2, 9)]
+        a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 160)))
+        b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(65, 160)))
+        assert edit_distance(a, b) == levenshtein_matrix(a, b)
+        assert edit_distance(b, a) == levenshtein_matrix(a, b)
+    long = "x" * 70 + "y" * 70
+    assert edit_distance("", "") == 0
+    assert edit_distance("", long) == edit_distance(long, "") == 140
+    assert edit_distance(long, long) == 0
+    assert edit_distance([], ["a", "b"]) == 2
+
+
+def test_edit_distance_str_against_list_compares_items():
+    assert edit_distance("abc", ["a", "b", "c"]) == 0
+    assert edit_distance(["a", "x", "c"], "abcd") == 2
+    assert edit_distance("kitten", list("sitting")) == 3
+
+
+@pytest.mark.parametrize("max_shift_size", [1, 2, 10])
+def test_ter_edits_matches_greedy_oracle(max_shift_size):
+    # small alphabets make many equally good shifts, so the first-best
+    # tie-break and the scan order are what this pins down
+    rng = random.Random(53 + max_shift_size)
+    for _ in range(150):
+        alphabet = "abcde"[: rng.randrange(2, 6)]
+        hyp = [rng.choice(alphabet) for _ in range(rng.randrange(0, 15))]
+        ref = [rng.choice(alphabet) for _ in range(rng.randrange(0, 15))]
+        assert ter_edits(hyp, ref, max_shift_size) == ter_greedy_oracle(
+            hyp, ref, max_shift_size
+        ), (hyp, ref)
+
+
 def test_ter_identity_is_zero():
     assert ter(["a", "b", "c"], ["a", "b", "c"]) == 0.0
 
@@ -356,6 +392,13 @@ def test_evaluate_corpus_rejects_unknown_bp_form(hyp_line):
     ref = Corpus.from_lines(["a b c d e"], "ref")
     with pytest.raises(ConfigError):
         evaluate_corpus(hyp, ref, bp_form="bogus")
+
+
+@pytest.mark.parametrize("max_order", [0, -2, 2.5, True, "4"])
+def test_evaluate_corpus_rejects_bad_max_order(max_order):
+    hyp = Corpus.from_lines(["a b c"], "hyp")
+    with pytest.raises(ConfigError):
+        evaluate_corpus(hyp, Corpus.from_lines(["a b c"], "ref"), max_order=max_order)
 
 
 def test_evaluate_corpus_paper_bp_flag():

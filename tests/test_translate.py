@@ -117,6 +117,32 @@ def test_translate_fills_cache_for_rerun(tmp_path):
     assert again.calls == 0
 
 
+def test_failed_run_caches_the_lines_that_translated(tmp_path):
+    lines = ("a", "b", "c", "d")
+    with pytest.raises(TranslationFailedError):
+        translate_corpus(
+            corpus(*lines), CountingProvider(fail_on={2}), cache=TranslationCache(tmp_path / "cache")
+        )
+
+    rerun = CountingProvider()
+    stats = {}
+    out = translate_corpus(
+        corpus(*lines), rerun, cache=TranslationCache(tmp_path / "cache"), stats_out=stats
+    )
+    # "c" never translated, so the one provider call is the failed line's
+    assert rerun.calls == 1
+    assert stats == {"lines": 4, "provider_calls": 1, "cache_hits": 3}
+    assert [s.raw for s in out] == ["A", "B", "C", "D"]
+
+
+def test_cache_file_not_utf8_is_data_error(tmp_path):
+    (tmp_path / "cache").mkdir()
+    bad = tmp_path / "cache" / "pl-en.tsv"
+    bad.write_bytes(b"\xffa\tA\n")
+    with pytest.raises(DataError, match="pl-en.tsv"):
+        TranslationCache(tmp_path / "cache").get("a", ("pl", "en"))
+
+
 def test_cache_round_trips_awkward_characters(tmp_path):
     cache = TranslationCache(tmp_path / "cache")
     pair = ("pl", "en")
