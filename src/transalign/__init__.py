@@ -68,6 +68,7 @@ from .similarity import (
     evaluate_chain,
     matching_blocks,
     ratio,
+    ratio_bound,
     synonym_ratio,
     token_overlap,
 )

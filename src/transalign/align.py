@@ -97,13 +97,16 @@ def select_candidate(
     """Best accepted candidate for one translation line, or None.
 
     Ties on score break toward the smallest distance from the expected
-    position, then the smallest target index.
+    position, then the smallest target index. ``scores`` is a table over
+    the corpora of ``trans_line`` and ``pool``; by default a fresh one.
     """
+    if scores is None:
+        scores = PairScores({trans_line.index: trans_line}, {c.index: c for c in pool}, context)
     best = None
     best_key = None
     for candidate in pool:
-        decision = evaluate_chain(trans_line, candidate, chain, context, scores)
-        if not decision.accepted:
+        decision = scores.decide(trans_line.index, candidate.index, chain)
+        if decision is None:
             continue
         key = (-decision.score, abs(candidate.index - expected_position), candidate.index)
         if best_key is None or key < best_key:
@@ -125,16 +128,19 @@ def lookahead_resolve(
 
     The candidate is deferred iff some translation line within ``depth``
     lines after this one accepts it with a strictly higher score. A later
-    line whose chain rejects the candidate cannot contest it.
+    line whose chain rejects the candidate cannot contest it. By default
+    ``current_score`` is this line's exact chain score for the candidate.
     """
+    if scores is None:
+        scores = PairScores(trans, {candidate.index: candidate}, context)
     if current_score is None:
         current_score = evaluate_chain(
             trans[source_index], candidate, chain, context, scores
         ).score
     last = min(source_index + depth, len(trans) - 1)
     for later in range(source_index + 1, last + 1):
-        decision = evaluate_chain(trans[later], candidate, chain, context, scores)
-        if decision.accepted and decision.score > current_score:
+        decision = scores.decide(later, candidate.index, chain)
+        if decision is not None and decision.score > current_score:
             return False
     return True
 

@@ -103,10 +103,16 @@ class Settings:
         return self.config.get(config_key or flag_name, default)
 
     def source_language(self) -> str:
-        return self.get("source_language", default="src")
+        return self._language("source_language", "src")
 
     def target_language(self) -> str:
-        return self.get("target_language", default="tgt")
+        return self._language("target_language", "tgt")
+
+    def _language(self, name: str, default: str) -> str:
+        value = self.get(name, default=default)
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+        return value
 
     def chain(self) -> ComparatorChain:
         spec = self.get("chain")

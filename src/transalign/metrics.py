@@ -190,6 +190,8 @@ def bleu(
     diagnostic smoothing is switched on (off by default).
     """
     order = len(stats.matches)
+    if order == 0:
+        raise DataError("BLEU needs n-gram statistics of at least one order")
     if weights is None:
         weights = [1.0 / order] * order
     if len(weights) != order:

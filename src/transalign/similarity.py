@@ -148,6 +148,38 @@ def token_overlap(
     return 2.0 * common / total
 
 
+def ratio_bound(
+    a: str,
+    b: str,
+    a_chars: Counter | None = None,
+    b_chars: Counter | None = None,
+    floor: float = 0.0,
+) -> float:
+    """Upper bound on ``ratio(a, b)`` that costs no block search.
+
+    The matched length M is at most min(|a|, |b|), and at most
+    sum_c min(#a(c), #b(c)) (Ratcliff/Obershelp 1988; difflib's
+    ``real_quick_ratio`` and ``quick_ratio``). Returns 2*M_bound/T from the
+    length bound when that is already below ``floor``, else from the
+    tighter character-count bound. ``a_chars``/``b_chars``, when given,
+    must be ``Counter(a)``/``Counter(b)``.
+    """
+    total = len(a) + len(b)
+    if total == 0:
+        return 1.0
+    bound = 2.0 * min(len(a), len(b)) / total
+    if bound < floor:
+        return bound
+    a_chars = a_chars or Counter(a)
+    b_chars = b_chars or Counter(b)
+    common = 0
+    for char, count in a_chars.items():
+        other = b_chars.get(char)
+        if other:
+            common += count if count < other else other
+    return 2.0 * common / total
+
+
 def synonym_ratio(
     a: Sentence,
     b: Sentence,
@@ -160,25 +192,12 @@ def synonym_ratio(
     Variants are re-joined with single spaces and compared against the
     normalized text of ``b``; the unexpanded pair is always included, so
     the result is never below ratio(a, b). ``scores``, a table over the
-    corpora of ``a`` and ``b``, supplies the plain ratio, the tokens of
-    ``a`` and the character index of ``b``.
+    corpora of ``a`` and ``b``, supplies the variants and the ratios it
+    already holds.
     """
     if scores is None:
         scores = PairScores({a.index: a}, {b.index: b}, ChainContext(lexicon=lexicon, cap=cap))
-    best = scores.score(a.index, b.index, MATCHING_BLOCKS_RATIO)
-    if best == 1.0 or not len(lexicon):
-        return best
-    b_index = scores.char_index(b.index)
-    for variant in expand_sentence(scores.tokens(a.index), lexicon, cap):
-        text = " ".join(variant.tokens)
-        if text == a.normalized:
-            continue  # the unexpanded pair, already scored
-        score = ratio(text, b.normalized, b_index)
-        if score > best:
-            best = score
-            if best == 1.0:
-                break
-    return best
+    return scores.score(a.index, b.index, SYNONYM_RATIO)
 
 
 @dataclass(frozen=True)
@@ -251,34 +270,61 @@ class ChainDecision:
 
 
 class PairScores:
-    """Raw comparator scores for one translation/target corpus pair.
+    """Exact comparator scores for one translation/target corpus pair.
 
     ``trans`` and ``target`` map line indices to sentences (a ``Corpus`` or
-    a dict). Scores are computed on first use and kept, keyed by
-    (translation index, target index, comparator kind). They do not depend
-    on thresholds, so every chain over the same corpora and context can
-    share one table: a tuning run scores each pair once across all its
+    a dict). Scores are computed on first use and kept: token overlap per
+    (translation index, target index), and the block ratio per (translation
+    index, target index, text), where text 0 is the translation's
+    normalized text and the others are its synonym variants. Only exact
+    scores are kept, never a bound or an accept/reject mark, so every chain
+    over the same corpora and context can share one table whatever its
+    thresholds: a tuning run scores each pair once across all its
     alignments. Per sentence the table also keeps the tokens, the
-    stop-word-filtered token counts Dice needs, and each target's character
-    index, which the ratio kernel reuses for every line that probes it.
+    stop-word-filtered token counts Dice needs, the character counts the
+    ratio bound needs, and each target's character index, which the ratio
+    kernel reuses for every line that probes it; per translation line it
+    keeps the synonym variants, expanded once.
     """
 
     def __init__(self, trans: Corpus, target: Corpus, context: ChainContext = DEFAULT_CONTEXT):
         self.trans = trans
         self.target = target
         self.context = context
-        self._scores: dict[tuple[int, int, str], float] = {}
+        self._overlaps: dict[tuple[int, int], float] = {}
+        self._ratios: dict[tuple[int, int, int], float] = {}
         self._tokens: dict[int, TokenizedSentence] = {}
         self._counts: dict[tuple[bool, int], Counter] = {}
+        self._chars: dict[tuple[bool, int], Counter] = {}
+        self._variants: dict[int, list[tuple[str, Counter]]] = {}
         self._char_index: dict[int, CharIndex] = {}
 
+    def decide(self, i: int, j: int, chain: ComparatorChain) -> ChainDecision | None:
+        """The first tier of ``chain`` that accepts translation line ``i``
+        against target line ``j``, with its exact score; None if none does.
+
+        A ratio tier runs the block kernel only on texts whose
+        ``ratio_bound`` reaches its threshold and, among synonym variants,
+        exceeds the best score found so far. Both cuts are exact: a skipped
+        text can neither reach the threshold nor raise the maximum.
+        """
+        for comparator in chain:
+            if comparator.kind == TOKEN_OVERLAP:
+                score = self._overlap(i, j)
+                if score < comparator.threshold:
+                    continue
+            else:
+                score = self._best_ratio(i, j, comparator.kind, comparator.threshold)
+                if score is None:
+                    continue
+            return ChainDecision(True, score, comparator)
+        return None
+
     def score(self, i: int, j: int, kind: str) -> float:
-        """Raw ``kind`` score of translation line ``i`` against target line ``j``."""
-        key = (i, j, kind)
-        value = self._scores.get(key)
-        if value is None:
-            value = self._scores[key] = self._compute(i, j, kind)
-        return value
+        """Exact ``kind`` score of translation line ``i`` against target line ``j``."""
+        if kind == TOKEN_OVERLAP:
+            return self._overlap(i, j)
+        return self._best_ratio(i, j, kind, 0.0)
 
     def tokens(self, i: int) -> TokenizedSentence:
         """Tokens of translation line ``i``."""
@@ -302,13 +348,54 @@ class PairScores:
             counts = self._counts[key] = _content_counts(tokens, self.context.stopwords)
         return counts
 
-    def _compute(self, i: int, j: int, kind: str) -> float:
-        if kind == TOKEN_OVERLAP:
-            return token_overlap(self._content_counts(False, i), self._content_counts(True, j))
-        a, b = self.trans[i], self.target[j]
-        if kind == MATCHING_BLOCKS_RATIO:
-            return ratio(a.normalized, b.normalized, self.char_index(j))
-        return synonym_ratio(a, b, self.context.lexicon, self.context.cap, self)
+    def _char_counts(self, is_target: bool, index: int) -> Counter:
+        key = (is_target, index)
+        chars = self._chars.get(key)
+        if chars is None:
+            sentence = self.target[index] if is_target else self.trans[index]
+            chars = self._chars[key] = Counter(sentence.normalized)
+        return chars
+
+    def _texts(self, i: int, kind: str) -> list[tuple[str, Counter]]:
+        """Texts of translation line ``i`` that ``kind`` compares, with their
+        character counts: the normalized text, then, for the synonym tier,
+        every other distinct synonym variant."""
+        plain = (self.trans[i].normalized, self._char_counts(False, i))
+        if kind == SYNONYM_RATIO and len(self.context.lexicon):
+            texts = self._variants.get(i)
+            if texts is None:
+                variants = expand_sentence(self.tokens(i), self.context.lexicon, self.context.cap)
+                joined = dict.fromkeys(" ".join(variant.tokens) for variant in variants)
+                joined.pop(plain[0], None)
+                texts = self._variants[i] = [plain] + [(text, Counter(text)) for text in joined]
+            return texts
+        return [plain]
+
+    def _overlap(self, i: int, j: int) -> float:
+        key = (i, j)
+        value = self._overlaps.get(key)
+        if value is None:
+            value = self._overlaps[key] = token_overlap(
+                self._content_counts(False, i), self._content_counts(True, j)
+            )
+        return value
+
+    def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
+        """The exact best ratio of ``kind``'s texts of line ``i`` against
+        target ``j``, or None when it is below ``threshold``."""
+        b = self.target[j].normalized
+        best = -1.0
+        for k, (text, chars) in enumerate(self._texts(i, kind)):
+            key = (i, j, k)
+            score = self._ratios.get(key)
+            if score is None:
+                floor = max(threshold, best)
+                bound = ratio_bound(text, b, chars, self._char_counts(True, j), floor)
+                if bound < threshold or bound <= best:
+                    continue
+                score = self._ratios[key] = ratio(text, b, self.char_index(j))
+            best = max(best, score)
+        return best if best >= threshold else None
 
 
 def evaluate_chain(
@@ -322,18 +409,21 @@ def evaluate_chain(
 
     A comparator accepts when its score reaches its threshold. If none
     accepts, the decision reports the maximum score observed and the
-    comparator that produced it. With ``scores``, ``a`` and ``b`` must be
-    lines of the table's translation and target corpora, and the raw scores
-    come from the table (``context`` is then the table's).
+    comparator that produced it. This is the exact per-pair API: unlike
+    ``PairScores.decide`` it scores every tier of a rejected pair. With
+    ``scores``, ``a`` and ``b`` must be lines of the table's translation and
+    target corpora, and the scores come from the table (``context`` is then
+    the table's).
     """
     if scores is None:
         scores = PairScores({a.index: a}, {b.index: b}, context)
+    decision = scores.decide(a.index, b.index, chain)
+    if decision is not None:
+        return decision
     best_score = -1.0
     best_comparator = None
     for comparator in chain:
         score = scores.score(a.index, b.index, comparator.kind)
-        if score >= comparator.threshold:
-            return ChainDecision(True, score, comparator)
         if score > best_score:
             best_score = score
             best_comparator = comparator

@@ -1,8 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import transalign.similarity as sim
 from transalign.align import (
     ALIGNED,
     FILLED,
@@ -14,10 +16,13 @@ from transalign.align import (
     select_candidate,
     write_alignment,
 )
-from transalign.corpus import Corpus, Sentence
+from transalign.corpus import Corpus, Sentence, load_corpus
 from transalign.errors import ConfigError, DataError
 from transalign.lexicon import StopWordList, SynonymLexicon
 from transalign.similarity import ChainContext, Comparator, ComparatorChain, PairScores
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def corpus(*lines, language="x"):
@@ -328,46 +333,60 @@ def test_align_rejects_a_table_over_other_inputs():
         align(src, tgt, src, config, PairScores(src, tgt, ChainContext(cap=3)))
 
 
+def drift_corpora(seed):
+    """Source, translation and target corpora plus stop words and lexicon:
+    shuffled targets, a few dropped lines, translations with synonym swaps
+    and dropped words."""
+    letters = "abcdefgh"
+    rng = random.Random(seed)
+
+    def word():
+        return "".join(rng.choice(letters) for _ in range(rng.randrange(2, 5)))
+
+    vocab = [word() for _ in range(30)]
+    stop = vocab[:4]
+    base = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(3, 8))) for _ in range(40)]
+    entries = {}
+    trans_lines = []
+    for line in base:
+        tokens = line.split()
+        if rng.random() < 0.4:
+            position = rng.randrange(len(tokens))
+            alternative = word()
+            entries.setdefault(alternative, (tokens[position],))
+            tokens[position] = alternative
+        if rng.random() < 0.3:
+            del tokens[rng.randrange(len(tokens))]
+        trans_lines.append(" ".join(tokens) or "x")
+    kept = [line for line in base if rng.random() > 0.1]
+    src = Corpus.from_lines([f"zrodlo {i}" for i in range(40)], "src")
+    trans = Corpus.from_lines(trans_lines, "y")
+    tgt = Corpus.from_lines(window_shuffled(kept, rng), "tgt")
+    extras = dict(stopwords=StopWordList(frozenset(stop)), lexicon=SynonymLexicon(entries))
+    return src, trans, tgt, extras
+
+
+def three_tier_chain(t1, t2, t3):
+    return ComparatorChain(
+        (
+            Comparator("token_overlap", t1),
+            Comparator("matching_blocks_ratio", t2),
+            Comparator("synonym_ratio", t3),
+        )
+    )
+
+
+def report_bytes(result, tmp_path):
+    paths = [tmp_path / name for name in ("s", "t", "r")]
+    write_alignment(result, *paths)
+    return tuple(path.read_bytes() for path in paths)
+
+
 def test_warm_pair_table_gives_identical_reports(tmp_path):
     # A table filled by runs at other thresholds must not change any
     # decision: the report bytes equal those of a run on a fresh table.
-    letters = "abcdefgh"
     for seed in range(2):
-        rng = random.Random(seed)
-
-        def word():
-            return "".join(rng.choice(letters) for _ in range(rng.randrange(2, 5)))
-
-        vocab = [word() for _ in range(30)]
-        stop = vocab[:4]
-        base = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(3, 8))) for _ in range(40)]
-        entries = {}
-        trans_lines = []
-        for line in base:
-            tokens = line.split()
-            if rng.random() < 0.4:
-                position = rng.randrange(len(tokens))
-                alternative = word()
-                entries.setdefault(alternative, (tokens[position],))
-                tokens[position] = alternative
-            if rng.random() < 0.3:
-                del tokens[rng.randrange(len(tokens))]
-            trans_lines.append(" ".join(tokens) or "x")
-        kept = [line for line in base if rng.random() > 0.1]
-        src = Corpus.from_lines([f"zrodlo {i}" for i in range(40)], "src")
-        trans = Corpus.from_lines(trans_lines, "y")
-        tgt = Corpus.from_lines(window_shuffled(kept, rng), "tgt")
-        extras = dict(stopwords=StopWordList(frozenset(stop)), lexicon=SynonymLexicon(entries))
-
-        def chain(t1, t2, t3):
-            return ComparatorChain(
-                (
-                    Comparator("token_overlap", t1),
-                    Comparator("matching_blocks_ratio", t2),
-                    Comparator("synonym_ratio", t3),
-                )
-            )
-
+        src, trans, tgt, extras = drift_corpora(seed)
         for window in (0, 3, 20):
             for lookahead in (0, 1, 2):
                 def config(c):
@@ -375,17 +394,56 @@ def test_warm_pair_table_gives_identical_reports(tmp_path):
                         chain=c, window=window, lookahead_depth=lookahead, **extras
                     )
 
-                target_config = config(chain(0.99, 0.8, 0.85))
+                target_config = config(three_tier_chain(0.99, 0.8, 0.85))
                 warm = PairScores(trans, tgt, target_config.context())
-                for other in (chain(0.6, 0.95, 0.99), chain(1.0, 0.7, 0.7)):
+                for other in (three_tier_chain(0.6, 0.95, 0.99), three_tier_chain(1.0, 0.7, 0.7)):
                     align(src, tgt, trans, config(other), warm)
                 reports = []
                 for scores in (None, warm):
                     result = align(src, tgt, trans, target_config, scores)
-                    paths = [tmp_path / name for name in ("s", "t", "r")]
-                    write_alignment(result, *paths)
-                    reports.append(tuple(path.read_bytes() for path in paths))
+                    reports.append(report_bytes(result, tmp_path))
                 assert reports[0] == reports[1], (seed, window, lookahead)
+
+
+def test_bound_pruning_changes_no_report(tmp_path, monkeypatch):
+    # The same runs with a bound that never prunes give the same bytes.
+    chains = [
+        three_tier_chain(0.99, 0.8, 0.85),
+        three_tier_chain(1.0, 0.0, 1.0),
+        three_tier_chain(0.5, 1.0, 0.6),
+    ]
+    for seed in range(2):
+        src, trans, tgt, extras = drift_corpora(seed)
+        for window in (0, 3, 20):
+            for lookahead in (0, 1, 2):
+                for chain in chains:
+                    config = AlignmentConfig(
+                        chain=chain, window=window, lookahead_depth=lookahead, **extras
+                    )
+                    pruned = report_bytes(align(src, tgt, trans, config), tmp_path)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sim, "ratio_bound", lambda *args, **kwargs: 1.0)
+                        unpruned = report_bytes(align(src, tgt, trans, config), tmp_path)
+                    assert pruned == unpruned, (seed, window, lookahead, chain)
+
+
+def test_fixture_ratio_runs_only_where_the_bound_reaches_the_threshold(monkeypatch):
+    checked = []
+    real_ratio = sim.ratio
+
+    def checking_ratio(a, b, b_index=None):
+        checked.append(sim.ratio_bound(a, b) >= 0.85)
+        return real_ratio(a, b, b_index)
+
+    monkeypatch.setattr(sim, "ratio", checking_ratio)
+    src = load_corpus(FIXTURES / "parallel_1005.src", "src")
+    tgt = load_corpus(FIXTURES / "parallel_1005.tgt", "tgt")
+    chain = ComparatorChain(
+        (Comparator("token_overlap", 0.99), Comparator("matching_blocks_ratio", 0.85))
+    )
+    result = align(src, tgt, src, AlignmentConfig(chain=chain, window=20))
+    assert result.total == 1005
+    assert checked and all(checked)
 
 
 def window_shuffled(lines, rng, width=10):

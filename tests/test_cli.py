@@ -391,6 +391,9 @@ def http_config(**settings):
         ("translate", http_config(retries=1.5)),
         ("translate", {"provider": "http", "provider_settings": ["not", "an", "object"]}),
         ("translate", {**http_config(), "cache_dir": 5}),
+        ("translate", {**http_config(), "source_language": 5}),
+        ("align", {"target_language": ""}),
+        ("tune", {"source_language": ["en"]}),
     ],
 )
 def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):

@@ -221,6 +221,13 @@ def test_bleu_empty_hypothesis_corpus_errors():
         bleu(NgramStats.zero(4))
 
 
+def test_bleu_without_orders_errors():
+    with pytest.raises(DataError):
+        bleu(NgramStats((), (), 1, 1))
+    with pytest.raises(DataError):
+        bleu(NgramStats((), (), 1, 1), weights=[])
+
+
 def test_precisions_per_order():
     stats = bleu_stats(["a", "b", "c", "d"], ["a", "b", "c", "d", "e"], max_order=2)
     assert precisions(stats) == [1.0, 1.0]

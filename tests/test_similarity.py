@@ -4,17 +4,20 @@ import pytest
 
 import transalign.similarity as sim
 from oracles import brute_matching_blocks, brute_ratio, dice_overlap_oracle
-from transalign.corpus import Sentence, TokenizedSentence
+from transalign.corpus import Sentence, TokenizedSentence, tokenize
 from transalign.errors import ConfigError
-from transalign.lexicon import EMPTY_LEXICON, StopWordList, SynonymLexicon
+from transalign.lexicon import EMPTY_LEXICON, StopWordList, SynonymLexicon, expand_sentence
 from transalign.similarity import (
     ChainContext,
+    ChainDecision,
     char_index,
     Comparator,
     ComparatorChain,
+    PairScores,
     evaluate_chain,
     matching_blocks,
     ratio,
+    ratio_bound,
     synonym_ratio,
     token_overlap,
 )
@@ -301,3 +304,120 @@ def test_chain_decision_accept_implies_threshold():
         if decision.accepted:
             assert decision.score >= decision.comparator.threshold
         assert 0.0 <= decision.score <= 1.0
+
+
+def test_ratio_bound_is_never_below_the_oracle_ratio():
+    rng = random.Random(67)
+    for k in range(600):
+        a = "".join(rng.choice("abc"[: 1 + k % 3]) for _ in range(rng.randrange(0, 10)))
+        b = "".join(rng.choice("abcd") for _ in range(rng.randrange(0, 10)))
+        exact = float(brute_ratio(a, b))
+        bound = ratio_bound(a, b)
+        assert bound >= exact, (a, b)
+        total = len(a) + len(b)
+        assert bound <= (2.0 * min(len(a), len(b)) / total if total else 1.0)
+        for floor in (0.0, 0.5, 1.0):
+            # a floor only ever stops at the looser length bound
+            assert ratio_bound(a, b, floor=floor) >= bound
+
+
+# Small alphabet, one stop word and a lexicon whose variants collide with
+# each other and with the vocabulary, so ties and duplicates are common.
+CHAIN_VOCAB = ["a", "b", "ab", "ba", "abb", "bb"]
+CHAIN_CONTEXT = ChainContext(
+    stopwords=StopWordList(frozenset({"bb"})),
+    lexicon=SynonymLexicon({"ab": ("ba", "abb"), "b": ("a", "bb"), "ba": ("ab",)}),
+    cap=4,
+)
+CHAIN_KINDS = ["token_overlap", "matching_blocks_ratio", "synonym_ratio"]
+CHAIN_THRESHOLDS = (0.0, 0.3, 0.5, 0.7, 0.85, 0.9, 1.0)
+
+
+def random_chain_case(rng):
+    a, b = (
+        Sentence(0, " ".join(rng.choice(CHAIN_VOCAB) for _ in range(rng.randrange(0, 5))))
+        for _ in range(2)
+    )
+    kinds = rng.sample(CHAIN_KINDS, rng.randint(1, 3))
+    chain = ComparatorChain(tuple(Comparator(k, rng.choice(CHAIN_THRESHOLDS)) for k in kinds))
+    return a, b, chain
+
+
+def unpruned_decision(a, b, chain, context):
+    """The chain run on every tier's exact score, from the oracles."""
+    plain = float(brute_ratio(a.normalized, b.normalized))
+    variants = [" ".join(v.tokens) for v in expand_sentence(tokenize(a), context.lexicon, context.cap)]
+    scores = {
+        "token_overlap": float(
+            dice_overlap_oracle(tokenize(a).tokens, tokenize(b).tokens, context.stopwords.words)
+        ),
+        "matching_blocks_ratio": plain,
+        "synonym_ratio": max([plain] + [float(brute_ratio(v, b.normalized)) for v in variants]),
+    }
+    best = None
+    for comparator in chain:
+        score = scores[comparator.kind]
+        if score >= comparator.threshold:
+            return ChainDecision(True, score, comparator)
+        if best is None or score > best.score:
+            best = ChainDecision(False, score, comparator)
+    return best
+
+
+def test_decide_is_the_accepted_part_of_evaluate_chain():
+    rng = random.Random(71)
+    accepted = rejected = 0
+    for _ in range(800):
+        a, b, chain = random_chain_case(rng)
+        fresh = evaluate_chain(a, b, chain, CHAIN_CONTEXT)
+        assert fresh == unpruned_decision(a, b, chain, CHAIN_CONTEXT), (a, b, chain)
+        decision = PairScores({0: a}, {0: b}, CHAIN_CONTEXT).decide(0, 0, chain)
+        if fresh.accepted:
+            assert decision == fresh, (a, b, chain)
+            accepted += 1
+        else:
+            assert decision is None, (a, b, chain)
+            rejected += 1
+    assert accepted > 100 and rejected > 100
+
+
+def test_one_table_decides_like_fresh_tables_at_any_threshold():
+    # A table keeps exact scores only, so what one chain computed never
+    # changes what a chain with other thresholds decides.
+    rng = random.Random(79)
+    cases = [random_chain_case(rng) for _ in range(30)]
+    trans = {k: Sentence(k, a.raw) for k, (a, _, _) in enumerate(cases)}
+    target = {k: Sentence(k, b.raw) for k, (_, b, _) in enumerate(cases)}
+    shared = PairScores(trans, target, CHAIN_CONTEXT)
+    for _ in range(4):
+        for i in trans:
+            for j in target:
+                chain = random_chain_case(rng)[2]
+                fresh = PairScores({i: trans[i]}, {j: target[j]}, CHAIN_CONTEXT)
+                assert shared.decide(i, j, chain) == fresh.decide(i, j, chain)
+                assert shared.score(i, j, chain.comparators[0].kind) == fresh.score(
+                    i, j, chain.comparators[0].kind
+                )
+
+
+def test_table_expands_each_translation_line_once(monkeypatch):
+    calls = []
+    real_expand = sim.expand_sentence
+
+    def counting_expand(sentence, lexicon, cap=64):
+        calls.append(sentence.tokens)
+        return real_expand(sentence, lexicon, cap)
+
+    monkeypatch.setattr(sim, "expand_sentence", counting_expand)
+    trans = {i: Sentence(i, text) for i, text in enumerate(["ab b", "ba", "ab ab", "a"])}
+    target = {j: Sentence(j, text) for j, text in enumerate(["ba bb", "abb b", "b", ""])}
+    scores = PairScores(trans, target, CHAIN_CONTEXT)
+    chain = ComparatorChain((Comparator("synonym_ratio", 0.99),))
+    for threshold in (1.0, 0.9, 0.5, 0.0):
+        low = ComparatorChain((Comparator("synonym_ratio", threshold),))
+        for i in trans:
+            for j in target:
+                scores.decide(i, j, low)
+                scores.decide(i, j, chain)
+                scores.score(i, j, "synonym_ratio")
+    assert sorted(calls) == sorted(scores.tokens(i).tokens for i in trans)

@@ -11,6 +11,7 @@ import transalign.tuning as tuning
 from transalign.align import AlignmentConfig, align
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError, DataError
+from transalign.lexicon import SynonymLexicon
 from transalign.metrics import evaluate_against_gold
 from transalign.similarity import Comparator, ComparatorChain, ratio
 from transalign.tuning import TuningJob, tune_chain, tune_threshold
@@ -259,3 +260,35 @@ def test_tuning_computes_each_ratio_once(monkeypatch):
     report = tune_chain(job)
     assert report.evaluations > 3
     assert calls and max(calls.values()) == 1
+
+
+def test_table_shared_down_descending_thresholds_matches_fresh_tables(monkeypatch):
+    chain = ComparatorChain(
+        (Comparator("matching_blocks_ratio", 0.99), Comparator("synonym_ratio", 0.95))
+    )
+    job = drift_job(chain)
+    # Map each cut-off word back to its gold word, plus some decoy synonyms.
+    entries = {}
+    for line, gold in zip(job.trans.sentences, job.gold):
+        for word, gold_word in zip(line.normalized.split(), gold.split()):
+            if word != gold_word:
+                entries[word] = (gold_word,)
+    words = sorted({token for line in job.gold for token in line.split()})
+    for k in range(0, len(words), 3):
+        entries.setdefault(words[k], (words[k - 1],))
+    job = replace(
+        job, config=replace(job.config, lexicon=SynonymLexicon(entries)), bounds=[(0.6, 0.95)] * 2
+    )
+    for step in range(8):
+        threshold = 0.95 - 0.05 * step
+        config = replace(job.config, chain=chain.with_threshold(1, threshold))
+        on_shared = align(job.source, job.target, job.trans, config, job.scores)
+        assert on_shared == align(job.source, job.target, job.trans, config), threshold
+    shared = tune_chain(job)
+    real_align = tuning.align
+
+    def align_on_fresh_table(source, target, trans, config, scores=None):
+        return real_align(source, target, trans, config)
+
+    monkeypatch.setattr(tuning, "align", align_on_fresh_table)
+    assert tune_chain(job) == shared
