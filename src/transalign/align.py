@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus
 from .errors import ConfigError, DataError
 from .lexicon import EMPTY_LEXICON, EMPTY_STOPWORDS, StopWordList, SynonymLexicon
 from .similarity import (
@@ -23,7 +23,7 @@ from .similarity import (
     ChainDecision,
     ComparatorChain,
     PairScores,
-    evaluate_chain,
+    evaluate_chain,  # not called here: perfbench/tracer.py wraps align.evaluate_chain
 )
 
 ALIGNED = "aligned"
@@ -72,7 +72,6 @@ class AlignmentDecision:
     target_index: int | None = None
     score: float | None = None
     comparator: str | None = None
-    disproportion: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,60 +86,49 @@ class AlignmentResult:
 
 
 def select_candidate(
-    trans_line: Sentence,
-    pool: list[Sentence],
+    i: int,
+    pool: list[int],
     expected_position: float,
     chain: ComparatorChain,
-    context: ChainContext,
-    scores: PairScores | None = None,
-) -> tuple[Sentence, ChainDecision] | None:
-    """Best accepted candidate for one translation line, or None.
+    scores: PairScores,
+) -> tuple[int, ChainDecision] | None:
+    """Best accepted target index in ``pool`` for translation line ``i``,
+    with its decision, or None.
 
     Ties on score break toward the smallest distance from the expected
-    position, then the smallest target index. ``scores`` is a table over
-    the corpora of ``trans_line`` and ``pool``; by default a fresh one.
+    position, then the smallest target index.
     """
-    if scores is None:
-        scores = PairScores({trans_line.index: trans_line}, {c.index: c for c in pool}, context)
     best = None
     best_key = None
-    for candidate in pool:
-        decision = scores.decide(trans_line.index, candidate.index, chain)
+    for j in pool:
+        decision = scores.decide(i, j, chain)
         if decision is None:
             continue
-        key = (-decision.score, abs(candidate.index - expected_position), candidate.index)
+        key = (-decision.score, abs(j - expected_position), j)
         if best_key is None or key < best_key:
-            best, best_key = (candidate, decision), key
+            best, best_key = (j, decision), key
     return best
 
 
 def lookahead_resolve(
-    source_index: int,
-    candidate: Sentence,
-    trans: Corpus,
+    i: int,
+    j: int,
+    score: float,
     chain: ComparatorChain,
     depth: int,
-    context: ChainContext = ChainContext(),
-    current_score: float | None = None,
-    scores: PairScores | None = None,
+    scores: PairScores,
 ) -> bool:
-    """Keep the candidate for this line? False defers it to a later line.
+    """Keep target line ``j``, which line ``i`` accepts with ``score``?
+    False defers it to a later line.
 
-    The candidate is deferred iff some translation line within ``depth``
-    lines after this one accepts it with a strictly higher score. A later
-    line whose chain rejects the candidate cannot contest it. By default
-    ``current_score`` is this line's exact chain score for the candidate.
+    The target is deferred iff some translation line within ``depth`` lines
+    after ``i`` accepts it with a strictly higher score. A later line whose
+    chain rejects the target cannot contest it.
     """
-    if scores is None:
-        scores = PairScores(trans, {candidate.index: candidate}, context)
-    if current_score is None:
-        current_score = evaluate_chain(
-            trans[source_index], candidate, chain, context, scores
-        ).score
-    last = min(source_index + depth, len(trans) - 1)
-    for later in range(source_index + 1, last + 1):
-        decision = scores.decide(later, candidate.index, chain)
-        if decision is not None and decision.score > current_score:
+    last = min(i + depth, len(scores.trans) - 1)
+    for later in range(i + 1, last + 1):
+        decision = scores.decide(later, j, chain)
+        if decision is not None and decision.score > score:
             return False
     return True
 
@@ -178,72 +166,47 @@ def align(
     elif scores.trans is not trans or scores.target is not target or scores.context != context:
         raise ConfigError("pair-score table belongs to other corpora or comparator settings")
     n_source, n_target = len(source), len(target)
+    gap = abs(n_source - n_target)
     unconsumed = list(range(n_target))
 
-    picks: list[tuple[int, ChainDecision] | None] = []
+    decisions: list[AlignmentDecision] = []
+    pairs: list[tuple[str, str]] = []
+    aligned = translated = filled = 0
     for i in range(n_source):
         expected = i * n_target / n_source
         lo, hi = 0, len(unconsumed)
         if config.window > 0:
             lo = bisect_left(unconsumed, expected - config.window)
             hi = bisect_right(unconsumed, expected + config.window)
-        candidates = [target.sentences[j] for j in unconsumed[lo:hi]]
-        chosen = None
-        while candidates:
-            selected = select_candidate(
-                trans[i], candidates, expected, config.chain, context, scores
-            )
-            if selected is None:
-                break
-            candidate, decision = selected
-            if lookahead_resolve(
-                i, candidate, trans, config.chain, config.lookahead_depth,
-                context, decision.score, scores,
-            ):
-                chosen = (candidate.index, decision)
-                del unconsumed[bisect_left(unconsumed, candidate.index)]
-                break
-            # at most one retry per candidate
-            candidates = [c for c in candidates if c is not candidate]
-        picks.append(chosen)
-
-    fill_quota = min(abs(n_source - n_target), sum(1 for p in picks if p is None))
-    decisions: list[AlignmentDecision] = []
-    pairs: list[tuple[str, str]] = []
-    aligned = translated = attributed = 0
-    for i, pick in enumerate(picks):
-        if pick is not None:
-            target_index, decision = pick
-            text = target[target_index].raw
-            decisions.append(
-                AlignmentDecision(
-                    i,
-                    ALIGNED,
-                    text,
-                    target_index=target_index,
-                    score=decision.score,
-                    comparator=decision.comparator.kind,
-                )
+        pool = unconsumed[lo:hi]
+        chosen = select_candidate(i, pool, expected, config.chain, scores)
+        while chosen is not None and not lookahead_resolve(
+            i, chosen[0], chosen[1].score, config.chain, config.lookahead_depth, scores
+        ):
+            pool.remove(chosen[0])  # at most one retry per candidate
+            chosen = select_candidate(i, pool, expected, config.chain, scores)
+        if chosen is not None:
+            j, decision = chosen
+            del unconsumed[bisect_left(unconsumed, j)]
+            record = AlignmentDecision(
+                i, ALIGNED, target[j].raw, j, decision.score, decision.comparator.kind
             )
             aligned += 1
+        elif filled < gap:
+            record = AlignmentDecision(i, FILLED, trans[i].raw)
+            filled += 1
         else:
-            text = trans[i].raw
-            if attributed < fill_quota:
-                decisions.append(
-                    AlignmentDecision(i, FILLED, text, disproportion=True)
-                )
-                attributed += 1
-            else:
-                decisions.append(AlignmentDecision(i, TRANSLATED, text))
-                translated += 1
-        pairs.append((source[i].raw, text))
+            record = AlignmentDecision(i, TRANSLATED, trans[i].raw)
+            translated += 1
+        decisions.append(record)
+        pairs.append((source[i].raw, record.text))
 
     return AlignmentResult(
         decisions=tuple(decisions),
         output_pairs=tuple(pairs),
         aligned_count=aligned,
         translated_count=translated,
-        disproportion_count=attributed,
+        disproportion_count=filled,
         total=n_source,
         unmatched_target_indices=tuple(unconsumed),
     )
@@ -304,6 +267,9 @@ def read_report(report_path) -> AlignmentResult:
     for key in ("A", "T", "D", "L"):
         if type(trailer.get(key)) is not int:
             raise DataError(f"report {report_path} has no counts trailer")
+    unmatched = trailer.get("unmatched_targets", [])
+    if not isinstance(unmatched, list) or not all(type(j) is int for j in unmatched):
+        raise DataError(f"report trailer has no valid unmatched_targets: {unmatched!r}")
     decisions = []
     for record in objects[:-1]:
         outcome = record.get("outcome")
@@ -312,15 +278,17 @@ def read_report(report_path) -> AlignmentResult:
         source_index = record.get("source_index")
         if type(source_index) is not int or source_index < 0:
             raise DataError(f"report record has no valid source_index: {source_index!r}")
+        text = record.get("text", "")
+        if not isinstance(text, str):
+            raise DataError(f"report record has no valid text: {text!r}")
         decisions.append(
             AlignmentDecision(
                 source_index=source_index,
                 outcome=outcome,
-                text=record.get("text", ""),
+                text=text,
                 target_index=record.get("target_index"),
                 score=record.get("score"),
                 comparator=record.get("comparator"),
-                disproportion=outcome == FILLED,
             )
         )
     return AlignmentResult(
@@ -330,5 +298,5 @@ def read_report(report_path) -> AlignmentResult:
         translated_count=trailer["T"],
         disproportion_count=trailer["D"],
         total=trailer["L"],
-        unmatched_target_indices=tuple(trailer.get("unmatched_targets", ())),
+        unmatched_target_indices=tuple(unmatched),
     )

@@ -171,8 +171,6 @@ class Settings:
             return FileProvider(path)
         if kind == "http":
             endpoint = self.get("endpoint", default=settings.get("endpoint"))
-            if not endpoint:
-                raise ConfigError("http provider needs an endpoint URL")
             optional = ("response_path", "max_concurrency", "timeout", "retries", "backoff")
             given = {key: settings[key] for key in optional if key in settings}
             return HttpProvider(endpoint=endpoint, **given)
@@ -246,10 +244,6 @@ def cmd_align(args) -> int:
     if trans_path:
         _require_file(trans_path, "translation file")
         trans = load_corpus(trans_path, settings.target_language())
-        if len(trans) != len(source):
-            raise DataError(
-                f"translation file has {len(trans)} lines, source has {len(source)}"
-            )
     else:
         trans = translate_corpus(
             source,

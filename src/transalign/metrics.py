@@ -101,9 +101,9 @@ def evaluate_against_gold(
                 aligned += 1
             else:
                 misaligned += 1
-        elif decision.outcome == FILLED and decision.disproportion:
+        elif decision.outcome == FILLED:
             disproportion += 1
-        elif decision.outcome in (TRANSLATED, FILLED):
+        elif decision.outcome == TRANSLATED:
             translated += 1
         else:
             raise DataError(f"unknown decision outcome: {decision.outcome!r}")

@@ -185,19 +185,15 @@ def synonym_ratio(
     b: Sentence,
     lexicon: SynonymLexicon = EMPTY_LEXICON,
     cap: int = 64,
-    scores: PairScores | None = None,
 ) -> float:
     """Best matching-blocks ratio over the synonym variants of ``a``.
 
     Variants are re-joined with single spaces and compared against the
     normalized text of ``b``; the unexpanded pair is always included, so
-    the result is never below ratio(a, b). ``scores``, a table over the
-    corpora of ``a`` and ``b``, supplies the variants and the ratios it
-    already holds.
+    the result is never below ratio(a, b).
     """
-    if scores is None:
-        scores = PairScores({a.index: a}, {b.index: b}, ChainContext(lexicon=lexicon, cap=cap))
-    return scores.score(a.index, b.index, SYNONYM_RATIO)
+    scores = PairScores({0: a}, {0: b}, ChainContext(lexicon=lexicon, cap=cap))
+    return scores.score(0, 0, SYNONYM_RATIO)
 
 
 @dataclass(frozen=True)
@@ -403,27 +399,22 @@ def evaluate_chain(
     b: Sentence,
     chain: ComparatorChain,
     context: ChainContext = DEFAULT_CONTEXT,
-    scores: PairScores | None = None,
 ) -> ChainDecision:
     """Run comparators in cost order, stopping at the first acceptance.
 
     A comparator accepts when its score reaches its threshold. If none
     accepts, the decision reports the maximum score observed and the
     comparator that produced it. This is the exact per-pair API: unlike
-    ``PairScores.decide`` it scores every tier of a rejected pair. With
-    ``scores``, ``a`` and ``b`` must be lines of the table's translation and
-    target corpora, and the scores come from the table (``context`` is then
-    the table's).
+    ``PairScores.decide`` it scores every tier of a rejected pair.
     """
-    if scores is None:
-        scores = PairScores({a.index: a}, {b.index: b}, context)
-    decision = scores.decide(a.index, b.index, chain)
+    scores = PairScores({0: a}, {0: b}, context)
+    decision = scores.decide(0, 0, chain)
     if decision is not None:
         return decision
     best_score = -1.0
     best_comparator = None
     for comparator in chain:
-        score = scores.score(a.index, b.index, comparator.kind)
+        score = scores.score(0, 0, comparator.kind)
         if score > best_score:
             best_score = score
             best_comparator = comparator

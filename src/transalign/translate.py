@@ -103,6 +103,7 @@ class HttpProvider(TranslationProvider):
     (values are URL-encoded before substitution). An empty ``response_path``
     takes the whole response body as the translation; otherwise the body is
     parsed as JSON and the dotted path (list indices allowed) is followed.
+    ``endpoint`` is a non-empty string and ``response_path`` a string;
     ``max_concurrency`` (>= 1) and ``retries`` (>= 0) are ints, ``timeout``
     (> 0) and ``backoff`` (>= 0) finite seconds; anything else is a
     ``ConfigError``.
@@ -118,6 +119,8 @@ class HttpProvider(TranslationProvider):
 
     def __post_init__(self):
         valid = {
+            "endpoint": isinstance(self.endpoint, str) and bool(self.endpoint),
+            "response_path": isinstance(self.response_path, str),
             "max_concurrency": type(self.max_concurrency) is int and self.max_concurrency >= 1,
             "retries": type(self.retries) is int and self.retries >= 0,
             "timeout": type(self.timeout) in (int, float) and 0 < self.timeout < math.inf,

@@ -128,17 +128,14 @@ def _score(job: TuningJob, chain: ComparatorChain) -> int:
     return evaluate_against_gold(result, job.gold).score
 
 
-def tune_threshold(
-    job: TuningJob, comparator_position: int, align_counter: list | None = None
-) -> TuningOutcome:
+def tune_threshold(job: TuningJob, comparator_position: int) -> TuningOutcome:
     """Binary-search one comparator's threshold, others fixed.
 
     Each step probes the midpoint and midpoint +/- resolution to find which
     side scores better, then halves toward it; on a tie the search moves
     low (more permissive thresholds). Evaluations are memoized, and the
     best (threshold, score) point ever evaluated is returned, not the final
-    midpoint. ``align_counter``, when given, receives one appended entry
-    per actual alignment run (instrumentation for evaluation-count checks).
+    midpoint. ``evaluations`` counts the alignment runs, one per memo entry.
     """
     if not 0 <= comparator_position < len(job.config.chain):
         raise ConfigError(f"no comparator at position {comparator_position}")
@@ -152,8 +149,6 @@ def tune_threshold(
         if threshold not in memo:
             chain = job.config.chain.with_threshold(comparator_position, threshold)
             memo[threshold] = _score(job, chain)
-            if align_counter is not None:
-                align_counter.append(threshold)
         return memo[threshold]
 
     score_at((lo + hi) / 2.0)
@@ -174,23 +169,20 @@ def tune_threshold(
     )
 
 
-def tune_chain(job: TuningJob, align_counter: list | None = None) -> TuningReport:
+def tune_chain(job: TuningJob) -> TuningReport:
     """Tune every comparator in isolation, then assemble and re-score.
 
     The report's achieved score comes from actually re-running alignment
     with the assembled chain, so it is reproducible from the thresholds.
     """
     outcomes = tuple(
-        tune_threshold(job, position, align_counter)
-        for position in range(len(job.config.chain))
+        tune_threshold(job, position) for position in range(len(job.config.chain))
     )
     thresholds = tuple(outcome.threshold for outcome in outcomes)
     chain = job.config.chain
     for position, threshold in enumerate(thresholds):
         chain = chain.with_threshold(position, threshold)
     achieved = _score(job, chain)
-    if align_counter is not None:
-        align_counter.append("assembled")
     evaluations = sum(outcome.evaluations for outcome in outcomes) + 1
     return TuningReport(
         thresholds=thresholds,

@@ -11,6 +11,7 @@ import re
 import time
 from pathlib import Path
 
+import transalign.tuning as tuning
 from transalign import (
     ALIGNED,
     AlignmentConfig,
@@ -260,7 +261,7 @@ def test_07_permutation_recovery_and_noisy_alignment_quality(tmp_path):
     assert card.score >= 95
 
 
-def test_08_threshold_search_matches_grid_scan_with_log_evaluations():
+def test_08_threshold_search_matches_grid_scan_with_log_evaluations(monkeypatch):
     letters = "abcdefghijklmnopqrst"
     trans, target = [], []
     for i in range(5):
@@ -279,7 +280,14 @@ def test_08_threshold_search_matches_grid_scan_with_log_evaluations():
     )
 
     probes = []
-    outcome = tune_threshold(job, 0, probes)
+
+    def counting_align(*args):
+        probes.append(args[3].chain)
+        return align(*args)
+
+    monkeypatch.setattr(tuning, "align", counting_align)
+    outcome = tune_threshold(job, 0)
+    monkeypatch.undo()
 
     grid_best = None
     for k in range(257):

@@ -109,37 +109,33 @@ def test_lookahead_rejecting_later_line_cannot_defer():
 
 def test_lookahead_requires_strictly_higher_score():
     trans = corpus("same line", "same line", language="en")
-    candidate = Sentence(0, "same line")
-    keep = lookahead_resolve(
-        0, candidate, trans, chain_of(0.5), depth=1, context=ChainContext()
-    )
+    scores = PairScores(trans, {0: Sentence(0, "same line")})
+    score = scores.decide(0, 0, chain_of(0.5)).score
+    keep = lookahead_resolve(0, 0, score, chain_of(0.5), depth=1, scores=scores)
     assert keep  # equal later score must not steal the candidate
 
 
 def test_lookahead_depth_zero_always_keeps():
     trans = corpus("weak match", "weak match exact", language="en")
-    candidate = Sentence(0, "weak match exact")
-    assert lookahead_resolve(
-        0, candidate, trans, chain_of(0.5), depth=0, context=ChainContext()
-    )
+    scores = PairScores(trans, {0: Sentence(0, "weak match exact")})
+    score = scores.decide(0, 0, chain_of(0.5)).score
+    assert lookahead_resolve(0, 0, score, chain_of(0.5), depth=0, scores=scores)
 
 
 def test_select_candidate_tie_breaks_by_distance_then_index():
-    trans_line = Sentence(0, "alpha beta")
-    pool = [Sentence(i, "alpha beta") for i in (9, 4)]
-    picked, decision = select_candidate(
-        trans_line, pool, 5.0, chain_of(0.9), ChainContext()
-    )
-    assert picked.index == 4
+    trans = corpus("alpha beta", language="en")
+    scores = PairScores(trans, {j: Sentence(j, "alpha beta") for j in (4, 6, 9)})
+    picked, decision = select_candidate(0, [9, 4], 5.0, chain_of(0.9), scores)
+    assert picked == 4
     assert decision.score == 1.0
 
-    pool = [Sentence(6, "alpha beta"), Sentence(4, "alpha beta")]
-    picked, _ = select_candidate(trans_line, pool, 5.0, chain_of(0.9), ChainContext())
-    assert picked.index == 4  # equal distance, smaller index wins
+    picked, _ = select_candidate(0, [6, 4], 5.0, chain_of(0.9), scores)
+    assert picked == 4  # equal distance, smaller index wins
 
 
 def test_select_candidate_empty_pool():
-    assert select_candidate(Sentence(0, "a"), [], 0.0, chain_of(), ChainContext()) is None
+    scores = PairScores(corpus("a", language="en"), {})
+    assert select_candidate(0, [], 0.0, chain_of(), scores) is None
 
 
 def test_disproportion_fills_attributed_in_source_order():
@@ -153,7 +149,6 @@ def test_disproportion_fills_attributed_in_source_order():
     assert result.total == 5
     fills = [d for d in result.decisions if d.outcome == FILLED]
     assert [d.source_index for d in fills] == [1, 3]
-    assert all(d.disproportion for d in fills)
     # the fill text is the line's own translation
     assert fills[0].text == lines[1]
 
@@ -171,6 +166,32 @@ def test_fills_beyond_quota_count_as_translated():
     outcomes = [d.outcome for d in result.decisions]
     assert outcomes == [ALIGNED, TRANSLATED, TRANSLATED, ALIGNED]
     assert set(result.unmatched_target_indices) == {1, 2}
+
+
+def test_first_gap_unmatched_lines_fill_and_the_rest_translate():
+    # 5 source lines, 4 targets: the gap is 1 and three lines go unmatched,
+    # so the first of them is a fill and the other two are Translated
+    lines = distinct_lines(5)
+    src = corpus(*lines, language="src")
+    tgt = corpus(lines[0], "zzz yyy xxx", "qqq ppp ooo", lines[4], language="tgt")
+    result = align(src, tgt, src, config_of(threshold=1.0))
+    outcomes = [d.outcome for d in result.decisions]
+    assert outcomes == [ALIGNED, FILLED, TRANSLATED, TRANSLATED, ALIGNED]
+    assert (result.aligned_count, result.disproportion_count, result.translated_count) == (2, 1, 2)
+    assert [d.text for d in result.decisions[1:4]] == lines[1:4]
+
+
+def test_target_longer_than_source_fills_up_to_the_gap():
+    # 3 source lines, 4 targets: the gap is 1, so of the two unmatched
+    # source lines only the first is a fill
+    lines = distinct_lines(3)
+    src = corpus(*lines, language="src")
+    tgt = corpus(lines[0], "zzz yyy xxx", "qqq ppp ooo", "rrr sss ttt", language="tgt")
+    result = align(src, tgt, src, config_of(threshold=1.0))
+    outcomes = [d.outcome for d in result.decisions]
+    assert outcomes == [ALIGNED, FILLED, TRANSLATED]
+    assert (result.aligned_count, result.disproportion_count, result.translated_count) == (1, 1, 1)
+    assert result.unmatched_target_indices == (1, 2, 3)
 
 
 def test_trans_length_mismatch_rejected():

@@ -1,6 +1,10 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,6 +398,8 @@ def http_config(**settings):
         ("translate", {**http_config(), "source_language": 5}),
         ("align", {"target_language": ""}),
         ("tune", {"source_language": ["en"]}),
+        ("translate", http_config(endpoint=5)),
+        ("translate", http_config(response_path=5)),
     ],
 )
 def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):
@@ -420,8 +426,11 @@ def jsonl(*objects):
         (jsonl({**RECORD, "source_index": "0"}, TRAILER), b"x\n"),
         (jsonl(RECORD, TRAILER).replace(b'"x"', b'"\xff"'), b"x\n"),
         (jsonl(RECORD, TRAILER), b"\xff\n"),
+        (jsonl({**RECORD, "outcome": "aligned", "text": 5}, TRAILER), b"x\n"),
+        (jsonl(RECORD, {**TRAILER, "unmatched_targets": 5}), b"x\n"),
     ],
-    ids=["no-source-index", "string-source-index", "report-not-utf8", "gold-not-utf8"],
+    ids=["no-source-index", "string-source-index", "report-not-utf8", "gold-not-utf8",
+         "number-text", "number-unmatched-targets"],
 )
 def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     (tmp_path / "r.jsonl").write_bytes(report)
@@ -459,3 +468,29 @@ def test_tune_command_step_fixture(tmp_path, capsys, caplog):
     assert json.loads(out.read_text(encoding="utf-8")) == payload
     # 5 dev lines is far below the recommended range
     assert any("lines" in record.message for record in caplog.records)
+
+
+def test_benchmark_tracer_finds_every_hook(tmp_path):
+    # perfbench/tracer.py wraps functions by their module attribute and
+    # counts select_candidate's pool as its second positional argument: a
+    # renamed hook shows up in the trace's "missing" list, a moved pool as
+    # a failed run.
+    repo = Path(__file__).resolve().parents[1]
+    trans = write(tmp_path, "trans.txt", LOOKAHEAD_TRANS)
+    target = write(tmp_path, "tgt.txt", LOOKAHEAD_TARGET)
+    synonyms = str(repo / "tests" / "fixtures" / "synonyms_en.tsv")
+    argv, _ = align_argv(
+        tmp_path, trans, target, trans,
+        extra=["--chain", "synonym_ratio:0.6", "--synonyms", synonyms, "--window", "0"],
+    )
+    trace_path = tmp_path / "trace.json"
+    pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "tracer.py"), str(trace_path), "0", "--", *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(trace_path.read_text(encoding="utf-8"))
+    assert trace["exit_code"] == 0
+    assert trace["missing"] == []
+    assert trace["counters"]["align.select_candidate.candidates"] > 0

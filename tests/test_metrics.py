@@ -70,8 +70,8 @@ def test_alignment_score_strictly_drops_when_a_becomes_m():
     assert worse < base
 
 
-def decision(i, outcome, text, disproportion=False):
-    return AlignmentDecision(i, outcome, text, disproportion=disproportion)
+def decision(i, outcome, text):
+    return AlignmentDecision(i, outcome, text)
 
 
 def result_from(decisions):
@@ -80,7 +80,7 @@ def result_from(decisions):
         output_pairs=tuple(("s", d.text) for d in decisions),
         aligned_count=sum(1 for d in decisions if d.outcome == "aligned"),
         translated_count=sum(1 for d in decisions if d.outcome == "translated"),
-        disproportion_count=sum(1 for d in decisions if d.disproportion),
+        disproportion_count=sum(1 for d in decisions if d.outcome == "filled"),
         total=len(decisions),
     )
 
@@ -107,8 +107,8 @@ def test_gold_two_disproportion_fills_give_100():
     gold = [f"line {i}" for i in range(10)]
     decisions = [decision(i, "aligned", gold[i]) for i in range(8)]
     decisions += [
-        decision(8, "filled", "trans 8", disproportion=True),
-        decision(9, "filled", "trans 9", disproportion=True),
+        decision(8, "filled", "trans 8"),
+        decision(9, "filled", "trans 9"),
     ]
     card = evaluate_against_gold(result_from(decisions), gold)
     assert (card.aligned, card.disproportion) == (8, 2)

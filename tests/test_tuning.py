@@ -80,22 +80,20 @@ def test_step_function_matches_grid_scan_optimum():
 
 
 def test_evaluation_count_is_logarithmic():
-    counter = []
     job = step_job()
-    tune_threshold(job, 0, align_counter=counter)
+    outcome = tune_threshold(job, 0)
     # 3 probes per halving of [0,1] down to 1/256, plus the opening probe
     bound = 3 * int(math.log2(256)) + 2
-    assert len(counter) <= bound
+    assert outcome.evaluations <= bound
     # far below the 257-point grid scan the search replaces
-    assert len(counter) < 60
+    assert outcome.evaluations < 60
 
 
 def test_narrow_bounds_terminate_within_three_evaluations():
-    counter = []
     resolution = 1 / 256
     job = step_job(bounds=[(0.3, 0.3 + resolution)], resolution=resolution)
-    outcome = tune_threshold(job, 0, align_counter=counter)
-    assert len(counter) <= 3
+    outcome = tune_threshold(job, 0)
+    assert outcome.evaluations <= 3
     assert 0.3 <= outcome.threshold <= 0.3 + resolution
 
 
