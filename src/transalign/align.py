@@ -251,7 +251,10 @@ def read_report(report_path) -> AlignmentResult:
     """Rebuild a scoreable result from a JSON-lines report.
 
     The report does not carry source text, so ``output_pairs`` stays empty;
-    decisions and counts are enough for gold-based scoring.
+    decisions and counts are enough for gold-based scoring. The records
+    must hold one decision for each source index ``0..L-1`` and agree with
+    the trailer's ``A``/``T``/``D`` counts, as ``write_alignment`` writes
+    them; anything else is a ``DataError``.
     """
     try:
         # Split on LF only: text fields may hold U+2028 and the like raw.
@@ -291,12 +294,25 @@ def read_report(report_path) -> AlignmentResult:
                 comparator=record.get("comparator"),
             )
         )
+    total = trailer["L"]
+    if sorted(decision.source_index for decision in decisions) != list(range(total)):
+        raise DataError(
+            f"report {report_path} has {len(decisions)} records, not one for each "
+            f"source index 0..{total - 1} of its trailer's L={total}"
+        )
+    for key, outcome in (("A", ALIGNED), ("T", TRANSLATED), ("D", FILLED)):
+        count = sum(decision.outcome == outcome for decision in decisions)
+        if trailer[key] != count:
+            raise DataError(
+                f"report {report_path} has {count} {outcome} records but its trailer says "
+                f"{key}={trailer[key]}"
+            )
     return AlignmentResult(
         decisions=tuple(decisions),
         output_pairs=(),
         aligned_count=trailer["A"],
         translated_count=trailer["T"],
         disproportion_count=trailer["D"],
-        total=trailer["L"],
+        total=total,
         unmatched_target_indices=tuple(unmatched),
     )

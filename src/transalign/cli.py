@@ -194,6 +194,14 @@ def _require_file(path, description: str) -> None:
         raise ConfigError(f"{description} not found: {path}")
 
 
+def _write_output(write, *args) -> None:
+    """Run one output writer; a path that cannot be written is a ConfigError."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
@@ -226,7 +234,7 @@ def cmd_translate(args) -> int:
         target_language=settings.target_language(),
         stats_out=stats,
     )
-    save_corpus(translated, args.out)
+    _write_output(save_corpus, translated, args.out)
     if args.stats:
         _print_json(stats)
     return EXIT_OK
@@ -253,7 +261,7 @@ def cmd_align(args) -> int:
         )
 
     result = align(source, target, trans, config)
-    write_alignment(result, args.out_source, args.out_target, args.report)
+    _write_output(write_alignment, result, args.out_source, args.out_target, args.report)
     _print_json(
         {
             "A": result.aligned_count,
@@ -327,9 +335,8 @@ def cmd_tune(args) -> int:
     payload = report.as_json_dict()
     payload["config_fragment"] = report.config_fragment()
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        _write_output(Path(args.out).write_text, text, "utf-8")
     _print_json(payload)
     return EXIT_OK
 

@@ -14,10 +14,7 @@ import os
 import tempfile
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,6 +132,11 @@ class HttpProvider(TranslationProvider):
 
 
 def _single_request(provider: HttpProvider, url: str) -> str:
+    # The HTTP client (urllib.request pulls in http.client, email and ssl)
+    # loads here, on the first request, so runs that call no provider skip it.
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=provider.timeout) as response:
             body = response.read().decode("utf-8")
@@ -321,6 +323,8 @@ def translate_corpus(
 
     failures: list[tuple[int, Exception]] = []
     if todo:
+        from concurrent.futures import ThreadPoolExecutor
+
         workers = max(1, provider.max_concurrency)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {

@@ -428,9 +428,17 @@ def jsonl(*objects):
         (jsonl(RECORD, TRAILER), b"\xff\n"),
         (jsonl({**RECORD, "outcome": "aligned", "text": 5}, TRAILER), b"x\n"),
         (jsonl(RECORD, {**TRAILER, "unmatched_targets": 5}), b"x\n"),
+        (jsonl(*[{**RECORD, "outcome": "aligned"}] * 2, {**TRAILER, "A": 2, "T": 0}), b"x\n"),
+        (jsonl(RECORD, {**TRAILER, "L": 2}), b"x\nx\n"),
+        (jsonl(RECORD, RECORD, {**TRAILER, "T": 2, "L": 2}), b"x\nx\n"),
+        (jsonl({**RECORD, "source_index": 1}, TRAILER), b"x\nx\n"),
+        (jsonl(RECORD, {**TRAILER, "A": 1, "T": 0}), b"x\n"),
+        (jsonl(RECORD, {**TRAILER, "D": 1}), b"x\n"),
     ],
     ids=["no-source-index", "string-source-index", "report-not-utf8", "gold-not-utf8",
-         "number-text", "number-unmatched-targets"],
+         "number-text", "number-unmatched-targets", "more-records-than-L",
+         "fewer-records-than-L", "duplicate-source-index", "source-index-out-of-range",
+         "counts-disagree", "fill-count-disagrees"],
 )
 def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     (tmp_path / "r.jsonl").write_bytes(report)
@@ -439,6 +447,24 @@ def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, out_flag", [("align", "--out-source"), ("tune", "--out"), ("translate", "--out")]
+)
+def test_unwritable_output_exits_one(tmp_path, capsys, command, out_flag):
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    unwritable = str(tmp_path / "missing" / "out.txt")
+    argv = cli_argv(command, path, tmp_path)
+    if command == "translate":
+        argv += ["--provider", "file", "--provider-path", path]
+    if out_flag in argv:
+        argv[argv.index(out_flag) + 1] = unwritable
+    else:
+        argv += [out_flag, unwritable]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {unwritable}") and "Traceback" not in err
 
 
 def test_tune_command_step_fixture(tmp_path, capsys, caplog):
@@ -494,3 +520,25 @@ def test_benchmark_tracer_finds_every_hook(tmp_path):
     assert trace["exit_code"] == 0
     assert trace["missing"] == []
     assert trace["counters"]["align.select_candidate.candidates"] > 0
+
+
+PROVIDER_ONLY_MODULES = (
+    "urllib.request", "urllib.error", "http.client", "ssl", "email", "concurrent.futures",
+)
+
+
+def test_cli_import_leaves_the_http_client_unloaded():
+    # The HTTP client and the thread pool load only when a provider is
+    # called; a fresh interpreter shows what importing the CLI loads.
+    repo = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import transalign.cli; "
+        "print(*(m for m in sys.argv[1:] if m in sys.modules and m not in before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *PROVIDER_ONLY_MODULES],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

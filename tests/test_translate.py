@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -372,3 +376,20 @@ def test_http_corpus_respects_server_side_concurrency(mock_server):
     out = translate_corpus(Corpus.from_lines(lines, "pl"), provider, target_language="en")
     assert [s.raw for s in out] == ["echo:" + line for line in lines]
     assert mock_server.state["peak"] <= 2
+
+
+def test_cli_translate_over_http_in_a_fresh_process(mock_server, tmp_path):
+    # This module has already imported urllib and http.server; only a fresh
+    # interpreter shows that the provider's deferred imports load on use.
+    repo = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    source = tmp_path / "src.txt"
+    source.write_text("first line\nsecond line\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "transalign.cli", "translate", "--provider", "http",
+         "--endpoint", endpoint(mock_server, "/echo"), "--source", str(source), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8") == "echo:first line\necho:second line\n"
