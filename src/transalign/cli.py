@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .align import AlignmentConfig, align, write_alignment, read_report
-from .corpus import Corpus, load_corpus, save_corpus
+from .corpus import load_corpus, save_corpus
 from .errors import ConfigError, DataError, ProviderError
 from .lexicon import (
     EMPTY_LEXICON,
@@ -157,8 +157,6 @@ class Settings:
     def provider(self):
         kind = self.get("provider")
         settings = self.config.get("provider_settings", {})
-        if isinstance(kind, dict):  # whole provider object in config
-            settings, kind = kind, kind.get("type")
         if not isinstance(settings, dict):
             raise ConfigError("provider settings must be a JSON object")
         if kind is None:
@@ -204,18 +202,6 @@ def _write_output(write, *args) -> None:
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False))
-
-
-def _read_gold_lines(path) -> list[str]:
-    _require_file(path, "gold file")
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"gold file {path} is not valid UTF-8: {exc}") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return [line.rstrip("\r") for line in lines]
 
 
 # -- commands -------------------------------------------------------------
@@ -277,7 +263,8 @@ def cmd_align(args) -> int:
 def cmd_score(args) -> int:
     _require_file(args.report, "report file")
     result = read_report(args.report)
-    gold = _read_gold_lines(args.gold)
+    _require_file(args.gold, "gold file")
+    gold = [sentence.raw for sentence in load_corpus(args.gold, "gold")]
     card = evaluate_against_gold(result, gold)
     _print_json(card.as_json_dict())
     return EXIT_OK
@@ -304,12 +291,13 @@ def cmd_tune(args) -> int:
         (args.source, "dev source"),
         (args.target, "dev target"),
         (args.trans, "dev translation"),
+        (args.gold, "gold"),
     ):
         _require_file(path, f"{what} file")
     source = load_corpus(args.source, settings.source_language())
     target = load_corpus(args.target, settings.target_language())
     trans = load_corpus(args.trans, settings.target_language())
-    gold = _read_gold_lines(args.gold)
+    gold = [sentence.raw for sentence in load_corpus(args.gold, "gold")]
 
     bounds = ()
     if args.bounds:

@@ -56,16 +56,9 @@ class Sentence:
             object.__setattr__(self, "normalized", normalize(self.raw))
 
 
-@dataclass(frozen=True)
-class TokenizedSentence:
-    """Word tokens of a sentence."""
-
-    tokens: tuple[str, ...]
-
-
-def tokenize(sentence: Sentence) -> TokenizedSentence:
-    """Tokenize a sentence's normalized text."""
-    return TokenizedSentence(split_tokens(sentence.normalized))
+def tokenize(sentence: Sentence) -> tuple[str, ...]:
+    """Word tokens of a sentence's normalized text."""
+    return split_tokens(sentence.normalized)
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,10 @@ def load_corpus(source: PathOrStream, language: str) -> Corpus:
 
     LF and CRLF line endings are both accepted; a UTF-8 BOM is tolerated.
     Empty lines are not sentences; their 1-based line numbers end up in
-    ``Corpus.skipped_lines``. Invalid UTF-8 is reported with its line number.
+    ``Corpus.skipped_lines``. Invalid UTF-8 is reported with its line number,
+    and with the file name when ``source`` is a path.
     """
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     data = _read_bytes(source)
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
@@ -145,7 +140,7 @@ def load_corpus(source: PathOrStream, language: str) -> Corpus:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(
-                f"invalid UTF-8 on line {lineno}: {exc.reason}"
+                f"{where}invalid UTF-8 on line {lineno}: {exc.reason}"
             ) from exc
         if text == "":
             skipped.append(lineno)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import TokenizedSentence, normalize
+from .corpus import normalize
 from .errors import LexiconFormatError
 
 
@@ -96,9 +96,9 @@ def load_synonyms(path, language: str = "") -> SynonymLexicon:
 
 
 def expand_sentence(
-    sentence: TokenizedSentence, lexicon: SynonymLexicon, cap: int = 64
-) -> list[TokenizedSentence]:
-    """Original sentence plus single-substitution synonym variants.
+    tokens: tuple[str, ...], lexicon: SynonymLexicon, cap: int = 64
+) -> list[tuple[str, ...]]:
+    """Original tokens plus single-substitution synonym variants.
 
     For each token position (left to right) and each synonym of that token
     (in lexicon-file order) one variant is produced with exactly that token
@@ -107,12 +107,10 @@ def expand_sentence(
     """
     if cap < 1:
         raise ValueError(f"variant cap must be >= 1, got {cap}")
-    variants = [sentence]
-    tokens = sentence.tokens
+    variants = [tokens]
     for position, token in enumerate(tokens):
         for synonym in lexicon.synonyms(token):
             if len(variants) == cap:
                 return variants
-            swapped = tokens[:position] + (synonym,) + tokens[position + 1 :]
-            variants.append(TokenizedSentence(swapped))
+            variants.append(tokens[:position] + (synonym,) + tokens[position + 1 :])
     return variants

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
-from .corpus import Corpus, Sentence, TokenizedSentence, tokenize
+from .corpus import Sentence, tokenize
 from .errors import ConfigError
 from .lexicon import (
     EMPTY_LEXICON,
@@ -123,21 +125,21 @@ def ratio(a: str, b: str, b_index: CharIndex | None = None) -> float:
     return 2.0 * matched / total
 
 
-def _content_counts(sentence: TokenizedSentence, stopwords: StopWordList) -> Counter:
-    return Counter(t for t in sentence.tokens if t not in stopwords)
+def _content_counts(tokens: tuple[str, ...], stopwords: StopWordList) -> Counter:
+    return Counter(t for t in tokens if t not in stopwords)
 
 
 def token_overlap(
-    a: TokenizedSentence | Counter,
-    b: TokenizedSentence | Counter,
+    a: tuple[str, ...] | Counter,
+    b: tuple[str, ...] | Counter,
     stopwords: StopWordList = EMPTY_STOPWORDS,
 ) -> float:
     """Dice overlap of the stop-word-filtered token multisets.
 
     2*|A' intersect B'| / (|A'| + |B'|); 1.0 when both filtered sides are
     empty. Multiset intersection, so repeated content words count once per
-    occurrence. Order-free by construction. ``a`` and ``b`` are tokenized
-    sentences, or ``Counter``s of tokens already stripped of stop words.
+    occurrence. Order-free by construction. ``a`` and ``b`` are token
+    tuples, or ``Counter``s of tokens already stripped of stop words.
     """
     counts_a = a if isinstance(a, Counter) else _content_counts(a, stopwords)
     counts_b = b if isinstance(b, Counter) else _content_counts(b, stopwords)
@@ -192,7 +194,7 @@ def synonym_ratio(
     normalized text of ``b``; the unexpanded pair is always included, so
     the result is never below ratio(a, b).
     """
-    scores = PairScores({0: a}, {0: b}, ChainContext(lexicon=lexicon, cap=cap))
+    scores = PairScores((a,), (b,), ChainContext(lexicon=lexicon, cap=cap))
     return scores.score(0, 0, SYNONYM_RATIO)
 
 
@@ -268,32 +270,31 @@ class ChainDecision:
 class PairScores:
     """Exact comparator scores for one translation/target corpus pair.
 
-    ``trans`` and ``target`` map line indices to sentences (a ``Corpus`` or
-    a dict). Scores are computed on first use and kept: token overlap per
-    (translation index, target index), and the block ratio per (translation
-    index, target index, text), where text 0 is the translation's
-    normalized text and the others are its synonym variants. Only exact
-    scores are kept, never a bound or an accept/reject mark, so every chain
-    over the same corpora and context can share one table whatever its
-    thresholds: a tuning run scores each pair once across all its
-    alignments. Per sentence the table also keeps the tokens, the
-    stop-word-filtered token counts Dice needs, the character counts the
-    ratio bound needs, and each target's character index, which the ratio
-    kernel reuses for every line that probes it; per translation line it
-    keeps the synonym variants, expanded once.
+    ``trans`` and ``target`` are sequences of sentences indexed by line (a
+    ``Corpus``, or a one-sentence tuple). Scores are computed on first use
+    and kept in one row per translation line: token overlap under target
+    index ``j``, the block ratio under ``(j, k)``, where text 0 is the
+    translation's normalized text and the others are its synonym variants.
+    Only exact scores are kept, never a bound or an accept/reject mark, so
+    every chain over the same corpora and context can share one table
+    whatever its thresholds: a tuning run scores each pair once across all
+    its alignments. Per-sentence features (Dice token counts, texts with
+    the character counts the ratio bound needs, synonym variants, each
+    target's character index) are lists over the whole corpus, each built
+    the first time a comparator needs it.
     """
 
-    def __init__(self, trans: Corpus, target: Corpus, context: ChainContext = DEFAULT_CONTEXT):
+    def __init__(
+        self,
+        trans: Sequence[Sentence],
+        target: Sequence[Sentence],
+        context: ChainContext = DEFAULT_CONTEXT,
+    ):
         self.trans = trans
         self.target = target
         self.context = context
-        self._overlaps: dict[tuple[int, int], float] = {}
-        self._ratios: dict[tuple[int, int, int], float] = {}
-        self._tokens: dict[int, TokenizedSentence] = {}
-        self._counts: dict[tuple[bool, int], Counter] = {}
-        self._chars: dict[tuple[bool, int], Counter] = {}
-        self._variants: dict[int, list[tuple[str, Counter]]] = {}
-        self._char_index: dict[int, CharIndex] = {}
+        self._overlaps: list[dict[int, float]] = [{} for _ in trans]
+        self._ratios: list[dict[tuple[int, int], float]] = [{} for _ in trans]
 
     def decide(self, i: int, j: int, chain: ComparatorChain) -> ChainDecision | None:
         """The first tier of ``chain`` that accepts translation line ``i``
@@ -322,74 +323,60 @@ class PairScores:
             return self._overlap(i, j)
         return self._best_ratio(i, j, kind, 0.0)
 
-    def tokens(self, i: int) -> TokenizedSentence:
-        """Tokens of translation line ``i``."""
-        tokens = self._tokens.get(i)
-        if tokens is None:
-            tokens = self._tokens[i] = tokenize(self.trans[i])
-        return tokens
+    @cached_property
+    def _trans_counts(self) -> list[Counter]:
+        return [_content_counts(tokenize(s), self.context.stopwords) for s in self.trans]
 
-    def char_index(self, j: int) -> CharIndex:
-        """``char_index`` of target line ``j``'s normalized text."""
-        index = self._char_index.get(j)
-        if index is None:
-            index = self._char_index[j] = char_index(self.target[j].normalized)
-        return index
+    @cached_property
+    def _target_counts(self) -> list[Counter]:
+        return [_content_counts(tokenize(s), self.context.stopwords) for s in self.target]
 
-    def _content_counts(self, is_target: bool, index: int) -> Counter:
-        key = (is_target, index)
-        counts = self._counts.get(key)
-        if counts is None:
-            tokens = tokenize(self.target[index]) if is_target else self.tokens(index)
-            counts = self._counts[key] = _content_counts(tokens, self.context.stopwords)
-        return counts
+    @cached_property
+    def _trans_chars(self) -> list[tuple[str, Counter]]:
+        return [(s.normalized, Counter(s.normalized)) for s in self.trans]
 
-    def _char_counts(self, is_target: bool, index: int) -> Counter:
-        key = (is_target, index)
-        chars = self._chars.get(key)
-        if chars is None:
-            sentence = self.target[index] if is_target else self.trans[index]
-            chars = self._chars[key] = Counter(sentence.normalized)
-        return chars
+    @cached_property
+    def _variants(self) -> list[list[tuple[str, Counter]]]:
+        """Per translation line, the texts the synonym tier compares: the
+        normalized text, then every other distinct synonym variant."""
+        lexicon, cap = self.context.lexicon, self.context.cap
+        rows = []
+        for sentence, plain in zip(self.trans, self._trans_chars):
+            variants = expand_sentence(tokenize(sentence), lexicon, cap)
+            joined = dict.fromkeys(" ".join(tokens) for tokens in variants)
+            joined.pop(plain[0], None)
+            rows.append([plain] + [(text, Counter(text)) for text in joined])
+        return rows
 
-    def _texts(self, i: int, kind: str) -> list[tuple[str, Counter]]:
-        """Texts of translation line ``i`` that ``kind`` compares, with their
-        character counts: the normalized text, then, for the synonym tier,
-        every other distinct synonym variant."""
-        plain = (self.trans[i].normalized, self._char_counts(False, i))
-        if kind == SYNONYM_RATIO and len(self.context.lexicon):
-            texts = self._variants.get(i)
-            if texts is None:
-                variants = expand_sentence(self.tokens(i), self.context.lexicon, self.context.cap)
-                joined = dict.fromkeys(" ".join(variant.tokens) for variant in variants)
-                joined.pop(plain[0], None)
-                texts = self._variants[i] = [plain] + [(text, Counter(text)) for text in joined]
-            return texts
-        return [plain]
+    @cached_property
+    def _target_chars(self) -> list[tuple[str, Counter, CharIndex]]:
+        texts = (s.normalized for s in self.target)
+        return [(text, Counter(text), char_index(text)) for text in texts]
 
     def _overlap(self, i: int, j: int) -> float:
-        key = (i, j)
-        value = self._overlaps.get(key)
+        row = self._overlaps[i]
+        value = row.get(j)
         if value is None:
-            value = self._overlaps[key] = token_overlap(
-                self._content_counts(False, i), self._content_counts(True, j)
-            )
+            value = row[j] = token_overlap(self._trans_counts[i], self._target_counts[j])
         return value
 
     def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
         """The exact best ratio of ``kind``'s texts of line ``i`` against
         target ``j``, or None when it is below ``threshold``."""
-        b = self.target[j].normalized
+        if kind == SYNONYM_RATIO and len(self.context.lexicon):
+            texts = self._variants[i]
+        else:
+            texts = (self._trans_chars[i],)
+        b, b_chars, b_index = self._target_chars[j]
+        row = self._ratios[i]
         best = -1.0
-        for k, (text, chars) in enumerate(self._texts(i, kind)):
-            key = (i, j, k)
-            score = self._ratios.get(key)
+        for k, (text, chars) in enumerate(texts):
+            score = row.get((j, k))
             if score is None:
-                floor = max(threshold, best)
-                bound = ratio_bound(text, b, chars, self._char_counts(True, j), floor)
+                bound = ratio_bound(text, b, chars, b_chars, max(threshold, best))
                 if bound < threshold or bound <= best:
                     continue
-                score = self._ratios[key] = ratio(text, b, self.char_index(j))
+                score = row[j, k] = ratio(text, b, b_index)
             best = max(best, score)
         return best if best >= threshold else None
 
@@ -407,7 +394,7 @@ def evaluate_chain(
     comparator that produced it. This is the exact per-pair API: unlike
     ``PairScores.decide`` it scores every tier of a rejected pair.
     """
-    scores = PairScores({0: a}, {0: b}, context)
+    scores = PairScores((a,), (b,), context)
     decision = scores.decide(0, 0, chain)
     if decision is not None:
         return decision

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 import urllib.parse
@@ -112,7 +111,7 @@ class HttpProvider(TranslationProvider):
     timeout: float = 10.0
     retries: int = 2
     backoff: float = 0.25
-    name: str = "http"
+    name = "http"
 
     def __post_init__(self):
         valid = {
@@ -261,25 +260,31 @@ class TranslationCache:
             self._load_pair(pair)[text] = translation
 
     def save(self) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            for pair, table in self._pairs.items():
-                lines = "".join(
-                    f"{_escape(source)}\t{_escape(translation)}\n"
-                    for source, translation in sorted(table.items())
-                )
-                handle = tempfile.NamedTemporaryFile(
-                    "w", encoding="utf-8", dir=self.directory, suffix=".tmp", delete=False
-                )
-                try:
-                    with handle:
-                        handle.write(lines)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    os.replace(handle.name, self._pair_file(pair))
-                except BaseException:
-                    os.unlink(handle.name)
-                    raise
+        """Write every loaded pair's file; an unwritable path is a ``ConfigError``."""
+        import tempfile  # loads shutil and random too; only a save needs it
+
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with self._lock:
+                for pair, table in self._pairs.items():
+                    lines = "".join(
+                        f"{_escape(source)}\t{_escape(translation)}\n"
+                        for source, translation in sorted(table.items())
+                    )
+                    handle = tempfile.NamedTemporaryFile(
+                        "w", encoding="utf-8", dir=self.directory, suffix=".tmp", delete=False
+                    )
+                    try:
+                        with handle:
+                            handle.write(lines)
+                            handle.flush()
+                            os.fsync(handle.fileno())
+                        os.replace(handle.name, self._pair_file(pair))
+                    except BaseException:
+                        os.unlink(handle.name)
+                        raise
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
 
 
 def translate_corpus(

@@ -16,7 +16,7 @@ from transalign.align import (
     select_candidate,
     write_alignment,
 )
-from transalign.corpus import Corpus, Sentence, load_corpus
+from transalign.corpus import Corpus, load_corpus
 from transalign.errors import ConfigError, DataError
 from transalign.lexicon import StopWordList, SynonymLexicon
 from transalign.similarity import ChainContext, Comparator, ComparatorChain, PairScores
@@ -109,7 +109,7 @@ def test_lookahead_rejecting_later_line_cannot_defer():
 
 def test_lookahead_requires_strictly_higher_score():
     trans = corpus("same line", "same line", language="en")
-    scores = PairScores(trans, {0: Sentence(0, "same line")})
+    scores = PairScores(trans, corpus("same line", language="en"))
     score = scores.decide(0, 0, chain_of(0.5)).score
     keep = lookahead_resolve(0, 0, score, chain_of(0.5), depth=1, scores=scores)
     assert keep  # equal later score must not steal the candidate
@@ -117,14 +117,15 @@ def test_lookahead_requires_strictly_higher_score():
 
 def test_lookahead_depth_zero_always_keeps():
     trans = corpus("weak match", "weak match exact", language="en")
-    scores = PairScores(trans, {0: Sentence(0, "weak match exact")})
+    scores = PairScores(trans, corpus("weak match exact", language="en"))
     score = scores.decide(0, 0, chain_of(0.5)).score
     assert lookahead_resolve(0, 0, score, chain_of(0.5), depth=0, scores=scores)
 
 
 def test_select_candidate_tie_breaks_by_distance_then_index():
     trans = corpus("alpha beta", language="en")
-    scores = PairScores(trans, {j: Sentence(j, "alpha beta") for j in (4, 6, 9)})
+    lines = ["alpha beta" if j in (4, 6, 9) else "gamma" for j in range(10)]
+    scores = PairScores(trans, corpus(*lines, language="en"))
     picked, decision = select_candidate(0, [9, 4], 5.0, chain_of(0.9), scores)
     assert picked == 4
     assert decision.score == 1.0
@@ -134,7 +135,7 @@ def test_select_candidate_tie_breaks_by_distance_then_index():
 
 
 def test_select_candidate_empty_pool():
-    scores = PairScores(corpus("a", language="en"), {})
+    scores = PairScores(corpus("a", language="en"), corpus(language="en"))
     assert select_candidate(0, [], 0.0, chain_of(), scores) is None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -97,6 +98,17 @@ def test_translate_cache_not_utf8_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and "src-tgt.tsv" in err and "Traceback" not in err
 
 
+def test_translate_unwritable_cache_exits_one(tmp_path, capsys):
+    source = write(tmp_path, "src.txt", ["jeden"])
+    pre = write(tmp_path, "pre.txt", ["one"])
+    cache = str(tmp_path / "pre.txt" / "sub")  # a regular file is in the way
+    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+            "--cache", cache, "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {cache}") and "Traceback" not in err
+
+
 def align_argv(tmp_path, source, target, trans, subdir="run", extra=()):
     out = tmp_path / subdir
     out.mkdir(exist_ok=True)
@@ -191,6 +203,37 @@ def test_align_is_byte_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+ALIGNED_FIXTURE_SOURCE = "9b58d614b5759f96154d265ece77876600475416a42957eb194ef8402f992d2e"
+
+
+@pytest.mark.parametrize(
+    "extra, report_sha256, target_sha256",
+    [
+        ([], "0037ef14ac8e70cff2fb0fb530cb3bb8f63e822c69e97cc7b592f02c3260b048",
+         "b3ceedea72732afac4714704491e40dbdce80d9c258b32887cbb47abe3f7811d"),
+        (["--chain", "token_overlap:0.99,matching_blocks_ratio:0.85,synonym_ratio:0.8"],
+         "9604b15763713df5c44e043d8022ed2df00a0b226cf15e5e5194391fd460dc3a",
+         "f95bfe86c2c5110a926db9445aac1f6600b3f473d7c1b6cd8813c0eb67ff0aa9"),
+    ],
+    ids=["default-chain", "with-synonym-tier"],
+)
+def test_fixture_align_bytes_are_pinned(tmp_path, capsys, extra, report_sha256, target_sha256):
+    # The 1005-line fixture aligned against itself as translation: any
+    # change to a score, a tie, the lookahead or the report format shows
+    # up as a different digest, on every Python version CI runs.
+    source = str(FIXTURES / "parallel_1005.src")
+    argv, out = align_argv(
+        tmp_path, source, str(FIXTURES / "parallel_1005.tgt"), source,
+        extra=["--stopwords", str(FIXTURES / "stopwords_en.txt"),
+               "--synonyms", str(FIXTURES / "synonyms_en.tsv"), *extra],
+    )
+    assert main(argv) == 0
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("r.jsonl", "s.txt", "t.txt")]
+    assert digests == [report_sha256, ALIGNED_FIXTURE_SOURCE, target_sha256]
+
+
 def test_align_rejects_bad_threshold_before_reading_files(tmp_path, capsys):
     argv, _ = align_argv(
         tmp_path,
@@ -239,6 +282,22 @@ def test_score_gold_shorter_is_data_error(tmp_path, capsys):
     assert main(argv) == 0
     gold = write(tmp_path, "gold.txt", lines[:2])
     assert main(["score", "--report", str(out / "r.jsonl"), "--gold", gold]) == 2
+
+
+def test_score_skips_blank_gold_lines_like_the_source(tmp_path, capsys):
+    # A blank line is not a sentence in any corpus, so gold line i is the
+    # i-th non-empty line, the one that answers source line i.
+    lines = distinct_lines(4)
+    with_blank = lines[:2] + [""] + lines[2:]
+    source = write(tmp_path, "src.txt", with_blank)
+    argv, out = align_argv(
+        tmp_path, source, source, source,
+        extra=["--chain", "matching_blocks_ratio:1.0", "--window", "0"],
+    )
+    assert main(argv) == 0
+    gold = write(tmp_path, "gold.txt", with_blank)
+    assert main(["score", "--report", str(out / "r.jsonl"), "--gold", gold]) == 0
+    assert last_json(capsys) == {"A": 4, "M": 0, "T": 0, "D": 0, "L": 4, "S": 100}
 
 
 def test_evaluate_identity(tmp_path, capsys):
@@ -400,6 +459,7 @@ def http_config(**settings):
         ("tune", {"source_language": ["en"]}),
         ("translate", http_config(endpoint=5)),
         ("translate", http_config(response_path=5)),
+        ("translate", {"provider": {"type": "http", "endpoint": "http://127.0.0.1:9/{text}"}}),
     ],
 )
 def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):
@@ -524,12 +584,15 @@ def test_benchmark_tracer_finds_every_hook(tmp_path):
 
 PROVIDER_ONLY_MODULES = (
     "urllib.request", "urllib.error", "http.client", "ssl", "email", "concurrent.futures",
+    "tempfile",
 )
 
 
 def test_cli_import_leaves_the_http_client_unloaded():
     # The HTTP client and the thread pool load only when a provider is
-    # called; a fresh interpreter shows what importing the CLI loads.
+    # called, tempfile only when the translation cache is saved; a fresh
+    # interpreter shows what importing the CLI loads. -S keeps site's .pth
+    # files from importing these modules before the check starts.
     repo = Path(__file__).resolve().parents[1]
     pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
     code = (
@@ -537,7 +600,7 @@ def test_cli_import_leaves_the_http_client_unloaded():
         "print(*(m for m in sys.argv[1:] if m in sys.modules and m not in before))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, *PROVIDER_ONLY_MODULES],
+        [sys.executable, "-S", "-c", code, *PROVIDER_ONLY_MODULES],
         env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
