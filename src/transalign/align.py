@@ -93,21 +93,18 @@ def select_candidate(
     scores: PairScores,
 ) -> tuple[int, ChainDecision] | None:
     """Best accepted target index in ``pool`` for translation line ``i``,
-    with its decision, or None.
+    with its decision, or None. One table call scores the whole pool.
 
     Ties on score break toward the smallest distance from the expected
     position, then the smallest target index.
     """
-    best = None
-    best_key = None
-    for j in pool:
-        decision = scores.decide(i, j, chain)
-        if decision is None:
-            continue
-        key = (-decision.score, abs(j - expected_position), j)
-        if best_key is None or key < best_key:
-            best, best_key = (j, decision), key
-    return best
+    accepted = scores.accepted(i, pool, chain)
+    if not accepted:
+        return None
+    j, score, comparator = min(
+        accepted, key=lambda hit: (-hit[1], abs(hit[0] - expected_position), hit[0])
+    )
+    return j, ChainDecision(True, score, comparator)
 
 
 def lookahead_resolve(

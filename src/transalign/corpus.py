@@ -16,9 +16,13 @@ from typing import Iterable, Iterator, Union
 
 from .errors import CorpusFormatError
 
-# Maximal runs of letters/digits/apostrophes; everything else separates tokens.
-# [^\W_] is "word char minus underscore", i.e. Unicode letters and digits.
-_TOKEN_RUN = re.compile(r"(?:[^\W_]|')+")
+# Maximal runs of letters/digits/apostrophes that hold at least one letter or
+# digit; everything else separates tokens. [^\W_] is "word char minus
+# underscore", i.e. Unicode letters and digits. A run of apostrophes alone
+# cannot match, since the leading '* must be followed by a letter or digit;
+# the lookbehind starts a match only at a run's first apostrophe, which
+# keeps a long apostrophe run linear instead of quadratic.
+_TOKEN_RUN = re.compile(r"(?<!')'*[^\W_](?:[^\W_]|')*")
 
 
 def normalize(text: str) -> str:
@@ -34,9 +38,7 @@ def split_tokens(text: str) -> tuple[str, ...]:
     stays one token. Runs made purely of apostrophes are punctuation and
     are dropped, as is everything else outside the run class.
     """
-    return tuple(
-        run for run in _TOKEN_RUN.findall(text) if any(ch != "'" for ch in run)
-    )
+    return tuple(_TOKEN_RUN.findall(text))
 
 
 @dataclass(frozen=True)

@@ -125,13 +125,31 @@ def ratio(a: str, b: str, b_index: CharIndex | None = None) -> float:
     return 2.0 * matched / total
 
 
-def _content_counts(tokens: tuple[str, ...], stopwords: StopWordList) -> Counter:
-    return Counter(t for t in tokens if t not in stopwords)
+def occurrence_set(
+    tokens: Sequence[str], stopwords: StopWordList = EMPTY_STOPWORDS
+) -> frozenset:
+    """The stop-word-filtered tokens as a set of occurrences.
+
+    A token's first occurrence is the token itself, its k-th (k >= 2) is
+    ``(token, k)``. So ``len(A & B)`` of two such sets is the size of the
+    multiset intersection of their tokens, and ``len(A)`` the token count.
+    """
+    words = stopwords.words
+    content = [token for token in tokens if token not in words]
+    occurrences = frozenset(content)
+    if len(occurrences) == len(content):
+        return occurrences
+    seen: dict[str, int] = {}
+    numbered = []
+    for token in content:
+        k = seen[token] = seen.get(token, 0) + 1
+        numbered.append(token if k == 1 else (token, k))
+    return frozenset(numbered)
 
 
 def token_overlap(
-    a: tuple[str, ...] | Counter,
-    b: tuple[str, ...] | Counter,
+    a: Sequence[str] | frozenset,
+    b: Sequence[str] | frozenset,
     stopwords: StopWordList = EMPTY_STOPWORDS,
 ) -> float:
     """Dice overlap of the stop-word-filtered token multisets.
@@ -139,15 +157,16 @@ def token_overlap(
     2*|A' intersect B'| / (|A'| + |B'|); 1.0 when both filtered sides are
     empty. Multiset intersection, so repeated content words count once per
     occurrence. Order-free by construction. ``a`` and ``b`` are token
-    tuples, or ``Counter``s of tokens already stripped of stop words.
+    tuples, or ``occurrence_set``s of tokens already stripped of stop words.
     """
-    counts_a = a if isinstance(a, Counter) else _content_counts(a, stopwords)
-    counts_b = b if isinstance(b, Counter) else _content_counts(b, stopwords)
-    total = sum(counts_a.values()) + sum(counts_b.values())
+    if type(a) is not frozenset:
+        a = occurrence_set(a, stopwords)
+    if type(b) is not frozenset:
+        b = occurrence_set(b, stopwords)
+    total = len(a) + len(b)
     if total == 0:
         return 1.0
-    common = sum(min(counts_a[t], counts_b[t]) for t in counts_a.keys() & counts_b.keys())
-    return 2.0 * common / total
+    return 2.0 * len(a & b) / total
 
 
 def ratio_bound(
@@ -271,17 +290,21 @@ class PairScores:
     """Exact comparator scores for one translation/target corpus pair.
 
     ``trans`` and ``target`` are sequences of sentences indexed by line (a
-    ``Corpus``, or a one-sentence tuple). Scores are computed on first use
-    and kept in one row per translation line: token overlap under target
-    index ``j``, the block ratio under ``(j, k)``, where text 0 is the
-    translation's normalized text and the others are its synonym variants.
-    Only exact scores are kept, never a bound or an accept/reject mark, so
-    every chain over the same corpora and context can share one table
-    whatever its thresholds: a tuning run scores each pair once across all
-    its alignments. Per-sentence features (Dice token counts, texts with
-    the character counts the ratio bound needs, synonym variants, each
-    target's character index) are lists over the whole corpus, each built
-    the first time a comparator needs it.
+    ``Corpus``, or a one-sentence tuple). Block ratios are computed on first
+    use and kept in one row per translation line, under ``(j, k)`` for
+    target index ``j`` and text ``k``, where text 0 is the translation's
+    normalized text and the others are its synonym variants. Only exact
+    scores are kept, never a bound or an accept/reject mark, so every chain
+    over the same corpora and context can share one table whatever its
+    thresholds: a tuning run runs the block kernel once per text pair across
+    all its alignments. Token overlap is not kept: it is one intersection of
+    two ``occurrence_set``s, cheaper than a lookup. Per-sentence features
+    are lists over the whole corpus, each built the first time a comparator
+    needs it: the occurrence sets of both corpora, each translation line's
+    text with the character counts the ratio bound needs and its synonym
+    variants, and each target's text, character counts and character index.
+    Each translation line is tokenized once; its tokens are kept only with
+    a lexicon, where the synonym variants need them too.
     """
 
     def __init__(
@@ -293,43 +316,77 @@ class PairScores:
         self.trans = trans
         self.target = target
         self.context = context
-        self._overlaps: list[dict[int, float]] = [{} for _ in trans]
         self._ratios: list[dict[tuple[int, int], float]] = [{} for _ in trans]
+
+    def accepted(
+        self, i: int, pool: Sequence[int], chain: ComparatorChain
+    ) -> list[tuple[int, float, Comparator]]:
+        """Each target index in ``pool`` that ``chain`` accepts for
+        translation line ``i``, as ``(j, score, comparator)`` with the first
+        accepting tier and its exact score: grouped by tier, each group in
+        pool order.
+
+        The chain runs tier by tier over the whole pool, and each tier
+        scores only the targets the earlier tiers rejected. A ratio tier
+        runs the block kernel only on texts whose ``ratio_bound`` reaches
+        its threshold and, among synonym variants, exceeds the best score
+        found so far. Both cuts are exact: a skipped text can neither reach
+        the threshold nor raise the maximum.
+        """
+        found = []
+        for comparator in chain:
+            if not pool:
+                break
+            threshold = comparator.threshold
+            rejected = []
+            if comparator.kind == TOKEN_OVERLAP:
+                overlap, a, sets = token_overlap, self._trans_sets[i], self._target_sets
+                for j in pool:
+                    score = overlap(a, sets[j])
+                    if score >= threshold:
+                        found.append((j, score, comparator))
+                    else:
+                        rejected.append(j)
+            else:
+                best_ratio, kind = self._best_ratio, comparator.kind
+                for j in pool:
+                    score = best_ratio(i, j, kind, threshold)
+                    if score is None:
+                        rejected.append(j)
+                    else:
+                        found.append((j, score, comparator))
+            pool = rejected
+        return found
 
     def decide(self, i: int, j: int, chain: ComparatorChain) -> ChainDecision | None:
         """The first tier of ``chain`` that accepts translation line ``i``
         against target line ``j``, with its exact score; None if none does.
-
-        A ratio tier runs the block kernel only on texts whose
-        ``ratio_bound`` reaches its threshold and, among synonym variants,
-        exceeds the best score found so far. Both cuts are exact: a skipped
-        text can neither reach the threshold nor raise the maximum.
-        """
-        for comparator in chain:
-            if comparator.kind == TOKEN_OVERLAP:
-                score = self._overlap(i, j)
-                if score < comparator.threshold:
-                    continue
-            else:
-                score = self._best_ratio(i, j, comparator.kind, comparator.threshold)
-                if score is None:
-                    continue
+        The one-target case of ``accepted``."""
+        for _, score, comparator in self.accepted(i, (j,), chain):
             return ChainDecision(True, score, comparator)
         return None
 
     def score(self, i: int, j: int, kind: str) -> float:
         """Exact ``kind`` score of translation line ``i`` against target line ``j``."""
         if kind == TOKEN_OVERLAP:
-            return self._overlap(i, j)
+            return token_overlap(self._trans_sets[i], self._target_sets[j])
         return self._best_ratio(i, j, kind, 0.0)
 
     @cached_property
-    def _trans_counts(self) -> list[Counter]:
-        return [_content_counts(tokenize(s), self.context.stopwords) for s in self.trans]
+    def _trans_tokens(self) -> list[tuple[str, ...]]:
+        return [tokenize(s) for s in self.trans]
 
     @cached_property
-    def _target_counts(self) -> list[Counter]:
-        return [_content_counts(tokenize(s), self.context.stopwords) for s in self.target]
+    def _trans_sets(self) -> list[frozenset]:
+        # The tokens are kept only where the synonym variants need them too.
+        lines = self._trans_tokens if len(self.context.lexicon) else map(tokenize, self.trans)
+        stopwords = self.context.stopwords
+        return [occurrence_set(tokens, stopwords) for tokens in lines]
+
+    @cached_property
+    def _target_sets(self) -> list[frozenset]:
+        stopwords = self.context.stopwords
+        return [occurrence_set(tokenize(s), stopwords) for s in self.target]
 
     @cached_property
     def _trans_chars(self) -> list[tuple[str, Counter]]:
@@ -341,9 +398,9 @@ class PairScores:
         normalized text, then every other distinct synonym variant."""
         lexicon, cap = self.context.lexicon, self.context.cap
         rows = []
-        for sentence, plain in zip(self.trans, self._trans_chars):
-            variants = expand_sentence(tokenize(sentence), lexicon, cap)
-            joined = dict.fromkeys(" ".join(tokens) for tokens in variants)
+        for tokens, plain in zip(self._trans_tokens, self._trans_chars):
+            variants = expand_sentence(tokens, lexicon, cap)
+            joined = dict.fromkeys(" ".join(variant) for variant in variants)
             joined.pop(plain[0], None)
             rows.append([plain] + [(text, Counter(text)) for text in joined])
         return rows
@@ -352,13 +409,6 @@ class PairScores:
     def _target_chars(self) -> list[tuple[str, Counter, CharIndex]]:
         texts = (s.normalized for s in self.target)
         return [(text, Counter(text), char_index(text)) for text in texts]
-
-    def _overlap(self, i: int, j: int) -> float:
-        row = self._overlaps[i]
-        value = row.get(j)
-        if value is None:
-            value = row[j] = token_overlap(self._trans_counts[i], self._target_counts[j])
-        return value
 
     def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
         """The exact best ratio of ``kind``'s texts of line ``i`` against

@@ -6,6 +6,7 @@ package under test.
 """
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -73,6 +74,14 @@ def dice_overlap_oracle(tokens_a, tokens_b, stopwords=()):
             remaining.remove(token)
             common += 1
     return Fraction(2 * common, total)
+
+
+def split_tokens_oracle(text):
+    """Word tokens as first defined: the maximal runs of letters, digits
+    and apostrophes (a letter or digit is a word character other than the
+    underscore), without the runs made of apostrophes alone."""
+    runs = re.findall(r"(?:[^\W_]|')+", text)
+    return tuple(run for run in runs if run.strip("'"))
 
 
 def levenshtein_matrix(a, b):

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from oracles import split_tokens_oracle
 from transalign.corpus import (
     Corpus,
     Sentence,
@@ -46,6 +48,23 @@ def test_split_tokens_ignores_bare_apostrophe_runs():
     # apostrophes are run-internal characters, so 'b' survives whole;
     # only runs made of nothing but apostrophes are punctuation
     assert split_tokens("'' a 'b' ''") == ("a", "'b'")
+
+
+def test_split_tokens_equals_oracle_on_random_strings():
+    rng = random.Random(97)
+    alphabet = ["a", "b", "7", "'", "'", "_", " ", "\u00df", "\u00e9", "\u0301"]
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
+        assert split_tokens(text) == split_tokens_oracle(text), text
+
+
+def test_split_tokens_is_linear_in_a_long_apostrophe_run():
+    # A pattern that retries the run from each of its apostrophes takes
+    # tens of seconds here; one pass takes milliseconds.
+    text = "'" * 50_000 + " a"
+    start = time.perf_counter()
+    assert split_tokens(text) == ("a",)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_token_count_additive_over_space_join():

@@ -4,6 +4,7 @@ import pytest
 
 import transalign.similarity as sim
 from oracles import brute_matching_blocks, brute_ratio, dice_overlap_oracle
+from transalign.align import select_candidate
 from transalign.corpus import Sentence, tokenize
 from transalign.errors import ConfigError
 from transalign.lexicon import EMPTY_LEXICON, StopWordList, SynonymLexicon, expand_sentence
@@ -120,8 +121,9 @@ def toks(*tokens):
 
 def test_token_overlap_hand_fixture():
     sw = StopWordList(frozenset({"i", "to"}))
-    value = token_overlap(toks("i", "go", "to", "school"), toks("i", "like", "school"), sw)
-    assert value == pytest.approx(0.5, abs=1e-15)
+    a, b = toks("i", "go", "to", "school"), toks("i", "like", "school")
+    value = token_overlap(a, b, sw)
+    assert value == float(dice_overlap_oracle(a, b, {"i", "to"})) == 0.5
 
 
 def test_token_overlap_identity_and_all_stopwords():
@@ -133,7 +135,7 @@ def test_token_overlap_identity_and_all_stopwords():
 def test_token_overlap_multiset_counting():
     # repeated word matches once per occurrence
     value = token_overlap(toks("go", "go"), toks("go",))
-    assert value == pytest.approx(2 / 3, abs=1e-15)
+    assert value == float(dice_overlap_oracle(("go", "go"), ("go",)))
 
 
 def test_token_overlap_symmetric_permutation_invariant_oracle():
@@ -148,7 +150,7 @@ def test_token_overlap_symmetric_permutation_invariant_oracle():
         shuffled = list(a)
         rng.shuffle(shuffled)
         assert token_overlap(toks(*shuffled), toks(*b), sw) == value
-        assert value == pytest.approx(float(dice_overlap_oracle(a, b, {"the"})), abs=1e-12)
+        assert value == float(dice_overlap_oracle(a, b, {"the"}))
 
 
 WILL_WOULD = SynonymLexicon({"will": ("would",), "would": ("will",)})
@@ -421,3 +423,57 @@ def test_table_expands_each_translation_line_once(monkeypatch):
                 scores.decide(i, j, chain)
                 scores.score(i, j, "synonym_ratio")
     assert sorted(calls) == sorted(tokenize(sentence) for sentence in trans)
+
+
+def test_table_token_overlap_equals_oracle_under_heavy_repeats():
+    # Three content words and a stop word, up to eight tokens: most lines
+    # repeat a word, so the occurrence sets take their (token, k) path.
+    rng = random.Random(89)
+    vocab = ["x", "y", "z", "the"]
+    stopwords = StopWordList(frozenset({"the"}))
+    lines = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 9))) for _ in range(80)]
+    trans = [Sentence(k, line) for k, line in enumerate(lines[:40])]
+    target = [Sentence(k, line) for k, line in enumerate(lines[40:])]
+    scores = PairScores(trans, target, ChainContext(stopwords=stopwords))
+    for i, a in enumerate(trans):
+        for j, b in enumerate(target):
+            expected = dice_overlap_oracle(tokenize(a), tokenize(b), stopwords.words)
+            assert scores.score(i, j, "token_overlap") == float(expected), (a, b)
+
+
+def random_line(rng):
+    return " ".join(rng.choice(CHAIN_VOCAB) for _ in range(rng.randrange(0, 5)))
+
+
+def test_pool_call_accepts_what_decide_and_evaluate_chain_accept():
+    rng = random.Random(83)
+    no_lexicon = ChainContext(stopwords=CHAIN_CONTEXT.stopwords, cap=CHAIN_CONTEXT.cap)
+    hits = picks = 0
+    for context in (CHAIN_CONTEXT, no_lexicon):
+        for _ in range(40):
+            trans = [Sentence(k, random_line(rng)) for k in range(5)]
+            target = [Sentence(k, random_line(rng)) for k in range(8)]
+            scores = PairScores(trans, target, context)
+            for i in range(len(trans)):
+                chain = random_chain_case(rng)[2]
+                pool = rng.sample(range(len(target)), rng.randint(0, len(target)))
+                accepted = scores.accepted(i, pool, chain)
+                fresh = PairScores(trans, target, context)
+                decided = {j: fresh.decide(i, j, chain) for j in pool}
+                assert len({j for j, _, _ in accepted}) == len(accepted)
+                assert {j: ChainDecision(True, s, c) for j, s, c in accepted} == {
+                    j: d for j, d in decided.items() if d is not None
+                }, (trans[i], [target[j] for j in pool], chain)
+                hits += len(accepted)
+
+                expected = rng.randrange(2 * len(target)) / 2
+                chained = {j: evaluate_chain(trans[i], target[j], chain, context) for j in pool}
+                keys = [(-d.score, abs(j - expected), j) for j, d in chained.items() if d.accepted]
+                chosen = select_candidate(i, pool, expected, chain, scores)
+                if keys:
+                    best = min(keys)[2]
+                    assert chosen == (best, chained[best])
+                    picks += 1
+                else:
+                    assert chosen is None
+    assert hits > 300 and picks > 100
