@@ -66,6 +66,7 @@ from .similarity import (
     ComparatorChain,
     PairScores,
     evaluate_chain,
+    lcs_length,
     matching_blocks,
     ratio,
     ratio_bound,

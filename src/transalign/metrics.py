@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .align import ALIGNED, FILLED, TRANSLATED, AlignmentResult
 from .corpus import normalize, split_tokens
 from .errors import ConfigError, DataError, GoldMismatchError
+from .similarity import position_masks
 
 log = logging.getLogger(__name__)
 
@@ -223,16 +224,6 @@ def precisions(stats: NgramStats) -> list[float]:
     ]
 
 
-def _position_masks(b: Sequence) -> dict:
-    """Map each item of ``b`` to the bitmask of the positions it occupies."""
-    masks: dict = {}
-    bit = 1
-    for item in b:
-        masks[item] = masks.get(item, 0) | bit
-        bit <<= 1
-    return masks
-
-
 def _levenshtein(a: Sequence, masks: dict, length: int) -> int:
     """Levenshtein distance from ``a`` to the ``length``-item sequence whose
     position masks are ``masks``.
@@ -270,7 +261,7 @@ def edit_distance(a: Sequence, b: Sequence) -> int:
     Items match when they are equal as dict keys, so a ``str`` and a list
     of its characters compare item by item.
     """
-    return _levenshtein(a, _position_masks(b), len(b))
+    return _levenshtein(a, position_masks(b), len(b))
 
 
 def _shifted_variants(tokens: tuple, max_block: int):
@@ -300,7 +291,7 @@ def ter_edits(
     keep the first strictly best shift, so the result is the plain greedy's.
     """
     current = tuple(hyp_tokens)
-    masks, length = _position_masks(ref_tokens), len(ref_tokens)
+    masks, length = position_masks(ref_tokens), len(ref_tokens)
     # A shift keeps the hypothesis length, so no variant scores below this.
     floor = abs(len(current) - length)
     shifts = 0

@@ -5,6 +5,9 @@ The character-level ratio is 2*M/T where M is the total length of the common
 contiguous blocks found by recursive longest-block decomposition and T is the
 summed length of both strings. It rewards partial word matches ("boy"/"boys")
 and is insensitive to small reorderings, which plain token intersection is not.
+The blocks form a common subsequence, so M <= LCS(a, b) <= min(|a|, |b|) and
+M <= sum_c min(#a(c), #b(c)): exact bounds that decide most pairs without the
+block search.
 """
 
 from __future__ import annotations
@@ -169,36 +172,53 @@ def token_overlap(
     return 2.0 * len(a & b) / total
 
 
-def ratio_bound(
-    a: str,
-    b: str,
-    a_chars: Counter | None = None,
-    b_chars: Counter | None = None,
-    floor: float = 0.0,
-) -> float:
-    """Upper bound on ``ratio(a, b)`` that costs no block search.
-
-    The matched length M is at most min(|a|, |b|), and at most
-    sum_c min(#a(c), #b(c)) (Ratcliff/Obershelp 1988; difflib's
-    ``real_quick_ratio`` and ``quick_ratio``). Returns 2*M_bound/T from the
-    length bound when that is already below ``floor``, else from the
-    tighter character-count bound. ``a_chars``/``b_chars``, when given,
-    must be ``Counter(a)``/``Counter(b)``.
-    """
-    total = len(a) + len(b)
-    if total == 0:
-        return 1.0
-    bound = 2.0 * min(len(a), len(b)) / total
-    if bound < floor:
-        return bound
-    a_chars = a_chars or Counter(a)
-    b_chars = b_chars or Counter(b)
+def common_chars(a_chars: Counter, b_chars: Counter) -> int:
+    """sum_c min(#a(c), #b(c)) of two character ``Counter``s: no common
+    subsequence, and so no set of matching blocks, is longer."""
     common = 0
     for char, count in a_chars.items():
         other = b_chars.get(char)
         if other:
             common += count if count < other else other
-    return 2.0 * common / total
+    return common
+
+
+def ratio_bound(a: str, b: str) -> float:
+    """Upper bound on ``ratio(a, b)`` that costs no block search: 2*M/T with
+    M = ``common_chars`` (Ratcliff/Obershelp 1988; difflib's ``quick_ratio``),
+    never above the length bound 2*min(|a|, |b|)/T."""
+    total = len(a) + len(b)
+    if total == 0:
+        return 1.0
+    return 2.0 * common_chars(Counter(a), Counter(b)) / total
+
+
+def position_masks(b: Sequence) -> dict:
+    """Map each item of ``b`` to the bitmask of the positions it occupies."""
+    masks: dict = {}
+    bit = 1
+    for item in b:
+        masks[item] = masks.get(item, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def lcs_length(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
+    """Length of the longest common subsequence of ``a`` and ``b``.
+
+    Bit-parallel (Allison and Dix 1986, in Hyyrö's 2004 form): bit i of
+    ``v`` is 0 where row i of the current DP column is one more than row
+    i-1, so one item of ``a`` costs a few operations on Python ints
+    whatever the length of ``b``. Exact. ``b_masks``, when given, must be
+    ``position_masks(b)``.
+    """
+    full = (1 << len(b)) - 1
+    v = full
+    get = (b_masks or position_masks(b)).get
+    for item in a:
+        u = v & get(item, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def synonym_ratio(
@@ -293,18 +313,22 @@ class PairScores:
     ``Corpus``, or a one-sentence tuple). Block ratios are computed on first
     use and kept in one row per translation line, under ``(j, k)`` for
     target index ``j`` and text ``k``, where text 0 is the translation's
-    normalized text and the others are its synonym variants. Only exact
-    scores are kept, never a bound or an accept/reject mark, so every chain
-    over the same corpora and context can share one table whatever its
-    thresholds: a tuning run runs the block kernel once per text pair across
-    all its alignments. Token overlap is not kept: it is one intersection of
-    two ``occurrence_set``s, cheaper than a lookup. Per-sentence features
-    are lists over the whole corpus, each built the first time a comparator
+    normalized text and the others are its synonym variants. Next to each
+    row is one of LCS lengths under the same keys, for the text pairs whose
+    cheaper bounds did not rule them out. The table keeps only these exact,
+    threshold-free numbers, never a ratio bound or an accept/reject mark, so
+    every chain over the same corpora and context can share one table
+    whatever its thresholds: a tuning run computes each LCS and runs the
+    block kernel at most once per text pair across all its alignments.
+    Token overlap is not kept: it is one intersection of two
+    ``occurrence_set``s, cheaper than a lookup. Per-sentence features are
+    lists over the whole corpus, each built the first time a comparator
     needs it: the occurrence sets of both corpora, each translation line's
-    text with the character counts the ratio bound needs and its synonym
-    variants, and each target's text, character counts and character index.
-    Each translation line is tokenized once; its tokens are kept only with
-    a lexicon, where the synonym variants need them too.
+    text with its character counts and its synonym variants, and each
+    target's text with its character counts. A target's position masks are
+    built the first time one of its pairs reaches the LCS step. Each
+    translation line is tokenized once; its tokens are kept only with a
+    lexicon, where the synonym variants need them too.
     """
 
     def __init__(
@@ -317,6 +341,7 @@ class PairScores:
         self.target = target
         self.context = context
         self._ratios: list[dict[tuple[int, int], float]] = [{} for _ in trans]
+        self._target_masks: dict[int, dict] = {}
 
     def accepted(
         self, i: int, pool: Sequence[int], chain: ComparatorChain
@@ -328,12 +353,13 @@ class PairScores:
 
         The chain runs tier by tier over the whole pool, and each tier
         scores only the targets the earlier tiers rejected. A ratio tier
-        runs the block kernel only on texts whose ``ratio_bound`` reaches
-        its threshold and, among synonym variants, exceeds the best score
-        found so far. Both cuts are exact: a skipped text can neither reach
-        the threshold nor raise the maximum.
+        runs the block kernel only on texts whose bounds (see
+        ``_best_ratio``) reach its threshold and, among synonym variants,
+        exceed the best score found so far. Both cuts are exact: a skipped
+        text can neither reach the threshold nor raise the maximum.
         """
         found = []
+        commons: dict[int, int] = {}
         for comparator in chain:
             if not pool:
                 break
@@ -350,7 +376,7 @@ class PairScores:
             else:
                 best_ratio, kind = self._best_ratio, comparator.kind
                 for j in pool:
-                    score = best_ratio(i, j, kind, threshold)
+                    score = best_ratio(i, j, kind, threshold, commons)
                     if score is None:
                         rejected.append(j)
                     else:
@@ -370,7 +396,7 @@ class PairScores:
         """Exact ``kind`` score of translation line ``i`` against target line ``j``."""
         if kind == TOKEN_OVERLAP:
             return token_overlap(self._trans_sets[i], self._target_sets[j])
-        return self._best_ratio(i, j, kind, 0.0)
+        return self._best_ratio(i, j, kind, 0.0, {})
 
     @cached_property
     def _trans_tokens(self) -> list[tuple[str, ...]]:
@@ -406,28 +432,66 @@ class PairScores:
         return rows
 
     @cached_property
-    def _target_chars(self) -> list[tuple[str, Counter, CharIndex]]:
-        texts = (s.normalized for s in self.target)
-        return [(text, Counter(text), char_index(text)) for text in texts]
+    def _lcs(self) -> list[dict[tuple[int, int], int]]:
+        return [{} for _ in self.trans]
 
-    def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
+    @cached_property
+    def _target_chars(self) -> list[tuple[str, Counter]]:
+        return [(s.normalized, Counter(s.normalized)) for s in self.target]
+
+    def _best_ratio(
+        self, i: int, j: int, kind: str, threshold: float, commons: dict[int, int]
+    ) -> float | None:
         """The exact best ratio of ``kind``'s texts of line ``i`` against
-        target ``j``, or None when it is below ``threshold``."""
+        target ``j``, or None when it is below ``threshold``.
+
+        A text not scored yet runs a chain of bounds on its matched length
+        M, cheapest first: min(|a|, |b|), the character count
+        ``common_chars``, then ``lcs_length``. It is dropped at the first
+        bound whose 2*M/T is below ``threshold`` or at most the best score
+        so far, and reaches the block kernel only when none is. The LCS is
+        kept in the table; the normalized text's character count is kept in
+        ``commons`` for the rest of one ``accepted`` call, so the ratio and
+        synonym tiers count it once.
+        """
         if kind == SYNONYM_RATIO and len(self.context.lexicon):
             texts = self._variants[i]
         else:
             texts = (self._trans_chars[i],)
-        b, b_chars, b_index = self._target_chars[j]
-        row = self._ratios[i]
+        b, b_chars = self._target_chars[j]
+        b_len = len(b)
+        row, lcs_row = self._ratios[i], self._lcs[i]
         best = -1.0
         for k, (text, chars) in enumerate(texts):
             score = row.get((j, k))
             if score is None:
-                bound = ratio_bound(text, b, chars, b_chars, max(threshold, best))
-                if bound < threshold or bound <= best:
-                    continue
-                score = row[j, k] = ratio(text, b, b_index)
-            best = max(best, score)
+                n = len(text)
+                total = n + b_len
+                if total:  # two empty texts go straight to the kernel's 1.0
+                    lcs = lcs_row.get((j, k))
+                    if lcs is None:
+                        bound = 2.0 * (n if n < b_len else b_len) / total
+                        if bound < threshold or bound <= best:
+                            continue
+                        if k:
+                            common = common_chars(chars, b_chars)
+                        else:
+                            common = commons.get(j)
+                            if common is None:
+                                common = commons[j] = common_chars(chars, b_chars)
+                        bound = 2.0 * common / total
+                        if bound < threshold or bound <= best:
+                            continue
+                        masks = self._target_masks.get(j)
+                        if masks is None:
+                            masks = self._target_masks[j] = position_masks(b)
+                        lcs = lcs_row[j, k] = lcs_length(text, b, masks)
+                    bound = 2.0 * lcs / total
+                    if bound < threshold or bound <= best:
+                        continue
+                score = row[j, k] = ratio(text, b)
+            if score > best:
+                best = score
         return best if best >= threshold else None
 
 

@@ -51,6 +51,18 @@ def brute_ratio(a, b):
     return Fraction(2 * matched, total)
 
 
+def lcs_oracle(a, b):
+    """Longest common subsequence length by the full O(nm) DP table."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table[len(a)][len(b)]
+
+
 def score_oracle(aligned, misaligned, translated, disproportion, total):
     """Eq-style integer score via rational arithmetic, no float anywhere."""
     value = Fraction(

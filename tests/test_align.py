@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,9 @@ from transalign.align import (
     select_candidate,
     write_alignment,
 )
-from transalign.corpus import Corpus, load_corpus
+from transalign.corpus import Corpus, load_corpus, tokenize
 from transalign.errors import ConfigError, DataError
-from transalign.lexicon import StopWordList, SynonymLexicon
+from transalign.lexicon import StopWordList, SynonymLexicon, expand_sentence
 from transalign.similarity import ChainContext, Comparator, ComparatorChain, PairScores
 
 
@@ -428,12 +429,23 @@ def test_warm_pair_table_gives_identical_reports(tmp_path):
 
 
 def test_bound_pruning_changes_no_report(tmp_path, monkeypatch):
-    # The same runs with a bound that never prunes give the same bytes.
+    # The same runs with every cut before the block kernel turned off give
+    # the same bytes: a character count and an LCS longer than any text
+    # clear the count bound and the LCS bound. Only the O(1) length bound
+    # min(|a|, |b|) stays; the test below checks it against the kernel.
     chains = [
         three_tier_chain(0.99, 0.8, 0.85),
         three_tier_chain(1.0, 0.0, 1.0),
         three_tier_chain(0.5, 1.0, 0.6),
     ]
+    kernel_calls = Counter()
+    real_ratio = sim.ratio
+
+    def counting_ratio(a, b, b_index=None):
+        kernel_calls[run] += 1
+        return real_ratio(a, b, b_index)
+
+    monkeypatch.setattr(sim, "ratio", counting_ratio)
     for seed in range(2):
         src, trans, tgt, extras = drift_corpora(seed)
         for window in (0, 3, 20):
@@ -442,11 +454,50 @@ def test_bound_pruning_changes_no_report(tmp_path, monkeypatch):
                     config = AlignmentConfig(
                         chain=chain, window=window, lookahead_depth=lookahead, **extras
                     )
+                    run = "pruned"
                     pruned = report_bytes(align(src, tgt, trans, config), tmp_path)
+                    run = "unpruned"
                     with monkeypatch.context() as patch:
-                        patch.setattr(sim, "ratio_bound", lambda *args, **kwargs: 1.0)
+                        patch.setattr(sim, "common_chars", lambda *args: 10**9)
+                        patch.setattr(sim, "lcs_length", lambda *args: 10**9)
                         unpruned = report_bytes(align(src, tgt, trans, config), tmp_path)
                     assert pruned == unpruned, (seed, window, lookahead, chain)
+    assert kernel_calls["unpruned"] > 2 * kernel_calls["pruned"] > 0
+
+
+def test_ratio_tiers_equal_the_kernel_on_every_drift_pair():
+    # The reference runs the kernel on every text of every pair, so it also
+    # checks the O(1) length cut, which the test above leaves on. A fresh
+    # table per threshold keeps every cut in play.
+    length_cut = 0
+    for seed in range(2):
+        _, trans, tgt, extras = drift_corpora(seed)
+        context = ChainContext(**extras)
+        for kind in ("matching_blocks_ratio", "synonym_ratio"):
+            exact = {}
+            for i, a in enumerate(trans):
+                texts = [a.normalized]
+                if kind == "synonym_ratio":
+                    variants = expand_sentence(tokenize(a), context.lexicon, context.cap)
+                    texts += [" ".join(variant) for variant in variants]
+                for j, b in enumerate(tgt):
+                    exact[i, j] = max(sim.ratio(text, b.normalized) for text in texts)
+            scores = PairScores(trans, tgt, context)
+            assert {key: scores.score(*key, kind) for key in exact} == exact
+            for threshold in (0.3, 0.6, 0.85, 1.0):
+                comparator = Comparator(kind, threshold)
+                chain = ComparatorChain((comparator,))
+                scores = PairScores(trans, tgt, context)
+                for i, a in enumerate(trans):
+                    pool = range(len(tgt))
+                    found = [(j, exact[i, j], comparator) for j in pool if exact[i, j] >= threshold]
+                    assert scores.accepted(i, pool, chain) == found, (seed, kind, threshold, i)
+                    n = len(a.normalized)
+                    length_cut += sum(
+                        2 * min(n, len(b.normalized)) < threshold * (n + len(b.normalized))
+                        for b in tgt
+                    )
+    assert length_cut > 100
 
 
 def test_fixture_ratio_runs_only_where_the_bound_reaches_the_threshold(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import transalign.similarity as sim
-from oracles import brute_matching_blocks, brute_ratio, dice_overlap_oracle
+from oracles import brute_matching_blocks, brute_ratio, dice_overlap_oracle, lcs_oracle
 from transalign.align import select_candidate
 from transalign.corpus import Sentence, tokenize
 from transalign.errors import ConfigError
@@ -16,7 +16,9 @@ from transalign.similarity import (
     ComparatorChain,
     PairScores,
     evaluate_chain,
+    lcs_length,
     matching_blocks,
+    position_masks,
     ratio,
     ratio_bound,
     synonym_ratio,
@@ -318,9 +320,22 @@ def test_ratio_bound_is_never_below_the_oracle_ratio():
         assert bound >= exact, (a, b)
         total = len(a) + len(b)
         assert bound <= (2.0 * min(len(a), len(b)) / total if total else 1.0)
-        for floor in (0.0, 0.5, 1.0):
-            # a floor only ever stops at the looser length bound
-            assert ratio_bound(a, b, floor=floor) >= bound
+
+
+def test_lcs_length_equals_the_oracle_and_lies_between_ratio_and_bound():
+    # 1-4-letter alphabets plus space and two non-ASCII letters;
+    # either side may be empty.
+    rng = random.Random(97)
+    for k in range(600):
+        alphabet = "abcd"[: 1 + k % 4] + " éß"
+        a, b = (
+            "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12))) for _ in range(2)
+        )
+        lcs = lcs_oracle(a, b)
+        assert lcs_length(a, b) == lcs == lcs_length(a, b, position_masks(b)), (a, b)
+        total = len(a) + len(b)
+        lcs_ratio = 2 * lcs / total if total else 1.0
+        assert float(brute_ratio(a, b)) <= lcs_ratio <= ratio_bound(a, b), (a, b)
 
 
 # Small alphabet, one stop word and a lexicon whose variants collide with
@@ -423,6 +438,50 @@ def test_table_expands_each_translation_line_once(monkeypatch):
                 scores.decide(i, j, chain)
                 scores.score(i, j, "synonym_ratio")
     assert sorted(calls) == sorted(tokenize(sentence) for sentence in trans)
+
+
+def test_variant_scores_equal_the_oracle_on_punctuated_lines():
+    # Punctuation survives normalizing but not tokenizing, and words glued
+    # by it are joined with a space, so a variant's text differs from the
+    # normalized line by more than the swapped word in both directions. The
+    # table's bounds on each variant must still be exact.
+    rng = random.Random(101)
+    marks = [" ", "  ", ", ", " - ", "! ", " (", ") ", "'' ", ",", "-", "/"]
+
+    def punctuated_line():
+        words = [rng.choice(CHAIN_VOCAB) for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.5:
+            words.insert(rng.randrange(len(words) + 1), words[0])
+        text = words[0]
+        for word in words[1:]:
+            text += rng.choice(marks) + word
+        return rng.choice(["", "¿", "\""]) + text + rng.choice(["", ".", "?!"])
+
+    context = ChainContext(lexicon=CHAIN_CONTEXT.lexicon)
+    trans = [Sentence(k, punctuated_line()) for k in range(30)]
+    target = [Sentence(k, punctuated_line()) for k in range(30)]
+    assert sum(" ".join(tokenize(a)) != a.normalized for a in trans) > 15
+    exact = {}
+    for i, a in enumerate(trans):
+        texts = [a.normalized] + [
+            " ".join(v) for v in expand_sentence(tokenize(a), context.lexicon, context.cap)
+        ]
+        for j, b in enumerate(target):
+            exact[i, j] = max(float(brute_ratio(text, b.normalized)) for text in texts)
+    scores = PairScores(trans, target, context)
+    assert {key: scores.score(*key, "synonym_ratio") for key in exact} == exact
+    kept = 0
+    for threshold in CHAIN_THRESHOLDS:
+        chain = ComparatorChain((Comparator("synonym_ratio", threshold),))
+        scores = PairScores(trans, target, context)
+        for (i, j), score in exact.items():
+            decision = scores.decide(i, j, chain)
+            if score >= threshold:
+                assert decision == ChainDecision(True, score, chain.comparators[0])
+                kept += 1
+            else:
+                assert decision is None, (trans[i], target[j], threshold)
+    assert kept > 100
 
 
 def test_table_token_overlap_equals_oracle_under_heavy_repeats():

@@ -8,6 +8,7 @@ import pytest
 
 import transalign.similarity as sim
 import transalign.tuning as tuning
+from oracles import lcs_oracle
 from transalign.align import AlignmentConfig, align
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError, DataError
@@ -258,6 +259,39 @@ def test_tuning_computes_each_ratio_once(monkeypatch):
     report = tune_chain(job)
     assert report.evaluations > 3
     assert calls and max(calls.values()) == 1
+
+
+def test_tuning_runs_the_kernel_only_where_the_lcs_reaches_the_threshold(monkeypatch):
+    in_force = []
+    real_align = tuning.align
+
+    def recording_align(source, target, trans, config, scores=None):
+        in_force.append(config.chain.comparators[0].threshold)
+        return real_align(source, target, trans, config, scores)
+
+    kernel = []
+    real_ratio = sim.ratio
+
+    def checking_ratio(a, b, b_index=None):
+        kernel.append(2 * lcs_oracle(a, b) / (len(a) + len(b)) >= in_force[-1])
+        return real_ratio(a, b, b_index)
+
+    lcs_calls = Counter()
+    real_lcs = sim.lcs_length
+
+    def counting_lcs(a, b, b_masks=None):
+        lcs_calls[a, b] += 1
+        return real_lcs(a, b, b_masks)
+
+    monkeypatch.setattr(tuning, "align", recording_align)
+    monkeypatch.setattr(sim, "ratio", checking_ratio)
+    monkeypatch.setattr(sim, "lcs_length", counting_lcs)
+    report = tune_chain(drift_job(chain_of(0.9)))
+    assert report.evaluations > 3 and len(set(in_force)) > 3
+    assert kernel and all(kernel)
+    assert max(lcs_calls.values()) == 1
+    # The LCS bound cuts pairs that the character-count bound let through.
+    assert len(lcs_calls) > len(kernel)
 
 
 def test_table_shared_down_descending_thresholds_matches_fresh_tables(monkeypatch):
