@@ -95,8 +95,9 @@ def select_candidate(
     """Best accepted target index in ``pool`` for translation line ``i``,
     with its decision, or None. One table call scores the whole pool.
 
-    Ties on score break toward the smallest distance from the expected
-    position, then the smallest target index.
+    Raw scores are compared whichever tier accepted them: a block ratio of
+    0.9 beats a token Dice of 0.8. Ties on score break toward the smallest
+    distance from the expected position, then the smallest target index.
     """
     accepted = scores.accepted(i, pool, chain)
     if not accepted:
@@ -119,8 +120,9 @@ def lookahead_resolve(
     False defers it to a later line.
 
     The target is deferred iff some translation line within ``depth`` lines
-    after ``i`` accepts it with a strictly higher score. A later line whose
-    chain rejects the target cannot contest it.
+    after ``i`` accepts it with a strictly higher score: its first accepting
+    tier's raw score, whichever tier that is and whichever gave ``score``. A
+    later line whose chain rejects the target cannot contest it.
     """
     last = min(i + depth, len(scores.trans) - 1)
     for later in range(i + 1, last + 1):

@@ -2,12 +2,17 @@
 overlap, synonym-expanded scoring, and tiered comparator chains.
 
 The character-level ratio is 2*M/T where M is the total length of the common
-contiguous blocks found by recursive longest-block decomposition and T is the
-summed length of both strings. It rewards partial word matches ("boy"/"boys")
-and is insensitive to small reorderings, which plain token intersection is not.
-The blocks form a common subsequence, so M <= LCS(a, b) <= min(|a|, |b|) and
-M <= sum_c min(#a(c), #b(c)): exact bounds that decide most pairs without the
-block search.
+contiguous blocks found by recursive longest-block decomposition
+(Ratcliff/Obershelp) and T is the summed length of both strings. It rewards
+partial word matches ("boy"/"boys") and is insensitive to small reorderings,
+which plain token intersection is not. The blocks form a common subsequence,
+so M <= LCS(a, b) <= min(|a|, |b|) and M <= sum_c min(#a(c), #b(c)): exact
+bounds that decide most pairs without the block search.
+
+The block search is ``difflib.SequenceMatcher(None, a, b, autojunk=False)``,
+imported on first use. Without junk, its blocks and tie rule (smallest start in
+``a``, then in ``b``) are the plain decomposition's. Autojunk would drop frequent
+characters of a ``b`` of 200 or more characters and change the ratio.
 """
 
 from __future__ import annotations
@@ -48,84 +53,28 @@ class MatchingBlock:
     length: int
 
 
-CharIndex = dict[str, list[int]]
-
-
-def char_index(text: str) -> CharIndex:
-    """Each character's ascending positions in ``text``.
-
-    This is the ``b`` side of a matching-blocks comparison. Building it once
-    per string and passing it to ``ratio`` saves rebuilding it for every
-    string compared against the same ``b`` (difflib's ``set_seq2``).
-    """
-    index: CharIndex = {}
-    for position, char in enumerate(text):
-        index.setdefault(char, []).append(position)
-    return index
-
-
-def _longest_block(a, b_index, a_lo, a_hi, b_lo, b_hi):
-    """Longest common contiguous block within the given slices.
-
-    Ties go to the smallest a_start, then the smallest b_start. Returns
-    (a_start, b_start, length); length 0 means no common block.
-    """
-    best_i, best_j, best_size = a_lo, b_lo, 0
-    lengths: dict[int, int] = {}
-    for i in range(a_lo, a_hi):
-        new_lengths: dict[int, int] = {}
-        for j in b_index.get(a[i], ()):
-            if j < b_lo:
-                continue
-            if j >= b_hi:
-                break
-            size = lengths.get(j - 1, 0) + 1
-            new_lengths[j] = size
-            if size > best_size:
-                best_i, best_j, best_size = i - size + 1, j - size + 1, size
-        lengths = new_lengths
-    return best_i, best_j, best_size
-
-
-def _blocks(a: str, b_len: int, b_index: CharIndex):
-    """Yield (a_start, b_start, length) for every block of the recursive
-    longest-block decomposition, in no particular order."""
-    pending = [(0, len(a), 0, b_len)]
-    while pending:
-        a_lo, a_hi, b_lo, b_hi = pending.pop()
-        i, j, size = _longest_block(a, b_index, a_lo, a_hi, b_lo, b_hi)
-        if size:
-            yield i, j, size
-            if a_lo < i and b_lo < j:
-                pending.append((a_lo, i, b_lo, j))
-            if i + size < a_hi and j + size < b_hi:
-                pending.append((i + size, a_hi, j + size, b_hi))
-
-
-def matching_blocks(a: str, b: str, b_index: CharIndex | None = None) -> list[MatchingBlock]:
+def matching_blocks(a: str, b: str) -> list[MatchingBlock]:
     """Decompose two strings into their common contiguous blocks.
 
     Finds the longest common block, then recurses on the prefix pair and
     the suffix pair. Blocks come back ordered and non-overlapping in both
     strings; the total matched length is the M of the ratio measure.
-    ``b_index``, when given, must be ``char_index(b)``.
     """
-    b_index = b_index or char_index(b)  # an empty index is char_index("")
-    return [MatchingBlock(*block) for block in sorted(_blocks(a, len(b), b_index))]
+    from difflib import SequenceMatcher
+
+    blocks = SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()
+    return [MatchingBlock(*block) for block in blocks[:-1]]  # drop the (len, len, 0) end
 
 
-def ratio(a: str, b: str, b_index: CharIndex | None = None) -> float:
+def ratio(a: str, b: str) -> float:
     """Matching-blocks similarity 2*M/T in [0, 1].
 
     1.0 for identical strings, 0.0 for strings with nothing in common.
-    Two empty strings count as identical (1.0). ``b_index``, when given,
-    must be ``char_index(b)``.
+    Two empty strings count as identical (1.0).
     """
-    total = len(a) + len(b)
-    if total == 0:
-        return 1.0
-    matched = sum(size for _, _, size in _blocks(a, len(b), b_index or char_index(b)))
-    return 2.0 * matched / total
+    from difflib import SequenceMatcher
+
+    return SequenceMatcher(None, a, b, autojunk=False).ratio()
 
 
 def occurrence_set(

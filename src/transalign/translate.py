@@ -163,8 +163,9 @@ def http_translate(line: str, lang_pair: tuple[str, str], provider: HttpProvider
 
     Timeouts, connection errors and 5xx statuses are retried up to the
     provider's budget with exponential backoff; 4xx statuses and malformed
-    responses fail immediately. Line breaks in the translation are replaced
-    by spaces so the result stays one sentence.
+    responses fail immediately. Each CRLF, CR or LF in the translation
+    becomes one space so the result stays one sentence; other Unicode line
+    separators are kept, as corpus lines keep them.
     """
     src, tgt = lang_pair
     url = provider.endpoint.format(
@@ -176,7 +177,7 @@ def http_translate(line: str, lang_pair: tuple[str, str], provider: HttpProvider
     for attempt in range(provider.retries + 1):
         try:
             translated = _single_request(provider, url)
-            return " ".join(translated.splitlines()) if "\n" in translated else translated
+            return translated.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
         except ProviderResponseError:
             raise
         except ProviderStatusError as exc:

@@ -52,7 +52,7 @@ class TuningJob:
         for lo, hi in self.bounds:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ConfigError(f"invalid search bounds [{lo}, {hi}]")
-        if self.resolution <= 0:
+        if not self.resolution > 0:  # NaN too
             raise ConfigError(f"resolution must be positive, got {self.resolution}")
         if len(self.trans) != len(self.source):
             raise DataError(

@@ -135,6 +135,35 @@ def test_select_candidate_tie_breaks_by_distance_then_index():
     assert picked == 4  # equal distance, smaller index wins
 
 
+def two_tier_chain():
+    return ComparatorChain(
+        (Comparator("token_overlap", 0.5), Comparator("matching_blocks_ratio", 0.5))
+    )
+
+
+def test_select_candidate_compares_raw_scores_across_tiers():
+    # Target 0 passes token Dice with 2*2/6; target 1 shares no token but
+    # passes the block ratio with 2*9/20, so it wins on the higher number.
+    scores = PairScores(corpus("the cat sat"), corpus("the cat ran", "thecatsat"))
+    picked, decision = select_candidate(0, [0, 1], 0.0, two_tier_chain(), scores)
+    assert picked == 1
+    assert decision.comparator.kind == "matching_blocks_ratio"
+    assert decision.score == 0.9
+    assert scores.decide(0, 0, two_tier_chain()).score == pytest.approx(2 / 3)
+
+
+def test_lookahead_contest_crosses_tiers():
+    # Line 0 holds the target by token Dice, 2/3; line 1 shares no token
+    # with it but beats that with a block ratio of 0.9.
+    scores = PairScores(corpus("the cat sat", "thecatran"), corpus("the cat ran"))
+    chain = two_tier_chain()
+    held = scores.decide(0, 0, chain)
+    contest = scores.decide(1, 0, chain)
+    assert held.comparator.kind == "token_overlap" and held.score == pytest.approx(2 / 3)
+    assert contest.comparator.kind == "matching_blocks_ratio" and contest.score == 0.9
+    assert not lookahead_resolve(0, 0, held.score, chain, depth=1, scores=scores)
+
+
 def test_select_candidate_empty_pool():
     scores = PairScores(corpus("a", language="en"), corpus(language="en"))
     assert select_candidate(0, [], 0.0, chain_of(), scores) is None
@@ -441,9 +470,9 @@ def test_bound_pruning_changes_no_report(tmp_path, monkeypatch):
     kernel_calls = Counter()
     real_ratio = sim.ratio
 
-    def counting_ratio(a, b, b_index=None):
+    def counting_ratio(a, b):
         kernel_calls[run] += 1
-        return real_ratio(a, b, b_index)
+        return real_ratio(a, b)
 
     monkeypatch.setattr(sim, "ratio", counting_ratio)
     for seed in range(2):
@@ -504,9 +533,9 @@ def test_fixture_ratio_runs_only_where_the_bound_reaches_the_threshold(monkeypat
     checked = []
     real_ratio = sim.ratio
 
-    def checking_ratio(a, b, b_index=None):
+    def checking_ratio(a, b):
         checked.append(sim.ratio_bound(a, b) >= 0.85)
-        return real_ratio(a, b, b_index)
+        return real_ratio(a, b)
 
     monkeypatch.setattr(sim, "ratio", checking_ratio)
     src = load_corpus(FIXTURES / "parallel_1005.src", "src")

@@ -431,6 +431,17 @@ def cli_argv(command, path, tmp_path):
     }[command]
 
 
+@pytest.mark.parametrize("resolution", ["nan", "0", "-0.5"])
+def test_tune_resolution_not_above_zero_exits_one(tmp_path, capsys, resolution):
+    # NaN fails every comparison, so only "not resolution > 0" rejects it;
+    # let through, it ends the search after one probe.
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    argv = cli_argv("tune", path, tmp_path) + ["--resolution", resolution]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "resolution" in err and "Traceback" not in err
+
+
 def http_config(**settings):
     endpoint = "http://127.0.0.1:9/{text}"
     return {"provider": "http", "provider_settings": {"endpoint": endpoint, **settings}}
@@ -582,17 +593,18 @@ def test_benchmark_tracer_finds_every_hook(tmp_path):
     assert trace["counters"]["align.select_candidate.candidates"] > 0
 
 
-PROVIDER_ONLY_MODULES = (
+LOADED_ON_USE = (
     "urllib.request", "urllib.error", "http.client", "ssl", "email", "concurrent.futures",
-    "tempfile",
+    "tempfile", "difflib",
 )
 
 
 def test_cli_import_leaves_the_http_client_unloaded():
     # The HTTP client and the thread pool load only when a provider is
-    # called, tempfile only when the translation cache is saved; a fresh
-    # interpreter shows what importing the CLI loads. -S keeps site's .pth
-    # files from importing these modules before the check starts.
+    # called, tempfile only when the translation cache is saved, difflib
+    # only when the block kernel runs; a fresh interpreter shows what
+    # importing the CLI loads. -S keeps site's .pth files from importing
+    # these modules before the check starts.
     repo = Path(__file__).resolve().parents[1]
     pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
     code = (
@@ -600,7 +612,7 @@ def test_cli_import_leaves_the_http_client_unloaded():
         "print(*(m for m in sys.argv[1:] if m in sys.modules and m not in before))"
     )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, *PROVIDER_ONLY_MODULES],
+        [sys.executable, "-S", "-c", code, *LOADED_ON_USE],
         env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -261,6 +261,8 @@ class MockHandler(BaseHTTPRequestHandler):
                 return self._send(200, "late")
             if route == "/badjson":
                 return self._send(200, "{not json")
+            if route == "/breaks":
+                return self._send(200, "cr\rcrlf\r\nlf\nsep\u2028" + text)
             return self._send(404, "no such route")
         finally:
             with state["lock"]:
@@ -358,6 +360,14 @@ def test_http_malformed_json_fails_without_retry(mock_server):
         http_translate("v", ("pl", "en"), provider)
     hits = [r for r in mock_server.state["requests"] if "/badjson" in r]
     assert len(hits) == 1
+
+
+def test_http_line_breaks_become_spaces(mock_server):
+    # A lone CR would split the line as much as an LF; U+2028 is no break
+    # in a corpus file, so it stays.
+    provider = HttpProvider(endpoint=endpoint(mock_server, "/breaks"))
+    out = translate_corpus(corpus("x"), provider)
+    assert [s.raw for s in out] == ["cr crlf lf sep\u2028x"]
 
 
 def test_http_timeout_failure_carries_line_index(mock_server):

@@ -250,9 +250,9 @@ def test_tuning_computes_each_ratio_once(monkeypatch):
     calls = Counter()
     real_ratio = sim.ratio
 
-    def counting_ratio(a, b, b_index=None):
+    def counting_ratio(a, b):
         calls[a, b] += 1
-        return real_ratio(a, b, b_index)
+        return real_ratio(a, b)
 
     monkeypatch.setattr(sim, "ratio", counting_ratio)
     job = drift_job(chain_of(0.9))
@@ -272,9 +272,9 @@ def test_tuning_runs_the_kernel_only_where_the_lcs_reaches_the_threshold(monkeyp
     kernel = []
     real_ratio = sim.ratio
 
-    def checking_ratio(a, b, b_index=None):
+    def checking_ratio(a, b):
         kernel.append(2 * lcs_oracle(a, b) / (len(a) + len(b)) >= in_force[-1])
-        return real_ratio(a, b, b_index)
+        return real_ratio(a, b)
 
     lcs_calls = Counter()
     real_lcs = sim.lcs_length
