@@ -73,7 +73,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         config = json.loads(raw)

@@ -122,8 +122,9 @@ def load_corpus(source: PathOrStream, language: str) -> Corpus:
 
     LF and CRLF line endings are both accepted; a UTF-8 BOM is tolerated.
     Empty lines are not sentences; their 1-based line numbers end up in
-    ``Corpus.skipped_lines``. Invalid UTF-8 is reported with its line number,
-    and with the file name when ``source`` is a path.
+    ``Corpus.skipped_lines``. Invalid UTF-8 and a carriage return inside a
+    line are reported with the line number, and with the file name when
+    ``source`` is a path.
     """
     where = f"{source}: " if isinstance(source, (str, Path)) else ""
     data = _read_bytes(source)
@@ -144,6 +145,10 @@ def load_corpus(source: PathOrStream, language: str) -> Corpus:
             raise CorpusFormatError(
                 f"{where}invalid UTF-8 on line {lineno}: {exc.reason}"
             ) from exc
+        if "\r" in text:
+            raise CorpusFormatError(
+                f"{where}line {lineno} contains a line-break character"
+            )
         if text == "":
             skipped.append(lineno)
         else:

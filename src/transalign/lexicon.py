@@ -50,7 +50,7 @@ def load_stopwords(path, language: str = "") -> StopWordList:
     """Read a one-word-per-line stop-word file; `#` lines are comments."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LexiconFormatError(f"cannot read stop-word file {path}: {exc}") from exc
     words = set()
     for line in text.splitlines():
@@ -72,7 +72,7 @@ def load_synonyms(path, language: str = "") -> SynonymLexicon:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LexiconFormatError(f"cannot read synonym file {path}: {exc}") from exc
     entries: dict[str, tuple[str, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

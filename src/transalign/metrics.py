@@ -224,22 +224,25 @@ def precisions(stats: NgramStats) -> list[float]:
     ]
 
 
-def _levenshtein(a: Sequence, masks: dict, length: int) -> int:
-    """Levenshtein distance from ``a`` to the ``length``-item sequence whose
-    position masks are ``masks``.
+def edit_distance(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
+    """Unit-cost Levenshtein distance between two sequences of hashable items.
 
-    Bit-parallel (Myers 1999, in Hyyrö's 2003 formulation): bit i of the
-    vertical delta vectors ``vp``/``vn`` says whether row i of the current
-    DP column is one more/one less than row i-1, so one column costs a
-    handful of integer operations whatever ``length`` is. Python ints make
-    any length one word. Exact, not an approximation.
+    Items match when they are equal as dict keys, so a ``str`` and a list
+    of its characters compare item by item. Bit-parallel (Myers 1999, in
+    Hyyrö's 2003 formulation): bit i of the vertical delta vectors
+    ``vp``/``vn`` says whether row i of the current DP column is one
+    more/one less than row i-1, so one item of ``a`` costs a handful of
+    integer operations whatever the length of ``b``. Python ints make any
+    length one word. Exact. ``b_masks``, when given, must be
+    ``position_masks(b)``.
     """
+    length = len(b)
     if not length:
         return len(a)
     full = (1 << length) - 1
     last = 1 << (length - 1)
     vp, vn, distance = full, 0, length
-    get = masks.get
+    get = (b_masks or position_masks(b)).get
     for item in a:
         eq = get(item, 0)
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
@@ -253,15 +256,6 @@ def _levenshtein(a: Sequence, masks: dict, length: int) -> int:
         vp = ((hn << 1) | ~(d0 | hp)) & full
         vn = hp & d0
     return distance
-
-
-def edit_distance(a: Sequence, b: Sequence) -> int:
-    """Unit-cost Levenshtein distance between two sequences of hashable items.
-
-    Items match when they are equal as dict keys, so a ``str`` and a list
-    of its characters compare item by item.
-    """
-    return _levenshtein(a, position_masks(b), len(b))
 
 
 def _shifted_variants(tokens: tuple, max_block: int):
@@ -285,30 +279,35 @@ def ter_edits(
     Hill-climbing: repeatedly apply the single block shift that most
     reduces the word edit distance, but only while a shift pays for its
     own cost of one (reduction of at least two); then the remaining edit
-    distance is added. Never exceeds the shift-free edit distance. A
-    variant met twice in one round is scored once, and a round ends early
-    once a variant reaches the length gap, which no shift can beat; both
-    keep the first strictly best shift, so the result is the plain greedy's.
+    distance is added. Never exceeds the shift-free edit distance. The
+    search stops at the bag distance (Bartolini et al. 2002), the longer
+    length minus the tokens the two share as multisets: a shift keeps the
+    hypothesis's tokens, so every variant has the same bag distance, and
+    no edit distance is below it. So no round runs once the distance is
+    within one of it, and a round ends at the first variant that reaches
+    it. A variant met twice in one round is scored once. All keep the
+    first strictly best shift, so the result is the plain greedy's.
     """
     current = tuple(hyp_tokens)
-    masks, length = position_masks(ref_tokens), len(ref_tokens)
-    # A shift keeps the hypothesis length, so no variant scores below this.
-    floor = abs(len(current) - length)
+    masks = position_masks(ref_tokens)
+    shared = sum((Counter(current) & Counter(ref_tokens)).values())
+    floor = max(len(current), len(ref_tokens)) - shared
     shifts = 0
-    distance = _levenshtein(current, masks, length)
+    distance = edit_distance(current, ref_tokens, masks)
     while distance > floor + 1:
-        best_distance, best_variant = distance, None
+        # only a variant two or more edits better pays for its shift
+        best_distance, best_variant = distance - 1, None
         seen = set()
         for variant in _shifted_variants(current, max_shift_size):
             if variant in seen:
                 continue
             seen.add(variant)
-            candidate = _levenshtein(variant, masks, length)
+            candidate = edit_distance(variant, ref_tokens, masks)
             if candidate < best_distance:
                 best_distance, best_variant = candidate, variant
                 if candidate == floor:
                     break
-        if best_variant is None or best_distance + 1 >= distance:
+        if best_variant is None:
             break
         current, distance = best_variant, best_distance
         shifts += 1

@@ -520,6 +520,16 @@ def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, code", [("--stopwords", 2), ("--synonyms", 2), ("--config", 1)])
+def test_option_file_not_utf8_names_the_file(tmp_path, capsys, flag, code):
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"word\t\xff\n")
+    assert main(cli_argv("align", path, tmp_path) + [flag, str(bad)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, out_flag", [("align", "--out-source"), ("tune", "--out"), ("translate", "--out")]
 )

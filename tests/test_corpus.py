@@ -1,3 +1,4 @@
+import io
 import random
 import time
 
@@ -129,6 +130,17 @@ def test_load_rejects_bad_utf8_with_line_number(tmp_path):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(path, "en")
     assert str(err.value).startswith(f"{path}: ") and "line 2" in str(err.value)
+
+
+def test_load_reports_lone_cr_by_file_and_line(tmp_path):
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"\na\rb\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path, "en")
+    assert str(err.value) == f"{path}: line 2 contains a line-break character"
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(io.BytesIO(b"\na\rb\n"), "en")
+    assert str(err.value) == "line 2 contains a line-break character"
 
 
 def test_sentence_normalized_autofilled():

@@ -11,6 +11,7 @@ from oracles import (
     ter_greedy_oracle,
     ter_oracle_edits,
 )
+from transalign import metrics
 from transalign.align import AlignmentDecision, AlignmentResult
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError, DataError, GoldMismatchError
@@ -307,6 +308,50 @@ def test_ter_edits_matches_greedy_oracle(max_shift_size):
         assert ter_edits(hyp, ref, max_shift_size) == ter_greedy_oracle(
             hyp, ref, max_shift_size
         ), (hyp, ref)
+
+
+def mt_like_pair(rng):
+    """A reference and a hypothesis made from it by one deletion, one or
+    two substitutions and one block move, so their bag distance is close
+    to their edit distance."""
+    words = "abcdefgh"[: rng.randrange(3, 9)]
+    ref = [rng.choice(words) for _ in range(rng.randrange(4, 15))]
+    hyp = list(ref)
+    del hyp[rng.randrange(len(hyp))]
+    for _ in range(rng.randrange(1, 3)):
+        hyp[rng.randrange(len(hyp))] = rng.choice(words + "xy")
+    size = rng.randrange(1, 4)
+    start = rng.randrange(len(hyp) - size + 1)
+    block = hyp[start : start + size]
+    del hyp[start : start + size]
+    dest = rng.randrange(len(hyp) + 1)
+    hyp[dest:dest] = block
+    return hyp, ref
+
+
+@pytest.mark.parametrize("max_shift_size", [1, 2, 10])
+def test_ter_edits_matches_greedy_oracle_on_mt_like_pairs(max_shift_size):
+    rng = random.Random(61 + max_shift_size)
+    for _ in range(80):
+        hyp, ref = mt_like_pair(rng)
+        assert ter_edits(hyp, ref, max_shift_size) == ter_greedy_oracle(
+            hyp, ref, max_shift_size
+        ), (hyp, ref)
+
+
+@pytest.mark.parametrize(
+    "hyp, ref, calls",
+    [("a x c y e", "a b c d e", 1), ("b a x d", "a b c d", 2)],
+)
+def test_ter_edits_stops_at_the_bag_distance(monkeypatch, hyp, ref, calls):
+    # The bag distance is 2 and 1. The first pair is within one edit of it,
+    # so no shift round runs; in the second the first variant tried reaches
+    # it and ends the round.
+    seen = []
+    kernel = metrics.edit_distance
+    monkeypatch.setattr(metrics, "edit_distance", lambda *args: seen.append(args) or kernel(*args))
+    assert ter_edits(hyp.split(), ref.split()) == 2
+    assert len(seen) == calls
 
 
 def test_ter_identity_is_zero():
