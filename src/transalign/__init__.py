@@ -20,7 +20,7 @@ from .align import (
     read_report,
     write_alignment,
 )
-from .corpus import Corpus, Sentence, load_corpus, normalize, save_corpus, split_tokens
+from .corpus import Corpus, load_corpus, normalize, save_corpus, tokenize
 from .errors import (
     ConfigError,
     CorpusFormatError,

@@ -151,9 +151,10 @@ def align(
     disproportion of the inputs. Each target line is consumed at most once
     and the output always has exactly one pair per source line.
 
-    ``scores`` is a pair-score table over ``trans`` and ``target`` with the
-    config's context; pass the same one to several runs that differ only
-    in thresholds to score each pair once. By default a fresh one is used.
+    ``scores`` is a pair-score table over the ``normalized`` columns of
+    ``trans`` and ``target`` with the config's context; pass the same one
+    to several runs that differ only in thresholds to score each pair
+    once. By default a fresh one is used.
     """
     if len(trans) != len(source):
         raise DataError(
@@ -161,8 +162,12 @@ def align(
         )
     context = config.context()
     if scores is None:
-        scores = PairScores(trans, target, context)
-    elif scores.trans is not trans or scores.target is not target or scores.context != context:
+        scores = PairScores(trans.normalized, target.normalized, context)
+    elif (
+        scores.trans is not trans.normalized
+        or scores.target is not target.normalized
+        or scores.context != context
+    ):
         raise ConfigError("pair-score table belongs to other corpora or comparator settings")
     n_source, n_target = len(source), len(target)
     gap = abs(n_source - n_target)
@@ -188,17 +193,17 @@ def align(
             j, decision = chosen
             del unconsumed[bisect_left(unconsumed, j)]
             record = AlignmentDecision(
-                i, ALIGNED, target[j].raw, j, decision.score, decision.comparator.kind
+                i, ALIGNED, target[j], j, decision.score, decision.comparator.kind
             )
             aligned += 1
         elif filled < gap:
-            record = AlignmentDecision(i, FILLED, trans[i].raw)
+            record = AlignmentDecision(i, FILLED, trans[i])
             filled += 1
         else:
-            record = AlignmentDecision(i, TRANSLATED, trans[i].raw)
+            record = AlignmentDecision(i, TRANSLATED, trans[i])
             translated += 1
         decisions.append(record)
-        pairs.append((source[i].raw, record.text))
+        pairs.append((source[i], record.text))
 
     return AlignmentResult(
         decisions=tuple(decisions),
@@ -259,7 +264,7 @@ def read_report(report_path) -> AlignmentResult:
         # Split on LF only: text fields may hold U+2028 and the like raw.
         lines = Path(report_path).read_text(encoding="utf-8").split("\n")
         objects = [json.loads(line) for line in lines if line.strip()]
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"malformed report {report_path}: {exc}") from exc
     if not objects:
         raise DataError(f"empty report file: {report_path}")

@@ -77,7 +77,7 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         config = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -264,7 +264,7 @@ def cmd_score(args) -> int:
     _require_file(args.report, "report file")
     result = read_report(args.report)
     _require_file(args.gold, "gold file")
-    gold = [sentence.raw for sentence in load_corpus(args.gold, "gold")]
+    gold = load_corpus(args.gold, "gold").lines
     card = evaluate_against_gold(result, gold)
     _print_json(card.as_json_dict())
     return EXIT_OK
@@ -297,7 +297,7 @@ def cmd_tune(args) -> int:
     source = load_corpus(args.source, settings.source_language())
     target = load_corpus(args.target, settings.target_language())
     trans = load_corpus(args.trans, settings.target_language())
-    gold = [sentence.raw for sentence in load_corpus(args.gold, "gold")]
+    gold = load_corpus(args.gold, "gold").lines
 
     bounds = ()
     if args.bounds:

@@ -1,8 +1,12 @@
-"""Sentence/corpus representation, normalization, tokenization and line I/O.
+"""Corpus representation, normalization, tokenization and line I/O.
 
-A corpus is an ordered list of sentences, one per non-empty input line.
+A corpus is a tuple of raw lines, one per non-empty input line, under a
+language tag; line ``i`` of the file's non-empty lines is ``corpus[i]``.
 All comparisons elsewhere in the toolkit run on the normalized form
 (lowercased, whitespace-collapsed, NFC-composed), never on the raw line.
+That form is the ``normalized`` column, built the first time it is read,
+so a corpus whose lines are only copied through (an alignment's source,
+a gold file) is never normalized.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ import io
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import CorpusFormatError
 
@@ -31,7 +36,7 @@ def normalize(text: str) -> str:
     return " ".join(text.split())
 
 
-def split_tokens(text: str) -> tuple[str, ...]:
+def tokenize(text: str) -> tuple[str, ...]:
     """Split normalized text into word tokens.
 
     Tokens are maximal runs of letters, digits and apostrophes, so "don't"
@@ -42,64 +47,40 @@ def split_tokens(text: str) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """One corpus line: 0-based index, raw text and its normalized form."""
-
-    index: int
-    raw: str
-    normalized: str = ""
-
-    def __post_init__(self):
-        if "\n" in self.raw or "\r" in self.raw:
-            raise CorpusFormatError(
-                f"sentence {self.index} contains a line-break character"
-            )
-        if not self.normalized:
-            object.__setattr__(self, "normalized", normalize(self.raw))
-
-
-def tokenize(sentence: Sentence) -> tuple[str, ...]:
-    """Word tokens of a sentence's normalized text."""
-    return split_tokens(sentence.normalized)
-
-
-@dataclass(frozen=True)
 class Corpus:
-    """Ordered, indexed sentences under one language tag.
+    """Ordered raw lines under one language tag.
 
-    ``skipped_lines`` reports the 1-based numbers of empty input lines that
-    were dropped during loading.
+    ``lines`` may be any iterable of strings and is stored as a tuple; a
+    line holding a CR or LF is a ``CorpusFormatError``, since each line is
+    one output pair. ``skipped_lines`` reports the 1-based numbers of empty
+    input lines that were dropped during loading.
     """
 
     language: str
-    sentences: tuple[Sentence, ...]
+    lines: tuple[str, ...]
     skipped_lines: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        for position, sentence in enumerate(self.sentences):
-            if sentence.index != position:
-                raise CorpusFormatError(
-                    f"sentence index {sentence.index} at position {position}: "
-                    "indices must be contiguous from 0"
-                )
+        lines = tuple(self.lines)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "skipped_lines", tuple(self.skipped_lines))
+        for index, line in enumerate(lines):
+            if "\n" in line or "\r" in line:
+                raise CorpusFormatError(f"line index {index} contains a line-break character")
+
+    @cached_property
+    def normalized(self) -> tuple[str, ...]:
+        """Each line's ``normalize``d text, built on first read."""
+        return tuple(map(normalize, self.lines))
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.lines)
 
-    def __iter__(self) -> Iterator[Sentence]:
-        return iter(self.sentences)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.lines)
 
-    def __getitem__(self, index: int) -> Sentence:
-        return self.sentences[index]
-
-    @classmethod
-    def from_lines(
-        cls, lines: Iterable[str], language: str, skipped: Iterable[int] = ()
-    ) -> "Corpus":
-        sentences = tuple(
-            Sentence(index, raw) for index, raw in enumerate(lines)
-        )
-        return cls(language, sentences, tuple(skipped))
+    def __getitem__(self, index: int) -> str:
+        return self.lines[index]
 
 
 PathOrStream = Union[str, Path, io.IOBase]
@@ -117,48 +98,52 @@ def _read_bytes(source: PathOrStream) -> bytes:
     return data
 
 
+def _split_lines(text: str, where: str) -> tuple[list[str], tuple[int, ...]]:
+    """The non-empty lines of a decoded file and the 1-based numbers of the
+    empty ones. One CR before each LF, or at the very end, is part of the
+    line ending; any other CR is a ``CorpusFormatError``."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # trailing newline, not an empty line
+    if "\r" in text:
+        lines = [line[:-1] if line[-1:] == "\r" else line for line in lines]
+        for lineno, line in enumerate(lines, start=1):
+            if "\r" in line:
+                raise CorpusFormatError(f"{where}line {lineno} contains a line-break character")
+    if "" not in lines:
+        return lines, ()
+    skipped = tuple(lineno for lineno, line in enumerate(lines, start=1) if not line)
+    return [line for line in lines if line], skipped
+
+
 def load_corpus(source: PathOrStream, language: str) -> Corpus:
-    """Load one sentence per non-empty line from a UTF-8 text source.
+    """Load one line per non-empty line of a UTF-8 text source.
 
     LF and CRLF line endings are both accepted; a UTF-8 BOM is tolerated.
-    Empty lines are not sentences; their 1-based line numbers end up in
+    Empty lines are dropped; their 1-based line numbers end up in
     ``Corpus.skipped_lines``. Invalid UTF-8 and a carriage return inside a
-    line are reported with the line number, and with the file name when
-    ``source`` is a path.
+    line are reported with the number of the first line that has either,
+    and with the file name when ``source`` is a path.
     """
     where = f"{source}: " if isinstance(source, (str, Path)) else ""
     data = _read_bytes(source)
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
-    raw_lines = data.split(b"\n")
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()  # trailing newline, not an empty line
-
-    lines: list[str] = []
-    skipped: list[int] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        if raw.endswith(b"\r"):
-            raw = raw[:-1]
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(
-                f"{where}invalid UTF-8 on line {lineno}: {exc.reason}"
-            ) from exc
-        if "\r" in text:
-            raise CorpusFormatError(
-                f"{where}line {lineno} contains a line-break character"
-            )
-        if text == "":
-            skipped.append(lineno)
-        else:
-            lines.append(text)
-    return Corpus.from_lines(lines, language, skipped)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # CR and LF are never part of a multi-byte sequence, so the lines
+        # before the bad one decode; a CR inside one of them comes first.
+        _split_lines(data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), where)
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{where}invalid UTF-8 on line {lineno}: {exc.reason}") from exc
+    lines, skipped = _split_lines(text, where)
+    return Corpus(language, lines, skipped)
 
 
 def save_corpus(corpus: Corpus, target: PathOrStream) -> None:
-    """Write the corpus back out, one raw line per sentence, LF-terminated."""
-    payload = "".join(sentence.raw + "\n" for sentence in corpus)
+    """Write the corpus back out, one raw line each, LF-terminated."""
+    payload = "".join(line + "\n" for line in corpus)
     if isinstance(target, (str, Path)):
         Path(target).write_bytes(payload.encode("utf-8"))
     else:

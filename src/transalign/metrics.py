@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .align import ALIGNED, FILLED, TRANSLATED, AlignmentResult
-from .corpus import normalize, split_tokens
+from .corpus import normalize, tokenize
 from .errors import ConfigError, DataError, GoldMismatchError
 from .similarity import position_masks
 
@@ -360,14 +360,14 @@ def evaluate_corpus(
     ref_token_total = 0
     cer_edit_total = 0
     ref_char_total = 0
-    for hyp, ref in zip(hyp_corpus, ref_corpus):
-        hyp_tokens = split_tokens(hyp.normalized)
-        ref_tokens = split_tokens(ref.normalized)
+    for hyp, ref in zip(hyp_corpus.normalized, ref_corpus.normalized):
+        hyp_tokens = tokenize(hyp)
+        ref_tokens = tokenize(ref)
         stats = stats + bleu_stats(hyp_tokens, ref_tokens, max_order)
         ter_edit_total += ter_edits(hyp_tokens, ref_tokens, max_shift_size)
         ref_token_total += len(ref_tokens)
-        cer_edit_total += edit_distance(hyp.normalized, ref.normalized)
-        ref_char_total += len(ref.normalized)
+        cer_edit_total += edit_distance(hyp, ref)
+        ref_char_total += len(ref)
     if ref_token_total == 0 or ref_char_total == 0:
         raise DataError("reference corpus is empty after normalization")
     return {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .corpus import Sentence, tokenize
+from .corpus import normalize, tokenize
 from .errors import ConfigError
 from .lexicon import (
     EMPTY_LEXICON,
@@ -171,18 +171,19 @@ def lcs_length(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
 
 
 def synonym_ratio(
-    a: Sentence,
-    b: Sentence,
+    a: str,
+    b: str,
     lexicon: SynonymLexicon = EMPTY_LEXICON,
     cap: int = 64,
 ) -> float:
     """Best matching-blocks ratio over the synonym variants of ``a``.
 
-    Variants are re-joined with single spaces and compared against the
-    normalized text of ``b``; the unexpanded pair is always included, so
-    the result is never below ratio(a, b).
+    ``a`` and ``b`` are raw lines. Variants of ``a``'s normalized text are
+    re-joined with single spaces and compared against the normalized text
+    of ``b``; the unexpanded pair is always included, so the result is
+    never below the ratio of the two normalized texts.
     """
-    scores = PairScores((a,), (b,), ChainContext(lexicon=lexicon, cap=cap))
+    scores = PairScores((normalize(a),), (normalize(b),), ChainContext(lexicon=lexicon, cap=cap))
     return scores.score(0, 0, SYNONYM_RATIO)
 
 
@@ -258,8 +259,8 @@ class ChainDecision:
 class PairScores:
     """Exact comparator scores for one translation/target corpus pair.
 
-    ``trans`` and ``target`` are sequences of sentences indexed by line (a
-    ``Corpus``, or a one-sentence tuple). Block ratios are computed on first
+    ``trans`` and ``target`` are normalized texts indexed by line (two
+    ``Corpus.normalized`` columns, or 1-tuples). Block ratios are computed on first
     use and kept in one row per translation line, under ``(j, k)`` for
     target index ``j`` and text ``k``, where text 0 is the translation's
     normalized text and the others are its synonym variants. Next to each
@@ -282,8 +283,8 @@ class PairScores:
 
     def __init__(
         self,
-        trans: Sequence[Sentence],
-        target: Sequence[Sentence],
+        trans: Sequence[str],
+        target: Sequence[str],
         context: ChainContext = DEFAULT_CONTEXT,
     ):
         self.trans = trans
@@ -349,7 +350,7 @@ class PairScores:
 
     @cached_property
     def _trans_tokens(self) -> list[tuple[str, ...]]:
-        return [tokenize(s) for s in self.trans]
+        return [tokenize(text) for text in self.trans]
 
     @cached_property
     def _trans_sets(self) -> list[frozenset]:
@@ -361,11 +362,11 @@ class PairScores:
     @cached_property
     def _target_sets(self) -> list[frozenset]:
         stopwords = self.context.stopwords
-        return [occurrence_set(tokenize(s), stopwords) for s in self.target]
+        return [occurrence_set(tokenize(text), stopwords) for text in self.target]
 
     @cached_property
     def _trans_chars(self) -> list[tuple[str, Counter]]:
-        return [(s.normalized, Counter(s.normalized)) for s in self.trans]
+        return [(text, Counter(text)) for text in self.trans]
 
     @cached_property
     def _variants(self) -> list[list[tuple[str, Counter]]]:
@@ -386,7 +387,7 @@ class PairScores:
 
     @cached_property
     def _target_chars(self) -> list[tuple[str, Counter]]:
-        return [(s.normalized, Counter(s.normalized)) for s in self.target]
+        return [(text, Counter(text)) for text in self.target]
 
     def _best_ratio(
         self, i: int, j: int, kind: str, threshold: float, commons: dict[int, int]
@@ -445,19 +446,20 @@ class PairScores:
 
 
 def evaluate_chain(
-    a: Sentence,
-    b: Sentence,
+    a: str,
+    b: str,
     chain: ComparatorChain,
     context: ChainContext = DEFAULT_CONTEXT,
 ) -> ChainDecision:
-    """Run comparators in cost order, stopping at the first acceptance.
+    """Run comparators in cost order on two raw lines, stopping at the
+    first acceptance.
 
     A comparator accepts when its score reaches its threshold. If none
     accepts, the decision reports the maximum score observed and the
     comparator that produced it. This is the exact per-pair API: unlike
     ``PairScores.decide`` it scores every tier of a rejected pair.
     """
-    scores = PairScores((a,), (b,), context)
+    scores = PairScores((normalize(a),), (normalize(b),), context)
     decision = scores.decide(0, 0, chain)
     if decision is not None:
         return decision

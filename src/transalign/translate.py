@@ -17,7 +17,7 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Sentence, load_corpus
+from .corpus import Corpus, load_corpus
 from .errors import (
     ConfigError,
     DataError,
@@ -55,7 +55,7 @@ class FileProvider(TranslationProvider):
     """Serves translations positionally from a pre-translated file.
 
     The file is read with the corpus line rules (``load_corpus``) and must
-    hold exactly one sentence per source sentence; the length is checked
+    hold exactly one line per source line; the length is checked
     against the corpus before any translation happens.
     """
 
@@ -73,7 +73,7 @@ class FileProvider(TranslationProvider):
             )
 
     def translate_line(self, text, source_language, target_language, index):
-        return self.translations[index].raw
+        return self.translations[index]
 
 
 def _walk_response_path(payload, path: str):
@@ -102,7 +102,8 @@ class HttpProvider(TranslationProvider):
     ``endpoint`` is a non-empty string and ``response_path`` a string;
     ``max_concurrency`` (>= 1) and ``retries`` (>= 0) are ints, ``timeout``
     (> 0) and ``backoff`` (>= 0) finite seconds; anything else is a
-    ``ConfigError``.
+    ``ConfigError``, as is an ``endpoint`` that ``str.format`` cannot fill
+    with those three placeholders.
     """
 
     endpoint: str
@@ -125,6 +126,10 @@ class HttpProvider(TranslationProvider):
         for name, ok in valid.items():
             if not ok:
                 raise ConfigError(f"invalid provider {name}: {getattr(self, name)!r}")
+        try:
+            self.endpoint.format(text="", src="", tgt="")
+        except (KeyError, IndexError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"invalid provider endpoint {self.endpoint!r}: {exc!r}") from exc
 
     def translate_line(self, text, source_language, target_language, index):
         return http_translate(text, (source_language, target_language), self)
@@ -245,6 +250,8 @@ class TranslationCache:
                     text = path.read_text(encoding="utf-8")
                 except UnicodeDecodeError as exc:
                     raise DataError(f"cache file {path} is not valid UTF-8: {exc}") from exc
+                except OSError as exc:
+                    raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
                 for line in text.split("\n"):
                     if "\t" not in line:
                         continue
@@ -295,7 +302,7 @@ def translate_corpus(
     target_language: str = "tgt",
     stats_out: dict | None = None,
 ) -> Corpus:
-    """Translate every corpus line, preserving order and indices.
+    """Translate every corpus line, preserving order.
 
     Identical source lines are translated once. Uncached lines fan out to
     at most ``provider.max_concurrency`` concurrent provider calls and are
@@ -315,8 +322,7 @@ def translate_corpus(
     cache_hits = 0
     seen: set[str] = set()
     todo: list[tuple[str, int]] = []  # unique uncached text, first line index
-    for sentence in corpus:
-        text = sentence.raw
+    for index, text in enumerate(corpus):
         if text in seen:
             continue
         seen.add(text)
@@ -325,7 +331,7 @@ def translate_corpus(
             translations[text] = cached
             cache_hits += 1
         else:
-            todo.append((text, sentence.index))
+            todo.append((text, index))
 
     failures: list[tuple[int, Exception]] = []
     if todo:
@@ -356,7 +362,4 @@ def translate_corpus(
             lines=len(corpus), provider_calls=len(todo), cache_hits=cache_hits
         )
 
-    sentences = tuple(
-        Sentence(sentence.index, translations[sentence.raw]) for sentence in corpus
-    )
-    return Corpus(target_language, sentences)
+    return Corpus(target_language, (translations[text] for text in corpus))

@@ -70,7 +70,9 @@ class TuningJob:
                 "dev set has %d lines; %d-%d lines give the most reliable tuning",
                 len(self.source), lo, hi,
             )
-        self.scores = PairScores(self.trans, self.target, self.config.context())
+        self.scores = PairScores(
+            self.trans.normalized, self.target.normalized, self.config.context()
+        )
 
 
 @dataclass

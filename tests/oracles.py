@@ -88,12 +88,41 @@ def dice_overlap_oracle(tokens_a, tokens_b, stopwords=()):
     return Fraction(2 * common, total)
 
 
-def split_tokens_oracle(text):
+def tokenize_oracle(text):
     """Word tokens as first defined: the maximal runs of letters, digits
     and apostrophes (a letter or digit is a word character other than the
     underscore), without the runs made of apostrophes alone."""
     runs = re.findall(r"(?:[^\W_]|')+", text)
     return tuple(run for run in runs if run.strip("'"))
+
+
+def load_lines_oracle(data):
+    """A corpus file's lines read one at a time, as first defined: split the
+    bytes (after a UTF-8 BOM) on LF, drop the empty piece after a final LF,
+    strip one CR that ends a line, decode each line on its own, and reject
+    any other CR. Returns ``(lines, skipped, None)`` with the non-empty
+    lines and the 1-based numbers of the empty ones, or ``(None, None, n)``
+    where ``n`` is the first line that is not UTF-8 or holds a CR."""
+    if data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    raw_lines = data.split(b"\n")
+    if raw_lines[-1] == b"":
+        raw_lines.pop()
+    lines, skipped = [], []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        if raw.endswith(b"\r"):
+            raw = raw[:-1]
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None, None, lineno
+        if "\r" in text:
+            return None, None, lineno
+        if text:
+            lines.append(text)
+        else:
+            skipped.append(lineno)
+    return lines, tuple(skipped), None
 
 
 def levenshtein_matrix(a, b):

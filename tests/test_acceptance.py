@@ -70,9 +70,9 @@ def test_01_no_line_is_lost_across_randomized_corpora():
         lines = [f"w{i} n{(i * 31) % 257} t{(i * 17) % 127}" for i in range(n)]
         kept = [line for line in lines if rng.random() >= 0.1]
         rng.shuffle(kept)
-        src = Corpus.from_lines(lines, "src")
-        tgt = Corpus.from_lines(kept, "tgt")
-        trans = Corpus.from_lines(lines, "y")
+        src = Corpus("src", lines)
+        tgt = Corpus("tgt", kept)
+        trans = Corpus("y", lines)
         result = align(src, tgt, trans, config)
         assert result.total == n == len(result.decisions)
         assert sorted(d.source_index for d in result.decisions) == list(range(n))
@@ -81,7 +81,7 @@ def test_01_no_line_is_lost_across_randomized_corpora():
     # locally shuffled counterpart still yields exactly 1005 output pairs
     src = load_corpus(FIXTURES / "parallel_1005.src", "src")
     tgt = load_corpus(FIXTURES / "parallel_1005.tgt", "tgt")
-    result = align(src, tgt, Corpus.from_lines([s.raw for s in src], "y"),
+    result = align(src, tgt, Corpus("y", src.lines),
                    AlignmentConfig(chain=exact_chain(), window=20))
     assert result.total == len(result.decisions) == 1005
     assert result.aligned_count + result.translated_count + result.disproportion_count == 1005
@@ -185,9 +185,9 @@ def test_05_edit_rate_fixtures_and_greedy_shift_bound():
 
 
 def test_06_lookahead_defers_to_the_strictly_better_later_line():
-    src = Corpus.from_lines(("zrodlo jeden", "zrodlo dwa"), "src")
-    trans = Corpus.from_lines(LOOKAHEAD_TRANS, "y")
-    tgt = Corpus.from_lines(LOOKAHEAD_TARGET, "tgt")
+    src = Corpus("src", ("zrodlo jeden", "zrodlo dwa"))
+    trans = Corpus("y", LOOKAHEAD_TRANS)
+    tgt = Corpus("tgt", LOOKAHEAD_TARGET)
     config = AlignmentConfig(
         chain=ComparatorChain((Comparator("matching_blocks_ratio", 0.6),)),
         window=0,
@@ -215,7 +215,7 @@ def test_07_permutation_recovery_and_noisy_alignment_quality(tmp_path):
     source_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     src = load_corpus(source_path, "src")
     trans = translate_corpus(src, FileProvider(source_path))
-    tgt = Corpus.from_lines(window_shuffle(lines, rng), "tgt")
+    tgt = Corpus("tgt", window_shuffle(lines, rng))
     result = align(src, tgt, trans, AlignmentConfig(chain=exact_chain(), window=20))
     card = evaluate_against_gold(result, lines)
     assert card.aligned == 500
@@ -251,9 +251,9 @@ def test_07_permutation_recovery_and_noisy_alignment_quality(tmp_path):
         lexicon=SynonymLexicon(entries=entries, language="y"),
     )
     result = align(
-        Corpus.from_lines([f"zrodlo {i}" for i in range(500)], "src"),
-        Corpus.from_lines(window_shuffle(target_lines, rng), "tgt"),
-        Corpus.from_lines(trans_lines, "y"),
+        Corpus("src", [f"zrodlo {i}" for i in range(500)]),
+        Corpus("tgt", window_shuffle(target_lines, rng)),
+        Corpus("y", trans_lines),
         config,
     )
     card = evaluate_against_gold(result, base_lines)
@@ -269,9 +269,9 @@ def test_08_threshold_search_matches_grid_scan_with_log_evaluations(monkeypatch)
         trans.append(block * 2)  # ratio against its target line is exactly 0.5
         target.append(block + filler)
     job = TuningJob(
-        source=Corpus.from_lines([f"zrodlo {i}" for i in range(5)], "src"),
-        target=Corpus.from_lines(target, "tgt"),
-        trans=Corpus.from_lines(trans, "y"),
+        source=Corpus("src", [f"zrodlo {i}" for i in range(5)]),
+        target=Corpus("tgt", target),
+        trans=Corpus("y", trans),
         gold=target,
         config=AlignmentConfig(
             chain=ComparatorChain((Comparator("matching_blocks_ratio", 0.9),)), window=0

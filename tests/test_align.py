@@ -27,7 +27,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def corpus(*lines, language="x"):
-    return Corpus.from_lines(lines, language)
+    return Corpus(language, lines)
+
+
+def column(*lines):
+    return corpus(*lines).normalized
 
 
 def chain_of(threshold=0.99, kind="matching_blocks_ratio"):
@@ -63,6 +67,18 @@ LOOKAHEAD_TARGET = [
     "I do not go to school every day.",
     "We will go tomorrow.",
 ]
+
+
+def test_align_never_normalizes_the_source():
+    # Source lines are only copied into the output pairs.
+    lines = distinct_lines(6)
+    src = corpus(*lines, language="src")
+    trans = corpus(*lines, language="y")
+    tgt = corpus(*reversed(lines), language="tgt")
+    result = align(src, tgt, trans, config_of(threshold=1.0))
+    assert result.aligned_count == 6
+    assert "normalized" not in vars(src)
+    assert "normalized" in vars(trans) and "normalized" in vars(tgt)
 
 
 def lookahead_fixture(lookahead=1):
@@ -110,7 +126,7 @@ def test_lookahead_rejecting_later_line_cannot_defer():
 
 def test_lookahead_requires_strictly_higher_score():
     trans = corpus("same line", "same line", language="en")
-    scores = PairScores(trans, corpus("same line", language="en"))
+    scores = PairScores(trans.normalized, column("same line"))
     score = scores.decide(0, 0, chain_of(0.5)).score
     keep = lookahead_resolve(0, 0, score, chain_of(0.5), depth=1, scores=scores)
     assert keep  # equal later score must not steal the candidate
@@ -118,7 +134,7 @@ def test_lookahead_requires_strictly_higher_score():
 
 def test_lookahead_depth_zero_always_keeps():
     trans = corpus("weak match", "weak match exact", language="en")
-    scores = PairScores(trans, corpus("weak match exact", language="en"))
+    scores = PairScores(trans.normalized, column("weak match exact"))
     score = scores.decide(0, 0, chain_of(0.5)).score
     assert lookahead_resolve(0, 0, score, chain_of(0.5), depth=0, scores=scores)
 
@@ -126,7 +142,7 @@ def test_lookahead_depth_zero_always_keeps():
 def test_select_candidate_tie_breaks_by_distance_then_index():
     trans = corpus("alpha beta", language="en")
     lines = ["alpha beta" if j in (4, 6, 9) else "gamma" for j in range(10)]
-    scores = PairScores(trans, corpus(*lines, language="en"))
+    scores = PairScores(trans.normalized, column(*lines))
     picked, decision = select_candidate(0, [9, 4], 5.0, chain_of(0.9), scores)
     assert picked == 4
     assert decision.score == 1.0
@@ -144,7 +160,7 @@ def two_tier_chain():
 def test_select_candidate_compares_raw_scores_across_tiers():
     # Target 0 passes token Dice with 2*2/6; target 1 shares no token but
     # passes the block ratio with 2*9/20, so it wins on the higher number.
-    scores = PairScores(corpus("the cat sat"), corpus("the cat ran", "thecatsat"))
+    scores = PairScores(column("the cat sat"), column("the cat ran", "thecatsat"))
     picked, decision = select_candidate(0, [0, 1], 0.0, two_tier_chain(), scores)
     assert picked == 1
     assert decision.comparator.kind == "matching_blocks_ratio"
@@ -155,7 +171,7 @@ def test_select_candidate_compares_raw_scores_across_tiers():
 def test_lookahead_contest_crosses_tiers():
     # Line 0 holds the target by token Dice, 2/3; line 1 shares no token
     # with it but beats that with a block ratio of 0.9.
-    scores = PairScores(corpus("the cat sat", "thecatran"), corpus("the cat ran"))
+    scores = PairScores(column("the cat sat", "thecatran"), column("the cat ran"))
     chain = two_tier_chain()
     held = scores.decide(0, 0, chain)
     contest = scores.decide(1, 0, chain)
@@ -165,7 +181,7 @@ def test_lookahead_contest_crosses_tiers():
 
 
 def test_select_candidate_empty_pool():
-    scores = PairScores(corpus("a", language="en"), corpus(language="en"))
+    scores = PairScores(column("a"), column())
     assert select_candidate(0, [], 0.0, chain_of(), scores) is None
 
 
@@ -275,7 +291,7 @@ def test_zero_line_loss_over_random_corpora():
         src = corpus(*lines, language="src")
         kept = [line for line in lines if rng.random() > 0.15]
         rng.shuffle(kept)
-        tgt = Corpus.from_lines(kept or ["placeholder"], "tgt")
+        tgt = Corpus("tgt", kept or ["placeholder"])
         cfg = config_of(
             threshold=1.0,
             window=rng.choice([0, 5, 20]),
@@ -307,7 +323,7 @@ def test_permutation_recovery_within_window():
         rng.shuffle(block)
         shuffled[start : start + 10] = block
     src = corpus(*lines, language="src")
-    tgt = Corpus.from_lines(shuffled, "tgt")
+    tgt = Corpus("tgt", shuffled)
     result = align(src, tgt, src, config_of(threshold=1.0, window=20))
     assert result.aligned_count == 100
     for decision, line in zip(result.decisions, lines):
@@ -320,7 +336,7 @@ def test_alignment_is_deterministic(tmp_path):
     shuffled = list(lines)
     rng.shuffle(shuffled)
     src = corpus(*lines, language="src")
-    tgt = Corpus.from_lines(shuffled[:35], "tgt")
+    tgt = Corpus("tgt", shuffled[:35])
 
     outputs = []
     for run in range(2):
@@ -380,9 +396,9 @@ def test_align_rejects_a_table_over_other_inputs():
     tgt = corpus("a b", language="tgt")
     config = config_of()
     with pytest.raises(ConfigError):
-        align(src, tgt, src, config, PairScores(src, corpus("a b"), config.context()))
+        align(src, tgt, src, config, PairScores(src.normalized, column("a b"), config.context()))
     with pytest.raises(ConfigError):
-        align(src, tgt, src, config, PairScores(src, tgt, ChainContext(cap=3)))
+        align(src, tgt, src, config, PairScores(src.normalized, tgt.normalized, ChainContext(cap=3)))
 
 
 def drift_corpora(seed):
@@ -411,9 +427,9 @@ def drift_corpora(seed):
             del tokens[rng.randrange(len(tokens))]
         trans_lines.append(" ".join(tokens) or "x")
     kept = [line for line in base if rng.random() > 0.1]
-    src = Corpus.from_lines([f"zrodlo {i}" for i in range(40)], "src")
-    trans = Corpus.from_lines(trans_lines, "y")
-    tgt = Corpus.from_lines(window_shuffled(kept, rng), "tgt")
+    src = Corpus("src", [f"zrodlo {i}" for i in range(40)])
+    trans = Corpus("y", trans_lines)
+    tgt = Corpus("tgt", window_shuffled(kept, rng))
     extras = dict(stopwords=StopWordList(frozenset(stop)), lexicon=SynonymLexicon(entries))
     return src, trans, tgt, extras
 
@@ -447,7 +463,7 @@ def test_warm_pair_table_gives_identical_reports(tmp_path):
                     )
 
                 target_config = config(three_tier_chain(0.99, 0.8, 0.85))
-                warm = PairScores(trans, tgt, target_config.context())
+                warm = PairScores(trans.normalized, tgt.normalized, target_config.context())
                 for other in (three_tier_chain(0.6, 0.95, 0.99), three_tier_chain(1.0, 0.7, 0.7)):
                     align(src, tgt, trans, config(other), warm)
                 reports = []
@@ -504,27 +520,26 @@ def test_ratio_tiers_equal_the_kernel_on_every_drift_pair():
         context = ChainContext(**extras)
         for kind in ("matching_blocks_ratio", "synonym_ratio"):
             exact = {}
-            for i, a in enumerate(trans):
-                texts = [a.normalized]
+            for i, a in enumerate(trans.normalized):
+                texts = [a]
                 if kind == "synonym_ratio":
                     variants = expand_sentence(tokenize(a), context.lexicon, context.cap)
                     texts += [" ".join(variant) for variant in variants]
-                for j, b in enumerate(tgt):
-                    exact[i, j] = max(sim.ratio(text, b.normalized) for text in texts)
-            scores = PairScores(trans, tgt, context)
+                for j, b in enumerate(tgt.normalized):
+                    exact[i, j] = max(sim.ratio(text, b) for text in texts)
+            scores = PairScores(trans.normalized, tgt.normalized, context)
             assert {key: scores.score(*key, kind) for key in exact} == exact
             for threshold in (0.3, 0.6, 0.85, 1.0):
                 comparator = Comparator(kind, threshold)
                 chain = ComparatorChain((comparator,))
-                scores = PairScores(trans, tgt, context)
-                for i, a in enumerate(trans):
+                scores = PairScores(trans.normalized, tgt.normalized, context)
+                for i, a in enumerate(trans.normalized):
                     pool = range(len(tgt))
                     found = [(j, exact[i, j], comparator) for j in pool if exact[i, j] >= threshold]
                     assert scores.accepted(i, pool, chain) == found, (seed, kind, threshold, i)
-                    n = len(a.normalized)
+                    n = len(a)
                     length_cut += sum(
-                        2 * min(n, len(b.normalized)) < threshold * (n + len(b.normalized))
-                        for b in tgt
+                        2 * min(n, len(b)) < threshold * (n + len(b)) for b in tgt.normalized
                     )
     assert length_cut > 100
 

@@ -109,6 +109,18 @@ def test_translate_unwritable_cache_exits_one(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {cache}") and "Traceback" not in err
 
 
+def test_translate_unreadable_cache_exits_one(tmp_path, capsys):
+    source = write(tmp_path, "src.txt", ["jeden"])
+    pre = write(tmp_path, "pre.txt", ["one"])
+    pair_file = tmp_path / "cache" / "src-tgt.tsv"
+    pair_file.mkdir(parents=True)  # a directory where the pair's file goes
+    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+            "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {pair_file}") and "Traceback" not in err
+
+
 def align_argv(tmp_path, source, target, trans, subdir="run", extra=()):
     out = tmp_path / subdir
     out.mkdir(exist_ok=True)
@@ -418,6 +430,10 @@ def test_config_invalid_json_exit_one(tmp_path, capsys):
     assert main(argv) == 1
     config.write_text("[]", encoding="utf-8")
     assert main(argv) == 1
+    config.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def cli_argv(command, path, tmp_path):
@@ -471,6 +487,9 @@ def http_config(**settings):
         ("translate", http_config(endpoint=5)),
         ("translate", http_config(response_path=5)),
         ("translate", {"provider": {"type": "http", "endpoint": "http://127.0.0.1:9/{text}"}}),
+        ("translate", http_config(endpoint="http://127.0.0.1:9/{txt}")),
+        ("translate", http_config(endpoint="http://127.0.0.1:9/{0}")),
+        ("translate", http_config(endpoint="http://127.0.0.1:9/{text")),
     ],
 )
 def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):
@@ -505,11 +524,12 @@ def jsonl(*objects):
         (jsonl({**RECORD, "source_index": 1}, TRAILER), b"x\nx\n"),
         (jsonl(RECORD, {**TRAILER, "A": 1, "T": 0}), b"x\n"),
         (jsonl(RECORD, {**TRAILER, "D": 1}), b"x\n"),
+        (b"[" * 200_000 + b"]" * 200_000 + b"\n", b"x\n"),
     ],
     ids=["no-source-index", "string-source-index", "report-not-utf8", "gold-not-utf8",
          "number-text", "number-unmatched-targets", "more-records-than-L",
          "fewer-records-than-L", "duplicate-source-index", "source-index-out-of-range",
-         "counts-disagree", "fill-count-disagrees"],
+         "counts-disagree", "fill-count-disagrees", "deeply-nested-json"],
 )
 def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     (tmp_path / "r.jsonl").write_bytes(report)

@@ -402,8 +402,8 @@ def test_cer_fixtures():
 
 def test_evaluate_corpus_identity():
     lines = ["the cat sat on the mat", "it sat there again today", "done"]
-    hyp = Corpus.from_lines(lines, "hyp")
-    report = evaluate_corpus(hyp, Corpus.from_lines(lines, "ref"))
+    hyp = Corpus("hyp", lines)
+    report = evaluate_corpus(hyp, Corpus("ref", lines))
     assert report["bleu"] == 1.0
     assert report["ter"] == 0.0
     assert report["cer"] == 0.0
@@ -415,15 +415,15 @@ def test_evaluate_corpus_without_any_4grams_scores_zero():
     # counts as zero precision, like the unsmoothed reference scorers
     lines = ["the cat sat", "again"]
     report = evaluate_corpus(
-        Corpus.from_lines(lines, "hyp"), Corpus.from_lines(lines, "ref")
+        Corpus("hyp", lines), Corpus("ref", lines)
     )
     assert report["bleu"] == 0.0
     assert report["per_order_precisions"][3] == 0.0
 
 
 def test_evaluate_corpus_bigram_fixture():
-    hyp = Corpus.from_lines(["a b c d"], "hyp")
-    ref = Corpus.from_lines(["a b c d e"], "ref")
+    hyp = Corpus("hyp", ["a b c d"])
+    ref = Corpus("ref", ["a b c d e"])
     report = evaluate_corpus(hyp, ref, max_order=2)
     assert report["bleu"] == pytest.approx(math.exp(-0.25), abs=1e-12)
     assert (report["c"], report["r"]) == (4, 5)
@@ -433,31 +433,31 @@ def test_evaluate_corpus_bigram_fixture():
 def test_evaluate_corpus_line_count_mismatch():
     with pytest.raises(DataError):
         evaluate_corpus(
-            Corpus.from_lines(["a"], "hyp"), Corpus.from_lines(["a", "b"], "ref")
+            Corpus("hyp", ["a"]), Corpus("ref", ["a", "b"])
         )
 
 
 @pytest.mark.parametrize("hyp_line", ["a b c d e f", "a b c"])
 def test_evaluate_corpus_rejects_unknown_bp_form(hyp_line):
     # a longer hypothesis never reaches the penalty, a shorter one does
-    hyp = Corpus.from_lines([hyp_line], "hyp")
-    ref = Corpus.from_lines(["a b c d e"], "ref")
+    hyp = Corpus("hyp", [hyp_line])
+    ref = Corpus("ref", ["a b c d e"])
     with pytest.raises(ConfigError):
         evaluate_corpus(hyp, ref, bp_form="bogus")
 
 
 @pytest.mark.parametrize("max_order", [0, -2, 2.5, True, "4"])
 def test_evaluate_corpus_rejects_bad_max_order(max_order):
-    hyp = Corpus.from_lines(["a b c"], "hyp")
+    hyp = Corpus("hyp", ["a b c"])
     with pytest.raises(ConfigError):
-        evaluate_corpus(hyp, Corpus.from_lines(["a b c"], "ref"), max_order=max_order)
+        evaluate_corpus(hyp, Corpus("ref", ["a b c"]), max_order=max_order)
 
 
 def test_evaluate_corpus_paper_bp_flag():
     # both n-gram precisions are 1 here, so BLEU equals the brevity
     # penalty alone: e^(1 - 5/4) standard vs e^((1-5)/4) literal form
-    hyp = Corpus.from_lines(["a b c d"], "hyp")
-    ref = Corpus.from_lines(["a b c d e"], "ref")
+    hyp = Corpus("hyp", ["a b c d"])
+    ref = Corpus("ref", ["a b c d e"])
     report = evaluate_corpus(hyp, ref, max_order=2, bp_form=BP_PAPER)
     assert report["bleu"] == pytest.approx(math.exp(-1.0), abs=1e-12)
     standard = evaluate_corpus(hyp, ref, max_order=2)

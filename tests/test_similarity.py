@@ -5,7 +5,7 @@ import pytest
 import transalign.similarity as sim
 from oracles import brute_matching_blocks, brute_ratio, dice_overlap_oracle, lcs_oracle
 from transalign.align import select_candidate
-from transalign.corpus import Sentence, tokenize
+from transalign.corpus import Corpus, normalize, tokenize
 from transalign.errors import ConfigError
 from transalign.lexicon import EMPTY_LEXICON, StopWordList, SynonymLexicon, expand_sentence
 from transalign.similarity import (
@@ -158,30 +158,30 @@ GAME = SynonymLexicon({"game": ("play", "sport", "fun", "gaming", "action", "ski
 
 
 def test_synonym_ratio_will_would_reaches_one():
-    a = Sentence(0, "i would call you tomorrow")
-    b = Sentence(0, "i will call you tomorrow")
+    a = "i would call you tomorrow"
+    b = "i will call you tomorrow"
     assert synonym_ratio(a, b, WILL_WOULD) == 1.0
 
 
 def test_synonym_ratio_game_sport_reaches_one():
-    a = Sentence(0, "i do not like game")
-    b = Sentence(0, "i do not like sport")
+    a = "i do not like game"
+    b = "i do not like sport"
     assert synonym_ratio(a, b, GAME) == 1.0
 
 
 def test_synonym_ratio_empty_lexicon_is_plain_ratio():
-    a = Sentence(0, "i go there")
-    b = Sentence(0, "i went there")
-    assert synonym_ratio(a, b, EMPTY_LEXICON) == ratio(a.normalized, b.normalized)
+    a = "i go there"
+    b = "i went there"
+    assert synonym_ratio(a, b, EMPTY_LEXICON) == ratio(normalize(a), normalize(b))
 
 
 def test_synonym_ratio_never_below_plain_ratio():
     rng = random.Random(53)
     vocab = ["i", "will", "would", "go", "game", "play", "school"]
     for _ in range(200):
-        a = Sentence(0, " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 7))))
-        b = Sentence(0, " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 7))))
-        assert synonym_ratio(a, b, WILL_WOULD) >= ratio(a.normalized, b.normalized)
+        a = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 7)))
+        b = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 7)))
+        assert synonym_ratio(a, b, WILL_WOULD) >= ratio(normalize(a), normalize(b))
 
 
 def test_comparator_validation():
@@ -221,8 +221,8 @@ def test_evaluate_chain_accepts_identity_at_first_tier():
     chain = ComparatorChain(
         (Comparator("token_overlap", 0.9), Comparator("matching_blocks_ratio", 0.9))
     )
-    a = Sentence(0, "we are here")
-    decision = evaluate_chain(a, Sentence(0, "we are here"), chain, ChainContext())
+    a = "we are here"
+    decision = evaluate_chain(a, "we are here", chain, ChainContext())
     assert decision.accepted
     assert decision.score == 1.0
     assert decision.comparator.kind == "token_overlap"
@@ -232,9 +232,9 @@ def test_evaluate_chain_escalates_to_synonym_tier():
     chain = ComparatorChain(
         (Comparator("matching_blocks_ratio", 0.99), Comparator("synonym_ratio", 0.9))
     )
-    a = Sentence(0, "i would call you tomorrow")
-    b = Sentence(0, "i will call you tomorrow")
-    assert ratio(a.normalized, b.normalized) < 0.99
+    a = "i would call you tomorrow"
+    b = "i will call you tomorrow"
+    assert ratio(normalize(a), normalize(b)) < 0.99
     decision = evaluate_chain(a, b, chain, ChainContext(lexicon=WILL_WOULD))
     assert decision.accepted
     assert decision.comparator.kind == "synonym_ratio"
@@ -245,8 +245,8 @@ def test_evaluate_chain_rejection_reports_best_score():
     chain = ComparatorChain(
         (Comparator("token_overlap", 1.0), Comparator("matching_blocks_ratio", 1.0))
     )
-    a = Sentence(0, "aaa bbb")
-    b = Sentence(0, "aaa ccc")
+    a = "aaa bbb"
+    b = "aaa ccc"
     decision = evaluate_chain(a, b, chain, ChainContext())
     assert not decision.accepted
     expected = max(
@@ -261,7 +261,7 @@ def test_evaluate_chain_disjoint_rejects_at_zero():
         (Comparator("token_overlap", 0.1), Comparator("matching_blocks_ratio", 0.1))
     )
     decision = evaluate_chain(
-        Sentence(0, "aaa"), Sentence(0, "zzz"), chain, ChainContext()
+        "aaa", "zzz", chain, ChainContext()
     )
     assert not decision.accepted
     assert decision.score == 0.0
@@ -287,7 +287,7 @@ def test_evaluate_chain_stops_at_first_acceptance(monkeypatch):
         (Comparator("token_overlap", 0.5), Comparator("matching_blocks_ratio", 0.5))
     )
     decision = evaluate_chain(
-        Sentence(0, "same text"), Sentence(0, "same text"), chain, ChainContext()
+        "same text", "same text", chain, ChainContext()
     )
     assert decision.accepted
     assert calls == ["token_overlap"]
@@ -300,8 +300,8 @@ def test_chain_decision_accept_implies_threshold():
         (Comparator("token_overlap", 0.6), Comparator("matching_blocks_ratio", 0.7))
     )
     for _ in range(200):
-        a = Sentence(0, " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 6))))
-        b = Sentence(0, " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 6))))
+        a = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 6)))
+        b = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 6)))
         decision = evaluate_chain(a, b, chain, ChainContext())
         if decision.accepted:
             assert decision.score >= decision.comparator.threshold
@@ -350,7 +350,7 @@ CHAIN_THRESHOLDS = (0.0, 0.3, 0.5, 0.7, 0.85, 0.9, 1.0)
 
 def random_chain_case(rng):
     a, b = (
-        Sentence(0, " ".join(rng.choice(CHAIN_VOCAB) for _ in range(rng.randrange(0, 5))))
+        " ".join(rng.choice(CHAIN_VOCAB) for _ in range(rng.randrange(0, 5)))
         for _ in range(2)
     )
     kinds = rng.sample(CHAIN_KINDS, rng.randint(1, 3))
@@ -360,14 +360,15 @@ def random_chain_case(rng):
 
 def unpruned_decision(a, b, chain, context):
     """The chain run on every tier's exact score, from the oracles."""
-    plain = float(brute_ratio(a.normalized, b.normalized))
+    a, b = normalize(a), normalize(b)
+    plain = float(brute_ratio(a, b))
     variants = [" ".join(v) for v in expand_sentence(tokenize(a), context.lexicon, context.cap)]
     scores = {
         "token_overlap": float(
             dice_overlap_oracle(tokenize(a), tokenize(b), context.stopwords.words)
         ),
         "matching_blocks_ratio": plain,
-        "synonym_ratio": max([plain] + [float(brute_ratio(v, b.normalized)) for v in variants]),
+        "synonym_ratio": max([plain] + [float(brute_ratio(v, b)) for v in variants]),
     }
     best = None
     for comparator in chain:
@@ -386,7 +387,7 @@ def test_decide_is_the_accepted_part_of_evaluate_chain():
         a, b, chain = random_chain_case(rng)
         fresh = evaluate_chain(a, b, chain, CHAIN_CONTEXT)
         assert fresh == unpruned_decision(a, b, chain, CHAIN_CONTEXT), (a, b, chain)
-        decision = PairScores((a,), (b,), CHAIN_CONTEXT).decide(0, 0, chain)
+        decision = PairScores((normalize(a),), (normalize(b),), CHAIN_CONTEXT).decide(0, 0, chain)
         if fresh.accepted:
             assert decision == fresh, (a, b, chain)
             accepted += 1
@@ -401,8 +402,8 @@ def test_one_table_decides_like_fresh_tables_at_any_threshold():
     # changes what a chain with other thresholds decides.
     rng = random.Random(79)
     cases = [random_chain_case(rng) for _ in range(30)]
-    trans = [Sentence(k, a.raw) for k, (a, _, _) in enumerate(cases)]
-    target = [Sentence(k, b.raw) for k, (_, b, _) in enumerate(cases)]
+    trans = [normalize(a) for a, _, _ in cases]
+    target = [normalize(b) for _, b, _ in cases]
     shared = PairScores(trans, target, CHAIN_CONTEXT)
     for _ in range(4):
         for i in range(len(trans)):
@@ -424,8 +425,8 @@ def test_table_expands_each_translation_line_once(monkeypatch):
         return real_expand(tokens, lexicon, cap)
 
     monkeypatch.setattr(sim, "expand_sentence", counting_expand)
-    trans = [Sentence(i, text) for i, text in enumerate(["ab b", "ba", "ab ab", "a"])]
-    target = [Sentence(j, text) for j, text in enumerate(["ba bb", "abb b", "b", ""])]
+    trans = ["ab b", "ba", "ab ab", "a"]
+    target = ["ba bb", "abb b", "b", ""]
     scores = PairScores(trans, target, CHAIN_CONTEXT)
     chain = ComparatorChain((Comparator("synonym_ratio", 0.99),))
     for threshold in (1.0, 0.9, 0.5, 0.0):
@@ -435,7 +436,7 @@ def test_table_expands_each_translation_line_once(monkeypatch):
                 scores.decide(i, j, low)
                 scores.decide(i, j, chain)
                 scores.score(i, j, "synonym_ratio")
-    assert sorted(calls) == sorted(tokenize(sentence) for sentence in trans)
+    assert sorted(calls) == sorted(tokenize(text) for text in trans)
 
 
 def test_variant_scores_equal_the_oracle_on_punctuated_lines():
@@ -456,16 +457,16 @@ def test_variant_scores_equal_the_oracle_on_punctuated_lines():
         return rng.choice(["", "¿", "\""]) + text + rng.choice(["", ".", "?!"])
 
     context = ChainContext(lexicon=CHAIN_CONTEXT.lexicon)
-    trans = [Sentence(k, punctuated_line()) for k in range(30)]
-    target = [Sentence(k, punctuated_line()) for k in range(30)]
-    assert sum(" ".join(tokenize(a)) != a.normalized for a in trans) > 15
+    trans = [normalize(punctuated_line()) for _ in range(30)]
+    target = [normalize(punctuated_line()) for _ in range(30)]
+    assert sum(" ".join(tokenize(a)) != a for a in trans) > 15
     exact = {}
     for i, a in enumerate(trans):
-        texts = [a.normalized] + [
+        texts = [a] + [
             " ".join(v) for v in expand_sentence(tokenize(a), context.lexicon, context.cap)
         ]
         for j, b in enumerate(target):
-            exact[i, j] = max(float(brute_ratio(text, b.normalized)) for text in texts)
+            exact[i, j] = max(float(brute_ratio(text, b)) for text in texts)
     scores = PairScores(trans, target, context)
     assert {key: scores.score(*key, "synonym_ratio") for key in exact} == exact
     kept = 0
@@ -489,8 +490,8 @@ def test_table_token_overlap_equals_oracle_under_heavy_repeats():
     vocab = ["x", "y", "z", "the"]
     stopwords = StopWordList(frozenset({"the"}))
     lines = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 9))) for _ in range(80)]
-    trans = [Sentence(k, line) for k, line in enumerate(lines[:40])]
-    target = [Sentence(k, line) for k, line in enumerate(lines[40:])]
+    trans = [normalize(line) for line in lines[:40]]
+    target = [normalize(line) for line in lines[40:]]
     scores = PairScores(trans, target, ChainContext(stopwords=stopwords))
     for i, a in enumerate(trans):
         for j, b in enumerate(target):
@@ -508,14 +509,14 @@ def test_pool_call_accepts_what_decide_and_evaluate_chain_accept():
     hits = picks = 0
     for context in (CHAIN_CONTEXT, no_lexicon):
         for _ in range(40):
-            trans = [Sentence(k, random_line(rng)) for k in range(5)]
-            target = [Sentence(k, random_line(rng)) for k in range(8)]
-            scores = PairScores(trans, target, context)
+            trans = Corpus("y", [random_line(rng) for _ in range(5)])
+            target = Corpus("tgt", [random_line(rng) for _ in range(8)])
+            scores = PairScores(trans.normalized, target.normalized, context)
             for i in range(len(trans)):
                 chain = random_chain_case(rng)[2]
                 pool = rng.sample(range(len(target)), rng.randint(0, len(target)))
                 accepted = scores.accepted(i, pool, chain)
-                fresh = PairScores(trans, target, context)
+                fresh = PairScores(trans.normalized, target.normalized, context)
                 decided = {j: fresh.decide(i, j, chain) for j in pool}
                 assert len({j for j, _, _ in accepted}) == len(accepted)
                 assert {j: ChainDecision(True, s, c) for j, s, c in accepted} == {

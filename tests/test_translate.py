@@ -31,7 +31,7 @@ from transalign.translate import (
 
 
 def corpus(*lines, language="pl"):
-    return Corpus.from_lines(lines, language)
+    return Corpus(language, lines)
 
 
 class CountingProvider(TranslationProvider):
@@ -67,8 +67,7 @@ def test_file_provider_pass_through(tmp_path):
     path = tmp_path / "pre.txt"
     path.write_text("one\ntwo\nthree\n", encoding="utf-8")
     out = translate_corpus(corpus("a", "b", "c"), FileProvider(path))
-    assert [s.raw for s in out] == ["one", "two", "three"]
-    assert [s.index for s in out] == [0, 1, 2]
+    assert list(out) == ["one", "two", "three"]
     assert out.language == "tgt"
 
 
@@ -76,7 +75,7 @@ def test_file_provider_uses_the_corpus_line_rules(tmp_path):
     path = tmp_path / "pre.txt"
     path.write_text("one\x0ctwo\nthree\n", encoding="utf-8")
     out = translate_corpus(corpus("a", "b"), FileProvider(path))
-    assert [s.raw for s in out] == ["one\x0ctwo", "three"]
+    assert list(out) == ["one\x0ctwo", "three"]
 
 
 def test_file_provider_length_mismatch_names_both_counts(tmp_path):
@@ -92,7 +91,7 @@ def test_repeated_line_translated_once():
     provider = CountingProvider()
     out = translate_corpus(corpus("same", "same", "other"), provider)
     assert provider.calls == 2
-    assert [s.raw for s in out] == ["SAME", "SAME", "OTHER"]
+    assert list(out) == ["SAME", "SAME", "OTHER"]
 
 
 def test_preloaded_cache_means_zero_provider_calls(tmp_path):
@@ -107,7 +106,7 @@ def test_preloaded_cache_means_zero_provider_calls(tmp_path):
     out = translate_corpus(corpus("a", "b"), provider, cache=fresh, stats_out=stats)
     assert provider.calls == 0
     assert stats == {"lines": 2, "provider_calls": 0, "cache_hits": 2}
-    assert [s.raw for s in out] == ["A", "B"]
+    assert list(out) == ["A", "B"]
 
 
 def test_translate_fills_cache_for_rerun(tmp_path):
@@ -136,7 +135,7 @@ def test_failed_run_caches_the_lines_that_translated(tmp_path):
     # "c" never translated, so the one provider call is the failed line's
     assert rerun.calls == 1
     assert stats == {"lines": 4, "provider_calls": 1, "cache_hits": 3}
-    assert [s.raw for s in out] == ["A", "B", "C", "D"]
+    assert list(out) == ["A", "B", "C", "D"]
 
 
 def test_cache_file_not_utf8_is_data_error(tmp_path):
@@ -202,7 +201,7 @@ def test_cache_keys_by_language_pair(tmp_path):
 def test_concurrency_bound_respected():
     provider = CountingProvider(max_concurrency=3, delay=0.005)
     lines = [f"line {i}" for i in range(30)]
-    out = translate_corpus(Corpus.from_lines(lines, "pl"), provider)
+    out = translate_corpus(Corpus("pl", lines), provider)
     assert provider.peak <= 3
     assert len(out) == 30
 
@@ -367,7 +366,7 @@ def test_http_line_breaks_become_spaces(mock_server):
     # in a corpus file, so it stays.
     provider = HttpProvider(endpoint=endpoint(mock_server, "/breaks"))
     out = translate_corpus(corpus("x"), provider)
-    assert [s.raw for s in out] == ["cr crlf lf sep\u2028x"]
+    assert list(out) == ["cr crlf lf sep\u2028x"]
 
 
 def test_http_timeout_failure_carries_line_index(mock_server):
@@ -383,8 +382,8 @@ def test_http_timeout_failure_carries_line_index(mock_server):
 def test_http_corpus_respects_server_side_concurrency(mock_server):
     provider = HttpProvider(endpoint=endpoint(mock_server, "/echo"), max_concurrency=2)
     lines = [f"row {i}" for i in range(12)]
-    out = translate_corpus(Corpus.from_lines(lines, "pl"), provider, target_language="en")
-    assert [s.raw for s in out] == ["echo:" + line for line in lines]
+    out = translate_corpus(Corpus("pl", lines), provider, target_language="en")
+    assert list(out) == ["echo:" + line for line in lines]
     assert mock_server.state["peak"] <= 2
 
 

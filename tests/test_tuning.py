@@ -19,7 +19,7 @@ from transalign.tuning import TuningJob, tune_chain, tune_threshold
 
 
 def corpus(lines, language="x"):
-    return Corpus.from_lines(lines, language)
+    return Corpus(language, lines)
 
 
 def chain_of(threshold=0.7, kind="matching_blocks_ratio"):
@@ -301,8 +301,8 @@ def test_table_shared_down_descending_thresholds_matches_fresh_tables(monkeypatc
     job = drift_job(chain)
     # Map each cut-off word back to its gold word, plus some decoy synonyms.
     entries = {}
-    for line, gold in zip(job.trans.sentences, job.gold):
-        for word, gold_word in zip(line.normalized.split(), gold.split()):
+    for line, gold in zip(job.trans.normalized, job.gold):
+        for word, gold_word in zip(line.split(), gold.split()):
             if word != gold_word:
                 entries[word] = (gold_word,)
     words = sorted({token for line in job.gold for token in line.split()})
