@@ -23,7 +23,9 @@ from .similarity import (
     ChainDecision,
     ComparatorChain,
     PairScores,
-    evaluate_chain,  # not called here: perfbench/tracer.py wraps align.evaluate_chain
+    # Not called here (the loop scores through PairScores.decide): bound
+    # only so that perfbench/tracer.py finds align.evaluate_chain to wrap.
+    evaluate_chain,
 )
 
 ALIGNED = "aligned"

@@ -13,24 +13,31 @@ import logging
 import sys
 from pathlib import Path
 
-from .align import AlignmentConfig, align, write_alignment, read_report
 from .corpus import load_corpus, save_corpus
 from .errors import ConfigError, DataError, ProviderError
-from .lexicon import (
-    EMPTY_LEXICON,
-    EMPTY_STOPWORDS,
-    load_stopwords,
-    load_synonyms,
-)
 from .metrics import BP_PAPER, BP_STANDARD, evaluate_against_gold, evaluate_corpus
-from .similarity import Comparator, ComparatorChain
-from .translate import (
-    FileProvider,
-    HttpProvider,
-    TranslationCache,
-    translate_corpus,
-)
-from .tuning import TuningJob, tune_chain
+
+# These names are read from the package, which imports their submodule on
+# first use (PEP 562): each command loads only the modules it runs.
+# Commands read them through ``_lazy``, this module itself, at call time,
+# so a wrapper set on this module (perfbench/tracer.py sets ``align``,
+# ``write_alignment`` and ``tune_chain``) is the one that runs.
+_LAZY = {
+    "AlignmentConfig", "align", "read_report", "write_alignment",
+    "EMPTY_LEXICON", "EMPTY_STOPWORDS", "load_stopwords", "load_synonyms",
+    "Comparator", "ComparatorChain",
+    "FileProvider", "HttpProvider", "TranslationCache", "translate_corpus",
+    "TuningJob", "tune_chain",
+}
+_lazy = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,10 +69,10 @@ def parse_chain_spec(spec: str) -> ComparatorChain:
             threshold = float(raw_threshold)
         except ValueError:
             raise ConfigError(f"bad threshold in chain entry {part!r}") from None
-        comparators.append(Comparator(kind.strip(), threshold))
+        comparators.append(_lazy.Comparator(kind.strip(), threshold))
     if not comparators:
         raise ConfigError(f"chain spec {spec!r} has no comparators")
-    return ComparatorChain(tuple(comparators))
+    return _lazy.ComparatorChain(tuple(comparators))
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -124,35 +131,33 @@ class Settings:
             comparators = []
             for entry in spec:
                 try:
-                    comparators.append(
-                        Comparator(entry["kind"], float(entry["threshold"]))
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
+                    comparators.append(_lazy.Comparator(entry["kind"], entry["threshold"]))
+                except (KeyError, TypeError) as exc:
                     raise ConfigError(f"bad chain entry in config: {entry!r}") from exc
             if not comparators:
                 raise ConfigError("config chain is empty")
-            return ComparatorChain(tuple(comparators))
+            return _lazy.ComparatorChain(tuple(comparators))
         raise ConfigError("config chain must be a string spec or a list of objects")
 
     def stopwords(self):
         path = self.get("stopwords")
         if not path:
-            return EMPTY_STOPWORDS
+            return _lazy.EMPTY_STOPWORDS
         _require_file(path, "stop-word file")
-        return load_stopwords(path)
+        return _lazy.load_stopwords(path)
 
     def lexicon(self):
         path = self.get("synonyms")
         if not path:
-            return EMPTY_LEXICON
+            return _lazy.EMPTY_LEXICON
         _require_file(path, "synonym file")
-        return load_synonyms(path)
+        return _lazy.load_synonyms(path)
 
     def cache(self) -> TranslationCache | None:
         directory = self.get("cache", "cache_dir")
         if directory is not None and not isinstance(directory, str):
             raise ConfigError(f"cache_dir must be a path string, got {directory!r}")
-        return TranslationCache(directory) if directory else None
+        return _lazy.TranslationCache(directory) if directory else None
 
     def provider(self):
         kind = self.get("provider")
@@ -166,12 +171,12 @@ class Settings:
             if not path:
                 raise ConfigError("file provider needs a path (--provider-path)")
             _require_file(path, "translation file")
-            return FileProvider(path)
+            return _lazy.FileProvider(path)
         if kind == "http":
             endpoint = self.get("endpoint", default=settings.get("endpoint"))
             optional = ("response_path", "max_concurrency", "timeout", "retries", "backoff")
             given = {key: settings[key] for key in optional if key in settings}
-            return HttpProvider(endpoint=endpoint, **given)
+            return _lazy.HttpProvider(endpoint=endpoint, **given)
         raise ConfigError(f"unknown provider type {kind!r} (expected file or http)")
 
     def alignment_config(self) -> AlignmentConfig:
@@ -180,7 +185,7 @@ class Settings:
             for flag, field in (("window", "window"), ("lookahead", "lookahead_depth"), ("cap", "cap"))
             if getattr(self.args, flag, None) is not None or field in self.config
         }
-        return AlignmentConfig(
+        return _lazy.AlignmentConfig(
             chain=self.chain(), stopwords=self.stopwords(), lexicon=self.lexicon(), **given
         )
 
@@ -213,7 +218,7 @@ def cmd_translate(args) -> int:
     provider = settings.provider()
     corpus = load_corpus(args.source, settings.source_language())
     stats: dict = {}
-    translated = translate_corpus(
+    translated = _lazy.translate_corpus(
         corpus,
         provider,
         cache=settings.cache(),
@@ -239,15 +244,15 @@ def cmd_align(args) -> int:
         _require_file(trans_path, "translation file")
         trans = load_corpus(trans_path, settings.target_language())
     else:
-        trans = translate_corpus(
+        trans = _lazy.translate_corpus(
             source,
             settings.provider(),
             cache=settings.cache(),
             target_language=settings.target_language(),
         )
 
-    result = align(source, target, trans, config)
-    _write_output(write_alignment, result, args.out_source, args.out_target, args.report)
+    result = _lazy.align(source, target, trans, config)
+    _write_output(_lazy.write_alignment, result, args.out_source, args.out_target, args.report)
     _print_json(
         {
             "A": result.aligned_count,
@@ -262,7 +267,7 @@ def cmd_align(args) -> int:
 
 def cmd_score(args) -> int:
     _require_file(args.report, "report file")
-    result = read_report(args.report)
+    result = _lazy.read_report(args.report)
     _require_file(args.gold, "gold file")
     gold = load_corpus(args.gold, "gold").lines
     card = evaluate_against_gold(result, gold)
@@ -310,7 +315,7 @@ def cmd_tune(args) -> int:
                 raise ConfigError(f"bad bounds entry {part!r}, expected lo:hi") from None
         bounds = tuple(parsed)
 
-    job = TuningJob(
+    job = _lazy.TuningJob(
         source=source,
         target=target,
         trans=trans,
@@ -319,7 +324,7 @@ def cmd_tune(args) -> int:
         bounds=bounds,
         resolution=args.resolution,
     )
-    report = tune_chain(job)
+    report = _lazy.tune_chain(job)
     payload = report.as_json_dict()
     payload["config_fragment"] = report.config_fragment()
     if args.out:

@@ -14,12 +14,13 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .align import ALIGNED, FILLED, TRANSLATED, AlignmentResult
 from .corpus import normalize, tokenize
 from .errors import ConfigError, DataError, GoldMismatchError
-from .similarity import position_masks
+
+if TYPE_CHECKING:
+    from .align import AlignmentResult
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +88,8 @@ def evaluate_against_gold(
     count toward the partial-credit class, disproportion fills toward the
     full-credit fill class.
     """
+    from .align import ALIGNED, FILLED, TRANSLATED  # not at the top: evaluate never loads align
+
     def gold_text(index: int) -> str:
         try:
             return gold[index]
@@ -150,15 +153,22 @@ def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
 def bleu_stats(
     hyp_tokens: Sequence[str], ref_tokens: Sequence[str], max_order: int = 4
 ) -> NgramStats:
-    """Clipped n-gram matches and totals for one hypothesis/reference pair."""
+    """Clipped n-gram matches and totals for one hypothesis/reference pair.
+
+    A hypothesis of n tokens has no n-gram above order n, so those orders
+    are zeros without counting.
+    """
     matches = []
     totals = []
-    for order in range(1, max_order + 1):
+    for order in range(1, min(max_order, len(hyp_tokens)) + 1):
         hyp_counts = _ngram_counts(hyp_tokens, order)
         ref_counts = _ngram_counts(ref_tokens, order)
         totals.append(sum(hyp_counts.values()))
         matches.append(sum((hyp_counts & ref_counts).values()))
-    return NgramStats(tuple(matches), tuple(totals), len(hyp_tokens), len(ref_tokens))
+    padding = (0,) * (max_order - len(matches))
+    return NgramStats(
+        tuple(matches) + padding, tuple(totals) + padding, len(hyp_tokens), len(ref_tokens)
+    )
 
 
 def brevity_penalty(hyp_len: int, ref_len: int, form: str = BP_STANDARD) -> float:
@@ -222,6 +232,16 @@ def precisions(stats: NgramStats) -> list[float]:
         matched / total if total else 0.0
         for matched, total in zip(stats.matches, stats.totals)
     ]
+
+
+def position_masks(b: Sequence) -> dict:
+    """Map each item of ``b`` to the bitmask of the positions it occupies."""
+    masks: dict = {}
+    bit = 1
+    for item in b:
+        masks[item] = masks.get(item, 0) | bit
+        bit <<= 1
+    return masks
 
 
 def edit_distance(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
@@ -355,7 +375,10 @@ def evaluate_corpus(
     if len(hyp_corpus) == 0:
         raise DataError("cannot evaluate empty corpora")
 
-    stats = NgramStats.zero(max_order)
+    # No line has more tokens than characters: orders above the longest
+    # line are zeros in every sentence and are padded once, at the end.
+    orders = min(max_order, max(map(len, hyp_corpus.normalized)))
+    stats = NgramStats.zero(orders)
     ter_edit_total = 0
     ref_token_total = 0
     cer_edit_total = 0
@@ -363,13 +386,15 @@ def evaluate_corpus(
     for hyp, ref in zip(hyp_corpus.normalized, ref_corpus.normalized):
         hyp_tokens = tokenize(hyp)
         ref_tokens = tokenize(ref)
-        stats = stats + bleu_stats(hyp_tokens, ref_tokens, max_order)
+        stats = stats + bleu_stats(hyp_tokens, ref_tokens, orders)
         ter_edit_total += ter_edits(hyp_tokens, ref_tokens, max_shift_size)
         ref_token_total += len(ref_tokens)
         cer_edit_total += edit_distance(hyp, ref)
         ref_char_total += len(ref)
     if ref_token_total == 0 or ref_char_total == 0:
         raise DataError("reference corpus is empty after normalization")
+    padding = (0,) * (max_order - orders)
+    stats = NgramStats(stats.matches + padding, stats.totals + padding, stats.hyp_len, stats.ref_len)
     return {
         "bleu": bleu(stats, weights, bp_form),
         "ter": ter_edit_total / ref_token_total,

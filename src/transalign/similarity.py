@@ -31,6 +31,7 @@ from .lexicon import (
     SynonymLexicon,
     expand_sentence,
 )
+from .metrics import position_masks
 
 MATCHING_BLOCKS_RATIO = "matching_blocks_ratio"
 TOKEN_OVERLAP = "token_overlap"
@@ -142,16 +143,6 @@ def ratio_bound(a: str, b: str) -> float:
     return 2.0 * common_chars(Counter(a), Counter(b)) / total
 
 
-def position_masks(b: Sequence) -> dict:
-    """Map each item of ``b`` to the bitmask of the positions it occupies."""
-    masks: dict = {}
-    bit = 1
-    for item in b:
-        masks[item] = masks.get(item, 0) | bit
-        bit <<= 1
-    return masks
-
-
 def lcs_length(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
     """Length of the longest common subsequence of ``a`` and ``b``.
 
@@ -198,10 +189,12 @@ class Comparator:
     def __post_init__(self):
         if self.kind not in COMPARATOR_COSTS:
             raise ConfigError(f"unknown comparator kind: {self.kind!r}")
-        if not 0.0 <= self.threshold <= 1.0:
+        threshold = self.threshold
+        if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
             raise ConfigError(
-                f"comparator threshold must be in [0, 1], got {self.threshold}"
+                f"comparator threshold must be a number in [0, 1], got {threshold!r}"
             )
+        object.__setattr__(self, "threshold", float(threshold))
 
     @property
     def cost_class(self) -> int:

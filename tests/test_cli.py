@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,7 @@ def test_align_is_byte_deterministic(tmp_path, capsys):
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 ALIGNED_FIXTURE_SOURCE = "9b58d614b5759f96154d265ece77876600475416a42957eb194ef8402f992d2e"
+EVALUATE_FIXTURE_STDOUT = "693501336123d5c1f8f56231d5f68c6c61047cdde9e4f16680244e4a5cf4d6db"
 
 
 @pytest.mark.parametrize(
@@ -244,6 +246,37 @@ def test_fixture_align_bytes_are_pinned(tmp_path, capsys, extra, report_sha256, 
     digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("r.jsonl", "s.txt", "t.txt")]
     assert digests == [report_sha256, ALIGNED_FIXTURE_SOURCE, target_sha256]
+
+
+def perturbed(line, rng):
+    """An MT-like hypothesis for ``line``: a deleted word, substituted
+    words and a moved block of one to three words, each by chance."""
+    words = line.split()
+    if len(words) > 3 and rng.random() < 0.3:
+        del words[rng.randrange(len(words))]
+    for k in range(len(words)):
+        if rng.random() < 0.1:
+            words[k] = rng.choice(["the", "a", "report", "zzz"])
+    if len(words) > 4 and rng.random() < 0.4:
+        size = rng.randint(1, 3)
+        start = rng.randrange(len(words) - size + 1)
+        block, rest = words[start : start + size], words[:start] + words[start + size :]
+        dest = rng.randrange(len(rest) + 1)
+        words = rest[:dest] + block + rest[dest:]
+    return " ".join(words)
+
+
+def test_fixture_evaluate_bytes_are_pinned(tmp_path, capsys):
+    # BLEU, TER and CER of a seeded perturbation of the fixture against the
+    # fixture itself: a TER that takes a worse shift, or any change to a
+    # metric or to the report, shows up as a different digest.
+    reference = FIXTURES / "parallel_1005.tgt"
+    rng = random.Random(1005)
+    lines = reference.read_text(encoding="utf-8").splitlines()
+    hyp = write(tmp_path, "hyp.txt", [perturbed(line, rng) for line in lines])
+    assert main(["evaluate", "--hyp", hyp, "--ref", str(reference)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == EVALUATE_FIXTURE_STDOUT
 
 
 def test_align_rejects_bad_threshold_before_reading_files(tmp_path, capsys):
@@ -490,6 +523,9 @@ def http_config(**settings):
         ("translate", http_config(endpoint="http://127.0.0.1:9/{txt}")),
         ("translate", http_config(endpoint="http://127.0.0.1:9/{0}")),
         ("translate", http_config(endpoint="http://127.0.0.1:9/{text")),
+        ("align", {"chain": [{"kind": "token_overlap", "threshold": True}]}),
+        ("align", {"chain": [{"kind": "token_overlap", "threshold": False}]}),
+        ("align", {"chain": [{"kind": "token_overlap", "threshold": "0.5"}]}),
     ],
 )
 def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):
@@ -597,19 +633,37 @@ def test_tune_command_step_fixture(tmp_path, capsys, caplog):
     assert any("lines" in record.message for record in caplog.records)
 
 
-def test_benchmark_tracer_finds_every_hook(tmp_path):
-    # perfbench/tracer.py wraps functions by their module attribute and
-    # counts select_candidate's pool as its second positional argument: a
-    # renamed hook shows up in the trace's "missing" list, a moved pool as
-    # a failed run.
+def tracer_argv(command, tmp_path):
+    """A small valid argv for ``command`` and the span of the ``cli``
+    function the tracer wraps for it."""
     repo = Path(__file__).resolve().parents[1]
     trans = write(tmp_path, "trans.txt", LOOKAHEAD_TRANS)
     target = write(tmp_path, "tgt.txt", LOOKAHEAD_TARGET)
-    synonyms = str(repo / "tests" / "fixtures" / "synonyms_en.tsv")
-    argv, _ = align_argv(
-        tmp_path, trans, target, trans,
-        extra=["--chain", "synonym_ratio:0.6", "--synonyms", synonyms, "--window", "0"],
-    )
+    if command == "align":
+        synonyms = str(repo / "tests" / "fixtures" / "synonyms_en.tsv")
+        argv, _ = align_argv(
+            tmp_path, trans, target, trans,
+            extra=["--chain", "synonym_ratio:0.6", "--synonyms", synonyms, "--window", "0"],
+        )
+        return argv, "align.align"
+    if command == "tune":
+        gold = write(tmp_path, "gold.txt", LOOKAHEAD_TARGET[:2])
+        argv = ["tune", "--source", trans, "--target", target, "--trans", trans, "--gold", gold,
+                "--chain", "matching_blocks_ratio:0.9", "--window", "0"]
+        return argv, "tuning.tune_chain"
+    return ["evaluate", "--hyp", trans, "--ref", trans], "metrics.evaluate_corpus"
+
+
+@pytest.mark.parametrize("command", ["align", "tune", "evaluate"])
+def test_benchmark_tracer_finds_every_hook(tmp_path, command):
+    # perfbench/tracer.py wraps functions by their module attribute, those
+    # of cli before the command runs, and counts select_candidate's pool
+    # as its second positional argument: a renamed hook shows up in the
+    # trace's "missing" list, a moved pool as a failed run, and a command
+    # that does not call its cli function through the module as a missing
+    # span.
+    repo = Path(__file__).resolve().parents[1]
+    argv, span = tracer_argv(command, tmp_path)
     trace_path = tmp_path / "trace.json"
     pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -620,12 +674,16 @@ def test_benchmark_tracer_finds_every_hook(tmp_path):
     trace = json.loads(trace_path.read_text(encoding="utf-8"))
     assert trace["exit_code"] == 0
     assert trace["missing"] == []
-    assert trace["counters"]["align.select_candidate.candidates"] > 0
+    assert span in [name for name, *_ in trace["spans"]]
+    if command == "align":
+        assert trace["counters"]["align.select_candidate.candidates"] > 0
 
 
 LOADED_ON_USE = (
     "urllib.request", "urllib.error", "http.client", "ssl", "email", "concurrent.futures",
     "tempfile", "difflib",
+    "transalign.align", "transalign.similarity", "transalign.lexicon", "transalign.tuning",
+    "transalign.translate",
 )
 
 
@@ -647,3 +705,62 @@ def test_cli_import_leaves_the_http_client_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def fresh_interpreter(code, *args):
+    """Run ``code`` under ``python -S`` with this checkout's package and
+    return its stdout."""
+    repo = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
+    loaded = "print(*sorted(m for m in sys.modules if m.startswith('transalign')))"
+    out = fresh_interpreter(f"import sys, transalign.corpus, transalign.lexicon; {loaded}")
+    assert out.split() == ["transalign", "transalign.corpus", "transalign.errors", "transalign.lexicon"]
+
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    out = fresh_interpreter(
+        "import sys, transalign.cli; "
+        f"assert transalign.cli.main(['evaluate', '--hyp', {path!r}, '--ref', {path!r}]) == 0; "
+        + loaded
+    )
+    assert out.splitlines()[-1].split() == [
+        "transalign", "transalign.cli", "transalign.corpus", "transalign.errors",
+        "transalign.metrics",
+    ]
+
+
+@pytest.mark.parametrize("first", ["import", "tuning", "cli-align"])
+def test_package_align_stays_the_function(tmp_path, first):
+    # Importing the transalign.align submodule binds it on the package as
+    # "align"; the package keeps the function whatever runs first.
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    argv, _ = align_argv(tmp_path, path, path, path)
+    code = {
+        "import": "import transalign.align",
+        "tuning": "import transalign.tuning",
+        "cli-align": f"import transalign.cli; assert transalign.cli.main({argv!r}) == 0",
+    }[first]
+    out = fresh_interpreter(
+        f"{code}\nimport transalign.align as module\nfrom transalign import align\n"
+        "print(type(align).__name__, type(module).__name__, align is module)"
+    )
+    assert out.splitlines()[-1] == "function function True"
+
+
+def test_every_exported_name_is_its_submodules_object():
+    import transalign
+
+    assert len(transalign.__all__) == 69 and transalign.__all__[-1] == "__version__"
+    for name in transalign.__all__[:-1]:
+        value = getattr(transalign, name)
+        module = sys.modules[f"transalign.{transalign._EXPORTS[name]}"]
+        assert value is getattr(module, name), name
+    assert set(transalign.__all__) <= set(dir(transalign))

@@ -421,6 +421,25 @@ def test_evaluate_corpus_without_any_4grams_scores_zero():
     assert report["per_order_precisions"][3] == 0.0
 
 
+def test_orders_above_every_hypothesis_are_not_counted(monkeypatch):
+    # A sentence of n tokens has no n-gram above order n, so a huge
+    # max_order counts no more n-grams than max_order 6 does here, and its
+    # report is max_order 6's with zero precisions appended.
+    lines = ["the cat sat on the mat", "a dog", "then it slept", "one more line here"]
+    hyp, ref = Corpus("hyp", lines), Corpus("ref", lines[::-1])
+    small = evaluate_corpus(hyp, ref, max_order=6)
+    calls = []
+    real = metrics._ngram_counts
+    monkeypatch.setattr(
+        metrics, "_ngram_counts", lambda tokens, order: calls.append(order) or real(tokens, order)
+    )
+    report = evaluate_corpus(hyp, ref, max_order=10_000)
+    assert len(calls) == 2 * sum(len(line.split()) for line in lines)
+    assert report["per_order_precisions"] == small["per_order_precisions"] + [0.0] * 9_994
+    assert report == {**small, "bleu": 0.0, "per_order_precisions": report["per_order_precisions"]}
+    assert bleu_stats(["a", "b"], ["a", "b"], 5) == NgramStats((2, 1, 0, 0, 0), (2, 1, 0, 0, 0), 2, 2)
+
+
 def test_evaluate_corpus_bigram_fixture():
     hyp = Corpus("hyp", ["a b c d"])
     ref = Corpus("ref", ["a b c d e"])
