@@ -33,7 +33,7 @@ _EXPORTS = {
         ("similarity", ("MATCHING_BLOCKS_RATIO", "SYNONYM_RATIO", "TOKEN_OVERLAP",
                         "ChainContext", "ChainDecision", "Comparator", "ComparatorChain",
                         "PairScores", "evaluate_chain", "lcs_length", "matching_blocks",
-                        "ratio", "ratio_bound", "synonym_ratio", "token_overlap")),
+                        "ratio", "synonym_ratio", "token_overlap")),
         ("translate", ("FileProvider", "HttpProvider", "TranslationCache",
                        "TranslationProvider", "translate_corpus")),
         ("tuning", ("TuningJob", "TuningOutcome", "TuningReport", "tune_chain",

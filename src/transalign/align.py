@@ -247,9 +247,8 @@ def write_alignment(
         "L": result.total,
         "unmatched_targets": list(result.unmatched_target_indices),
     }
-    payload = "".join(
-        json.dumps(record, ensure_ascii=False) + "\n" for record in records + [trailer]
-    )
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps makes one per call
+    payload = "".join(encode(record) + "\n" for record in records + [trailer])
     Path(report_path).write_text(payload, encoding="utf-8")
 
 

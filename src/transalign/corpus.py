@@ -22,12 +22,13 @@ from typing import Iterator, Union
 from .errors import CorpusFormatError
 
 # Maximal runs of letters/digits/apostrophes that hold at least one letter or
-# digit; everything else separates tokens. [^\W_] is "word char minus
-# underscore", i.e. Unicode letters and digits. A run of apostrophes alone
+# digit; everything else separates tokens. ``tokenize`` first turns each
+# underscore into a space, so \w, which also matches the underscore, then
+# matches exactly the Unicode letters and digits. A run of apostrophes alone
 # cannot match, since the leading '* must be followed by a letter or digit;
 # the lookbehind starts a match only at a run's first apostrophe, which
 # keeps a long apostrophe run linear instead of quadratic.
-_TOKEN_RUN = re.compile(r"(?<!')'*[^\W_](?:[^\W_]|')*")
+_TOKEN_RUN = re.compile(r"(?<!')'*\w[\w']*")
 
 
 def normalize(text: str) -> str:
@@ -43,7 +44,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     stays one token. Runs made purely of apostrophes are punctuation and
     are dropped, as is everything else outside the run class.
     """
-    return tuple(_TOKEN_RUN.findall(text))
+    return tuple(_TOKEN_RUN.findall(text.replace("_", " ")))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ contiguous blocks found by recursive longest-block decomposition
 (Ratcliff/Obershelp) and T is the summed length of both strings. It rewards
 partial word matches ("boy"/"boys") and is insensitive to small reorderings,
 which plain token intersection is not. The blocks form a common subsequence,
-so M <= LCS(a, b) <= min(|a|, |b|) and M <= sum_c min(#a(c), #b(c)): exact
+so M <= LCS(a, b) <= sum_c min(#a(c), #b(c)) <= min(|a|, |b|): exact
 bounds that decide most pairs without the block search.
 
 The block search is ``difflib.SequenceMatcher(None, a, b, autojunk=False)``,
@@ -17,7 +17,6 @@ characters of a ``b`` of 200 or more characters and change the ratio.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -122,25 +121,11 @@ def token_overlap(
     return 2.0 * len(a & b) / total
 
 
-def common_chars(a_chars: Counter, b_chars: Counter) -> int:
-    """sum_c min(#a(c), #b(c)) of two character ``Counter``s: no common
-    subsequence, and so no set of matching blocks, is longer."""
-    common = 0
-    for char, count in a_chars.items():
-        other = b_chars.get(char)
-        if other:
-            common += count if count < other else other
-    return common
-
-
-def ratio_bound(a: str, b: str) -> float:
-    """Upper bound on ``ratio(a, b)`` that costs no block search: 2*M/T with
-    M = ``common_chars`` (Ratcliff/Obershelp 1988; difflib's ``quick_ratio``),
-    never above the length bound 2*min(|a|, |b|)/T."""
-    total = len(a) + len(b)
-    if total == 0:
-        return 1.0
-    return 2.0 * common_chars(Counter(a), Counter(b)) / total
+def common_chars(a_mask: int, b_mask: int) -> int:
+    """sum_c min(#a(c), #b(c)) of two texts given as ``PairScores`` character
+    masks: no common subsequence, and so no set of matching blocks, is
+    longer. Occurrence (c, k) is in both texts iff k <= both counts."""
+    return (a_mask & b_mask).bit_count()
 
 
 def lcs_length(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
@@ -263,15 +248,20 @@ class PairScores:
     every chain over the same corpora and context can share one table
     whatever its thresholds: a tuning run computes each LCS and runs the
     block kernel at most once per text pair across all its alignments.
-    Token overlap is not kept: it is one intersection of two
-    ``occurrence_set``s, cheaper than a lookup. Per-sentence features are
-    lists over the whole corpus, each built the first time a comparator
-    needs it: the occurrence sets of both corpora, each translation line's
-    text with its character counts and its synonym variants, and each
-    target's text with its character counts. A target's position masks are
-    built the first time one of its pairs reaches the LCS step. Each
-    translation line is tokenized once; its tokens are kept only with a
-    lexicon, where the synonym variants need them too.
+    Token overlap and the character count are not kept: one is an
+    intersection of two ``occurrence_set``s, the other an AND and a
+    popcount of two character masks, both cheaper than a lookup.
+
+    A text's character mask is one int with bit slot (c, k) set for
+    k = 1..#text(c); the table owns the slots and allocates them on first
+    need (see ``_masks``). Per-sentence features are lists over the whole
+    corpus, each built the first time a comparator needs it: the occurrence
+    sets of both corpora, each translation line's and each target's text
+    with its mask (built together), and each translation line's synonym
+    variants with theirs. A target's position masks are built the first
+    time one of its pairs reaches the LCS step. Each translation line is
+    tokenized once; its tokens are kept only with a lexicon, where the
+    synonym variants need them too.
     """
 
     def __init__(
@@ -285,6 +275,8 @@ class PairScores:
         self.context = context
         self._ratios: list[dict[tuple[int, int], float]] = [{} for _ in trans]
         self._target_masks: dict[int, dict] = {}
+        self._slots: dict[str, list[int]] = {}  # c -> slots of (c, 1), (c, 2), ...
+        self._runs: dict[tuple[str, int], int] = {}  # (c, n) -> bits of c's first n slots
 
     def accepted(
         self, i: int, pool: Sequence[int], chain: ComparatorChain
@@ -302,7 +294,6 @@ class PairScores:
         text can neither reach the threshold nor raise the maximum.
         """
         found = []
-        commons: dict[int, int] = {}
         for comparator in chain:
             if not pool:
                 break
@@ -319,7 +310,7 @@ class PairScores:
             else:
                 best_ratio, kind = self._best_ratio, comparator.kind
                 for j in pool:
-                    score = best_ratio(i, j, kind, threshold, commons)
+                    score = best_ratio(i, j, kind, threshold)
                     if score is None:
                         rejected.append(j)
                     else:
@@ -339,7 +330,7 @@ class PairScores:
         """Exact ``kind`` score of translation line ``i`` against target line ``j``."""
         if kind == TOKEN_OVERLAP:
             return token_overlap(self._trans_sets[i], self._target_sets[j])
-        return self._best_ratio(i, j, kind, 0.0, {})
+        return self._best_ratio(i, j, kind, 0.0)
 
     @cached_property
     def _trans_tokens(self) -> list[tuple[str, ...]]:
@@ -358,33 +349,66 @@ class PairScores:
         return [occurrence_set(tokenize(text), stopwords) for text in self.target]
 
     @cached_property
-    def _trans_chars(self) -> list[tuple[str, Counter]]:
-        return [(text, Counter(text)) for text in self.trans]
+    def _chars(self) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+        """Each translation line's and each target's text with its character
+        mask. One slot allocation covers both columns, so a long line in
+        one does not lengthen the masks of the other."""
+        texts = [*self.trans, *self.target]
+        rows = list(zip(texts, self._masks(texts)))
+        return rows[: len(self.trans)], rows[len(self.trans) :]
 
     @cached_property
-    def _variants(self) -> list[list[tuple[str, Counter]]]:
-        """Per translation line, the texts the synonym tier compares: the
-        normalized text, then every other distinct synonym variant."""
+    def _variants(self) -> list[list[tuple[str, int]]]:
+        """Per translation line, the texts the synonym tier compares with
+        their character masks: the normalized text, then every other
+        distinct synonym variant."""
         lexicon, cap = self.context.lexicon, self.context.cap
-        rows = []
-        for tokens, plain in zip(self._trans_tokens, self._trans_chars):
+        plains, others = self._chars[0], []
+        for tokens, (text, _) in zip(self._trans_tokens, plains):
             variants = expand_sentence(tokens, lexicon, cap)
             joined = dict.fromkeys(" ".join(variant) for variant in variants)
-            joined.pop(plain[0], None)
-            rows.append([plain] + [(text, Counter(text)) for text in joined])
-        return rows
+            joined.pop(text, None)
+            others.append(joined)
+        texts = list(dict.fromkeys(text for row in others for text in row))
+        masks = dict(zip(texts, self._masks(texts)))
+        return [[plain, *((text, masks[text]) for text in row)] for plain, row in zip(plains, others)]
 
     @cached_property
     def _lcs(self) -> list[dict[tuple[int, int], int]]:
         return [{} for _ in self.trans]
 
-    @cached_property
-    def _target_chars(self) -> list[tuple[str, Counter]]:
-        return [(text, Counter(text)) for text in self.target]
+    def _masks(self, texts: Sequence[str]) -> list[int]:
+        """Each text's character mask: slot (c, k) set for k = 1..#text(c),
+        so ``common_chars`` of two masks is sum_c min(#a(c), #b(c)).
 
-    def _best_ratio(
-        self, i: int, j: int, kind: str, threshold: float, commons: dict[int, int]
-    ) -> float | None:
+        The slots ``texts`` need and the table lacks are allocated here, for
+        all of them at once and in order of k, then of c: every (c, 1)
+        first, then every (c, 2), and so on. So a mask's highest bit
+        depends on how often its own characters repeat, not on the length
+        of another text in the batch. The bits of c's first n slots are
+        built once per (c, n); a mask is the sum of its characters' bits,
+        which are disjoint.
+        """
+        rows = []
+        for text in texts:
+            chars = set(text)
+            rows.append(tuple(zip(chars, map(text.count, chars))))
+        runs, slots = self._runs, self._slots
+        new = set().union(*rows).difference(runs)
+        need: dict[str, int] = {}
+        for char, n in new:
+            need[char] = max(n, need.get(char, 0))
+        order = sorted(
+            (k, char) for char, n in need.items() for k in range(len(slots.get(char, ())) + 1, n + 1)
+        )
+        for slot, (_, char) in enumerate(order, start=sum(map(len, slots.values()))):
+            slots.setdefault(char, []).append(slot)
+        for char, n in new:
+            runs[char, n] = _bits(slots[char][:n])
+        get = runs.__getitem__
+        return [sum(map(get, row)) for row in rows]
+
+    def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
         """The exact best ratio of ``kind``'s texts of line ``i`` against
         target ``j``, or None when it is below ``threshold``.
 
@@ -393,19 +417,18 @@ class PairScores:
         ``common_chars``, then ``lcs_length``. It is dropped at the first
         bound whose 2*M/T is below ``threshold`` or at most the best score
         so far, and reaches the block kernel only when none is. The LCS is
-        kept in the table; the normalized text's character count is kept in
-        ``commons`` for the rest of one ``accepted`` call, so the ratio and
-        synonym tiers count it once.
+        kept in the table; the character count is recounted on each call.
         """
+        trans_chars, target_chars = self._chars
         if kind == SYNONYM_RATIO and len(self.context.lexicon):
             texts = self._variants[i]
         else:
-            texts = (self._trans_chars[i],)
-        b, b_chars = self._target_chars[j]
+            texts = (trans_chars[i],)
+        b, b_mask = target_chars[j]
         b_len = len(b)
         row, lcs_row = self._ratios[i], self._lcs[i]
         best = -1.0
-        for k, (text, chars) in enumerate(texts):
+        for k, (text, mask) in enumerate(texts):
             score = row.get((j, k))
             if score is None:
                 n = len(text)
@@ -416,13 +439,7 @@ class PairScores:
                         bound = 2.0 * (n if n < b_len else b_len) / total
                         if bound < threshold or bound <= best:
                             continue
-                        if k:
-                            common = common_chars(chars, b_chars)
-                        else:
-                            common = commons.get(j)
-                            if common is None:
-                                common = commons[j] = common_chars(chars, b_chars)
-                        bound = 2.0 * common / total
+                        bound = 2.0 * common_chars(mask, b_mask) / total
                         if bound < threshold or bound <= best:
                             continue
                         masks = self._target_masks.get(j)
@@ -436,6 +453,14 @@ class PairScores:
             if score > best:
                 best = score
         return best if best >= threshold else None
+
+
+def _bits(positions: Sequence[int]) -> int:
+    """The int whose set bits are ``positions`` (ascending)."""
+    buffer = bytearray(positions[-1] // 8 + 1)
+    for position in positions:
+        buffer[position >> 3] |= 1 << (position & 7)
+    return int.from_bytes(buffer, "little")
 
 
 def evaluate_chain(

@@ -40,8 +40,10 @@ class TuningJob:
     bounds: Sequence[tuple[float, float]] = ()
     resolution: float = 1 / 256
     # One pair-score table for every evaluation: thresholds change between
-    # evaluations, raw scores do not.
+    # evaluations, raw scores do not. ``scored`` maps each threshold vector
+    # aligned so far to its S.
     scores: PairScores = field(init=False, repr=False, compare=False)
+    scored: dict[tuple[float, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         template = self.config.chain
@@ -73,6 +75,7 @@ class TuningJob:
         self.scores = PairScores(
             self.trans.normalized, self.target.normalized, self.config.context()
         )
+        self.scored = {}
 
 
 @dataclass
@@ -125,9 +128,15 @@ class TuningReport:
 
 
 def _score(job: TuningJob, chain: ComparatorChain) -> int:
-    config = replace(job.config, chain=chain)
-    result = align(job.source, job.target, job.trans, config, job.scores)
-    return evaluate_against_gold(result, job.gold).score
+    """S of the dev alignment under ``chain``, aligned once per job for each
+    threshold vector."""
+    thresholds = tuple(comparator.threshold for comparator in chain)
+    score = job.scored.get(thresholds)
+    if score is None:
+        config = replace(job.config, chain=chain)
+        result = align(job.source, job.target, job.trans, config, job.scores)
+        score = job.scored[thresholds] = evaluate_against_gold(result, job.gold).score
+    return score
 
 
 def tune_threshold(job: TuningJob, comparator_position: int) -> TuningOutcome:
@@ -137,7 +146,9 @@ def tune_threshold(job: TuningJob, comparator_position: int) -> TuningOutcome:
     side scores better, then halves toward it; on a tie the search moves
     low (more permissive thresholds). Evaluations are memoized, and the
     best (threshold, score) point ever evaluated is returned, not the final
-    midpoint. ``evaluations`` counts the alignment runs, one per memo entry.
+    midpoint. ``evaluations`` counts the thresholds probed, one per memo
+    entry; a threshold vector the job has already aligned is not aligned
+    again.
     """
     if not 0 <= comparator_position < len(job.config.chain):
         raise ConfigError(f"no comparator at position {comparator_position}")
@@ -174,8 +185,11 @@ def tune_threshold(job: TuningJob, comparator_position: int) -> TuningOutcome:
 def tune_chain(job: TuningJob) -> TuningReport:
     """Tune every comparator in isolation, then assemble and re-score.
 
-    The report's achieved score comes from actually re-running alignment
-    with the assembled chain, so it is reproducible from the thresholds.
+    The report's achieved score is the score of the assembled chain, so it
+    is reproducible from the thresholds. ``evaluations`` counts that score
+    as one more evaluation, although it costs no alignment when a search
+    already probed the same vector, as the one search of a one-tier chain
+    always has.
     """
     outcomes = tuple(
         tune_threshold(job, position) for position in range(len(job.config.chain))

@@ -7,6 +7,7 @@ package under test.
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 
@@ -49,6 +50,22 @@ def brute_ratio(a, b):
         return Fraction(1)
     matched = sum(size for _, _, size in brute_matching_blocks(a, b))
     return Fraction(2 * matched, total)
+
+
+def common_chars_oracle(a, b):
+    """sum_c min(#a(c), #b(c)): the size of the multiset intersection of
+    the two strings' characters."""
+    return sum((Counter(a) & Counter(b)).values())
+
+
+def char_count_bound(a, b):
+    """Upper bound on the block ratio from character counts alone:
+    2*sum_c min(#a(c), #b(c))/T (Ratcliff/Obershelp 1988; difflib's
+    ``quick_ratio``), 1.0 when both strings are empty."""
+    total = len(a) + len(b)
+    if total == 0:
+        return 1.0
+    return 2.0 * common_chars_oracle(a, b) / total
 
 
 def lcs_oracle(a, b):
@@ -94,6 +111,12 @@ def tokenize_oracle(text):
     underscore), without the runs made of apostrophes alone."""
     runs = re.findall(r"(?:[^\W_]|')+", text)
     return tuple(run for run in runs if run.strip("'"))
+
+
+def tokenize_pattern_oracle(text):
+    """Word tokens by the one-pass run pattern that excludes the underscore
+    inside its character class, with no rewriting of the text."""
+    return tuple(re.findall(r"(?<!')'*[^\W_](?:[^\W_]|')*", text))
 
 
 def load_lines_oracle(data):

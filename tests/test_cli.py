@@ -279,6 +279,42 @@ def test_fixture_evaluate_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(stdout).hexdigest() == EVALUATE_FIXTURE_STDOUT
 
 
+@pytest.mark.parametrize(
+    "chain, stdout_sha256, out_sha256",
+    [
+        ("matching_blocks_ratio:0.85",
+         "c7bc217393c36455d4f4fbe75d677d0d7541928b56a46be74f10bae5463fe11c",
+         "e97212f3a57ddc52f6afbcb0a6056c2f10d9e6569872fa51ce4fac6cd92e1762"),
+        ("token_overlap:0.99,matching_blocks_ratio:0.85,synonym_ratio:0.8",
+         "bde1bf9681f36aae9784385f45582e91e980b6a6603690e1385d68019a495474",
+         "e262da862617598d0b496f193f732db6c9a3275b3456201b9840f78e097587a0"),
+    ],
+    ids=["one-tier", "three-tier"],
+)
+def test_fixture_tune_bytes_are_pinned(tmp_path, capsys, chain, stdout_sha256, out_sha256):
+    # A seeded dev set cut from the fixture: 150 source lines, their
+    # perturbed copies as translation, the target lines at the same
+    # indices (so some partners are missing) and the source as gold. Any
+    # change to a probe, a score, the evaluation count or the report shows
+    # up as a different digest.
+    rng = random.Random(1016)
+    lines = {name: (FIXTURES / f"parallel_1005.{name}").read_text(encoding="utf-8").splitlines()
+             for name in ("src", "tgt")}
+    picked = sorted(rng.sample(range(len(lines["tgt"])), 150))
+    cut = {name: [column[i] for i in picked] for name, column in lines.items()}
+    source = write(tmp_path, "src.txt", cut["src"])
+    trans = write(tmp_path, "trans.txt", [perturbed(line, rng) for line in cut["src"]])
+    out = tmp_path / "tuned.json"
+    argv = ["tune", "--source", source, "--target", write(tmp_path, "tgt.txt", cut["tgt"]),
+            "--trans", trans, "--gold", source, "--chain", chain, "--resolution", "0.0625",
+            "--stopwords", str(FIXTURES / "stopwords_en.txt"),
+            "--synonyms", str(FIXTURES / "synonyms_en.tsv"), "--out", str(out)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    digests = [hashlib.sha256(data).hexdigest() for data in (stdout, out.read_bytes())]
+    assert digests == [stdout_sha256, out_sha256]
+
+
 def test_align_rejects_bad_threshold_before_reading_files(tmp_path, capsys):
     argv, _ = align_argv(
         tmp_path,
@@ -758,7 +794,7 @@ def test_package_align_stays_the_function(tmp_path, first):
 def test_every_exported_name_is_its_submodules_object():
     import transalign
 
-    assert len(transalign.__all__) == 69 and transalign.__all__[-1] == "__version__"
+    assert len(transalign.__all__) == 68 and transalign.__all__[-1] == "__version__"
     for name in transalign.__all__[:-1]:
         value = getattr(transalign, name)
         module = sys.modules[f"transalign.{transalign._EXPORTS[name]}"]

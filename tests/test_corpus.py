@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from oracles import load_lines_oracle, tokenize_oracle
+from oracles import load_lines_oracle, tokenize_oracle, tokenize_pattern_oracle
 from transalign.corpus import Corpus, load_corpus, normalize, save_corpus, tokenize
 from transalign.errors import CorpusFormatError, DataError
 
@@ -50,6 +50,21 @@ def test_split_tokens_equals_oracle_on_random_strings():
     for _ in range(4000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
         assert tokenize(text) == tokenize_oracle(text), text
+
+
+def test_tokenize_equals_the_run_pattern_oracle_on_random_strings():
+    # The pattern that matches \w over underscore-free text must give the
+    # same tokens as the one that excludes the underscore in its class:
+    # apostrophes (ASCII and U+2019), underscores, combining marks, and
+    # digits and numerals of other scripts.
+    rng = random.Random(2019)
+    alphabet = [
+        "a", "Z", "'", "'", "_", "_", " ", "-", "\u2019", "\u0301", "\u0308", "\u00e9",
+        "\u0663", "\u096d", "\uff13", "\u00b2", "\u216b", "\u3007", "\u0e51", "\u05d0",
+    ]
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 20)))
+        assert tokenize(text) == tokenize_pattern_oracle(text), text
 
 
 def test_split_tokens_is_linear_in_a_long_apostrophe_run():

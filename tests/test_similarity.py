@@ -1,11 +1,19 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import transalign.similarity as sim
-from oracles import brute_matching_blocks, brute_ratio, dice_overlap_oracle, lcs_oracle
+from oracles import (
+    brute_matching_blocks,
+    brute_ratio,
+    char_count_bound,
+    common_chars_oracle,
+    dice_overlap_oracle,
+    lcs_oracle,
+)
 from transalign.align import select_candidate
-from transalign.corpus import Corpus, normalize, tokenize
+from transalign.corpus import Corpus, load_corpus, normalize, tokenize
 from transalign.errors import ConfigError
 from transalign.lexicon import EMPTY_LEXICON, StopWordList, SynonymLexicon, expand_sentence
 from transalign.similarity import (
@@ -19,10 +27,11 @@ from transalign.similarity import (
     matching_blocks,
     position_masks,
     ratio,
-    ratio_bound,
     synonym_ratio,
     token_overlap,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def blocks(a, b):
@@ -314,10 +323,48 @@ def test_ratio_bound_is_never_below_the_oracle_ratio():
         a = "".join(rng.choice("abc"[: 1 + k % 3]) for _ in range(rng.randrange(0, 10)))
         b = "".join(rng.choice("abcd") for _ in range(rng.randrange(0, 10)))
         exact = float(brute_ratio(a, b))
-        bound = ratio_bound(a, b)
+        bound = char_count_bound(a, b)
         assert bound >= exact, (a, b)
         total = len(a) + len(b)
         assert bound <= (2.0 * min(len(a), len(b)) / total if total else 1.0)
+
+
+def test_mask_popcount_equals_the_character_count_oracle():
+    # Random Unicode pairs (ASCII, Latin-1, Greek, CJK, a combining mark,
+    # astral emoji) with repeats; either side may be empty. The slots are
+    # allocated by ``a`` first, by ``b`` first, or by both in one batch.
+    rng = random.Random(101)
+    alphabet = "ab \u00e9\u00df\u03b1\u4e2d\u0301\U0001f600"
+    for k in range(400):
+        a, b = (
+            "".join(rng.choice(alphabet[: 2 + k % 8]) for _ in range(rng.randrange(0, 14)))
+            for _ in range(2)
+        )
+        expected = common_chars_oracle(a, b)
+        for batches in ([[a], [b]], [[b], [a]], [[a, b]]):
+            scores = PairScores((), ())
+            masks = {}
+            for batch in batches:
+                masks.update(zip(batch, scores._masks(batch)))
+            assert sim.common_chars(masks[a], masks[b]) == expected, (a, b, batches)
+            assert masks[a].bit_count() == len(a)
+
+
+def test_a_long_line_leaves_every_other_mask_small():
+    # Slots go to every (c, 1) first, then (c, 2), and so on, so the
+    # 100,000 slots of one single-letter line come after the few hundred
+    # the ordinary lines need, whichever column holds it.
+    src = load_corpus(FIXTURES / "parallel_1005.src", "src").normalized[:200]
+    tgt = load_corpus(FIXTURES / "parallel_1005.tgt", "tgt").normalized[:200]
+    long_line = "a" * 100_000
+    for trans, target, long_row in (((long_line, *src), tgt, 0), (src, (*tgt, long_line), 400)):
+        scores = PairScores(trans, target)
+        rows = scores._chars[0] + scores._chars[1]
+        long_mask = rows.pop(long_row)[1]
+        assert long_mask.bit_count() == 100_000
+        assert max(mask.bit_length() for _, mask in rows) < 400
+        for text, mask in rows[:20]:
+            assert sim.common_chars(mask, long_mask) == text.count("a")
 
 
 def test_lcs_length_equals_the_oracle_and_lies_between_ratio_and_bound():
@@ -333,7 +380,7 @@ def test_lcs_length_equals_the_oracle_and_lies_between_ratio_and_bound():
         assert lcs_length(a, b) == lcs == lcs_length(a, b, position_masks(b)), (a, b)
         total = len(a) + len(b)
         lcs_ratio = 2 * lcs / total if total else 1.0
-        assert float(brute_ratio(a, b)) <= lcs_ratio <= ratio_bound(a, b), (a, b)
+        assert float(brute_ratio(a, b)) <= lcs_ratio <= char_count_bound(a, b), (a, b)
 
 
 # Small alphabet, one stop word and a lexicon whose variants collide with

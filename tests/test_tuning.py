@@ -261,6 +261,23 @@ def test_tuning_computes_each_ratio_once(monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
+def test_one_tier_chain_aligns_each_probed_threshold_once(monkeypatch):
+    # The final re-score of a one-tier chain is a threshold its search has
+    # already aligned, so it costs no alignment; the count still includes it.
+    in_force = []
+    real_align = tuning.align
+
+    def recording_align(source, target, trans, config, scores=None):
+        in_force.append(config.chain.comparators[0].threshold)
+        return real_align(source, target, trans, config, scores)
+
+    monkeypatch.setattr(tuning, "align", recording_align)
+    report = tune_chain(drift_job(chain_of(0.9)))
+    assert report.evaluations > 3
+    assert len(in_force) == len(set(in_force)) == report.evaluations - 1
+    assert sorted(in_force) == [threshold for threshold, _ in report.outcomes[0].trace]
+
+
 def test_tuning_runs_the_kernel_only_where_the_lcs_reaches_the_threshold(monkeypatch):
     in_force = []
     real_align = tuning.align
