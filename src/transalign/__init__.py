@@ -32,8 +32,8 @@ _EXPORTS = {
                      "evaluate_against_gold", "evaluate_corpus", "ter", "ter_edits")),
         ("similarity", ("MATCHING_BLOCKS_RATIO", "SYNONYM_RATIO", "TOKEN_OVERLAP",
                         "ChainContext", "ChainDecision", "Comparator", "ComparatorChain",
-                        "PairScores", "evaluate_chain", "lcs_length", "matching_blocks",
-                        "ratio", "synonym_ratio", "token_overlap")),
+                        "PairScores", "evaluate_chain", "lcs_length", "ratio",
+                        "synonym_ratio", "token_overlap")),
         ("translate", ("FileProvider", "HttpProvider", "TranslationCache",
                        "TranslationProvider", "translate_corpus")),
         ("tuning", ("TuningJob", "TuningOutcome", "TuningReport", "tune_chain",

@@ -41,8 +41,9 @@ class AlignmentConfig:
     target position (0 disables windowing, i.e. full scan); ``lookahead_depth``
     is how many following translation lines may contest a selected candidate
     (0 disables lookahead); ``cap`` bounds the synonym variants per sentence.
-    This is the one place these settings are defaulted and checked: each
-    must be an ``int`` (not a ``bool``), else ``ConfigError``.
+    This is the one place these settings are defaulted. ``window`` and
+    ``lookahead_depth`` must each be an ``int`` (not a ``bool``) >= 0, else
+    ``ConfigError``; ``cap`` is checked by the ``ChainContext`` it goes into.
     """
 
     chain: ComparatorChain
@@ -56,8 +57,7 @@ class AlignmentConfig:
         for name, value in (("window", self.window), ("lookahead_depth", self.lookahead_depth)):
             if type(value) is not int or value < 0:
                 raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-        if type(self.cap) is not int or self.cap < 1:
-            raise ConfigError(f"cap must be an integer >= 1, got {self.cap!r}")
+        self.context()  # checks cap
 
     def context(self) -> ChainContext:
         return ChainContext(self.stopwords, self.lexicon, self.cap)
@@ -78,13 +78,27 @@ class AlignmentDecision:
 
 @dataclass(frozen=True)
 class AlignmentResult:
+    """One decision per source line, in source order, and the target lines
+    no decision consumed. Counts and output lines are derived from these."""
+
     decisions: tuple[AlignmentDecision, ...]
-    output_pairs: tuple[tuple[str, str], ...]
-    aligned_count: int
-    translated_count: int
-    disproportion_count: int
-    total: int
     unmatched_target_indices: tuple[int, ...] = ()
+
+    def counts(self) -> dict[str, int]:
+        """``A``, ``T`` and ``D``, the aligned, translated and filled
+        decisions, and ``L``, all decisions: the one place outcomes map to
+        these letters. An unknown outcome is a ``DataError``."""
+        outcomes = [decision.outcome for decision in self.decisions]
+        counts = {
+            "A": outcomes.count(ALIGNED),
+            "T": outcomes.count(TRANSLATED),
+            "D": outcomes.count(FILLED),
+            "L": len(outcomes),
+        }
+        if counts["A"] + counts["T"] + counts["D"] != counts["L"]:
+            unknown = next(o for o in outcomes if o not in (ALIGNED, TRANSLATED, FILLED))
+            raise DataError(f"unknown decision outcome: {unknown!r}")
+        return counts
 
 
 def select_candidate(
@@ -176,8 +190,7 @@ def align(
     unconsumed = list(range(n_target))
 
     decisions: list[AlignmentDecision] = []
-    pairs: list[tuple[str, str]] = []
-    aligned = translated = filled = 0
+    filled = 0
     for i in range(n_source):
         expected = i * n_target / n_source
         lo, hi = 0, len(unconsumed)
@@ -194,41 +207,32 @@ def align(
         if chosen is not None:
             j, decision = chosen
             del unconsumed[bisect_left(unconsumed, j)]
-            record = AlignmentDecision(
-                i, ALIGNED, target[j], j, decision.score, decision.comparator.kind
-            )
-            aligned += 1
+            kind = decision.comparator.kind
+            decisions.append(AlignmentDecision(i, ALIGNED, target[j], j, decision.score, kind))
         elif filled < gap:
-            record = AlignmentDecision(i, FILLED, trans[i])
+            decisions.append(AlignmentDecision(i, FILLED, trans[i]))
             filled += 1
         else:
-            record = AlignmentDecision(i, TRANSLATED, trans[i])
-            translated += 1
-        decisions.append(record)
-        pairs.append((source[i], record.text))
-
-    return AlignmentResult(
-        decisions=tuple(decisions),
-        output_pairs=tuple(pairs),
-        aligned_count=aligned,
-        translated_count=translated,
-        disproportion_count=filled,
-        total=n_source,
-        unmatched_target_indices=tuple(unconsumed),
-    )
+            decisions.append(AlignmentDecision(i, TRANSLATED, trans[i]))
+    return AlignmentResult(tuple(decisions), tuple(unconsumed))
 
 
 def write_alignment(
-    result: AlignmentResult, out_source_path, out_target_path, report_path
+    result: AlignmentResult, source: Corpus, out_source_path, out_target_path, report_path
 ) -> None:
     """Write the two parallel output files plus the JSON-lines report.
 
-    Report: one record per output line with the decision details, then a
-    trailer object with the counts and the never-consumed target indices.
+    Output line i is ``source[i]`` and decision i's text, so ``source`` must
+    be the corpus the result was aligned from (its line count is checked).
+    Report: one record per decision with its details, then a trailer
+    object with the counts and the never-consumed target indices.
     """
-    source_lines = "".join(src + "\n" for src, _ in result.output_pairs)
-    target_lines = "".join(tgt + "\n" for _, tgt in result.output_pairs)
-    Path(out_source_path).write_text(source_lines, encoding="utf-8")
+    if len(source) != len(result.decisions):
+        raise DataError(
+            f"source corpus has {len(source)} lines, the result has {len(result.decisions)}"
+        )
+    target_lines = "".join(decision.text + "\n" for decision in result.decisions)
+    Path(out_source_path).write_text("".join(line + "\n" for line in source), encoding="utf-8")
     Path(out_target_path).write_text(target_lines, encoding="utf-8")
 
     records = []
@@ -240,26 +244,18 @@ def write_alignment(
             record["comparator"] = decision.comparator
         record["text"] = decision.text
         records.append(record)
-    trailer = {
-        "A": result.aligned_count,
-        "T": result.translated_count,
-        "D": result.disproportion_count,
-        "L": result.total,
-        "unmatched_targets": list(result.unmatched_target_indices),
-    }
+    trailer = {**result.counts(), "unmatched_targets": list(result.unmatched_target_indices)}
     encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps makes one per call
     payload = "".join(encode(record) + "\n" for record in records + [trailer])
     Path(report_path).write_text(payload, encoding="utf-8")
 
 
 def read_report(report_path) -> AlignmentResult:
-    """Rebuild a scoreable result from a JSON-lines report.
+    """Rebuild a result from a JSON-lines report, decisions in source order.
 
-    The report does not carry source text, so ``output_pairs`` stays empty;
-    decisions and counts are enough for gold-based scoring. The records
-    must hold one decision for each source index ``0..L-1`` and agree with
-    the trailer's ``A``/``T``/``D`` counts, as ``write_alignment`` writes
-    them; anything else is a ``DataError``.
+    The records must hold one decision for each source index ``0..L-1``
+    and agree with the trailer's ``A``/``T``/``D`` counts, as
+    ``write_alignment`` writes them; anything else is a ``DataError``.
     """
     try:
         # Split on LF only: text fields may hold U+2028 and the like raw.
@@ -280,9 +276,6 @@ def read_report(report_path) -> AlignmentResult:
         raise DataError(f"report trailer has no valid unmatched_targets: {unmatched!r}")
     decisions = []
     for record in objects[:-1]:
-        outcome = record.get("outcome")
-        if outcome not in (ALIGNED, TRANSLATED, FILLED):
-            raise DataError(f"report record has unknown outcome: {outcome!r}")
         source_index = record.get("source_index")
         if type(source_index) is not int or source_index < 0:
             raise DataError(f"report record has no valid source_index: {source_index!r}")
@@ -292,32 +285,23 @@ def read_report(report_path) -> AlignmentResult:
         decisions.append(
             AlignmentDecision(
                 source_index=source_index,
-                outcome=outcome,
+                outcome=record.get("outcome"),
                 text=text,
                 target_index=record.get("target_index"),
                 score=record.get("score"),
                 comparator=record.get("comparator"),
             )
         )
+    decisions.sort(key=lambda decision: decision.source_index)
     total = trailer["L"]
-    if sorted(decision.source_index for decision in decisions) != list(range(total)):
+    if [decision.source_index for decision in decisions] != list(range(total)):
         raise DataError(
             f"report {report_path} has {len(decisions)} records, not one for each "
             f"source index 0..{total - 1} of its trailer's L={total}"
         )
-    for key, outcome in (("A", ALIGNED), ("T", TRANSLATED), ("D", FILLED)):
-        count = sum(decision.outcome == outcome for decision in decisions)
-        if trailer[key] != count:
-            raise DataError(
-                f"report {report_path} has {count} {outcome} records but its trailer says "
-                f"{key}={trailer[key]}"
-            )
-    return AlignmentResult(
-        decisions=tuple(decisions),
-        output_pairs=(),
-        aligned_count=trailer["A"],
-        translated_count=trailer["T"],
-        disproportion_count=trailer["D"],
-        total=total,
-        unmatched_target_indices=tuple(unmatched),
-    )
+    result = AlignmentResult(tuple(decisions), tuple(unmatched))
+    counts = result.counts()
+    stated = {key: trailer[key] for key in counts}
+    if stated != counts:
+        raise DataError(f"report {report_path} records give {counts} but its trailer says {stated}")
+    return result

@@ -70,8 +70,6 @@ def parse_chain_spec(spec: str) -> ComparatorChain:
         except ValueError:
             raise ConfigError(f"bad threshold in chain entry {part!r}") from None
         comparators.append(_lazy.Comparator(kind.strip(), threshold))
-    if not comparators:
-        raise ConfigError(f"chain spec {spec!r} has no comparators")
     return _lazy.ComparatorChain(tuple(comparators))
 
 
@@ -127,17 +125,15 @@ class Settings:
             spec = DEFAULT_CHAIN
         if isinstance(spec, str):
             return parse_chain_spec(spec)
-        if isinstance(spec, list):
-            comparators = []
-            for entry in spec:
-                try:
-                    comparators.append(_lazy.Comparator(entry["kind"], entry["threshold"]))
-                except (KeyError, TypeError) as exc:
-                    raise ConfigError(f"bad chain entry in config: {entry!r}") from exc
-            if not comparators:
-                raise ConfigError("config chain is empty")
-            return _lazy.ComparatorChain(tuple(comparators))
-        raise ConfigError("config chain must be a string spec or a list of objects")
+        if not isinstance(spec, list):
+            raise ConfigError("config chain must be a string spec or a list of objects")
+        comparators = []
+        for entry in spec:
+            try:
+                comparators.append(_lazy.Comparator(entry["kind"], entry["threshold"]))
+            except (KeyError, TypeError) as exc:
+                raise ConfigError(f"bad chain entry in config: {entry!r}") from exc
+        return _lazy.ComparatorChain(tuple(comparators))
 
     def stopwords(self):
         path = self.get("stopwords")
@@ -252,16 +248,10 @@ def cmd_align(args) -> int:
         )
 
     result = _lazy.align(source, target, trans, config)
-    _write_output(_lazy.write_alignment, result, args.out_source, args.out_target, args.report)
-    _print_json(
-        {
-            "A": result.aligned_count,
-            "T": result.translated_count,
-            "D": result.disproportion_count,
-            "L": result.total,
-            "unmatched_targets": len(result.unmatched_target_indices),
-        }
+    _write_output(
+        _lazy.write_alignment, result, source, args.out_source, args.out_target, args.report
     )
+    _print_json({**result.counts(), "unmatched_targets": len(result.unmatched_target_indices)})
     return EXIT_OK
 
 

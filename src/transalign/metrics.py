@@ -88,7 +88,7 @@ def evaluate_against_gold(
     count toward the partial-credit class, disproportion fills toward the
     full-credit fill class.
     """
-    from .align import ALIGNED, FILLED, TRANSLATED  # not at the top: evaluate never loads align
+    from .align import ALIGNED  # not at the top: evaluate never loads align
 
     def gold_text(index: int) -> str:
         try:
@@ -98,20 +98,14 @@ def evaluate_against_gold(
                 f"gold reference has no entry for source index {index}"
             ) from None
 
-    aligned = misaligned = translated = disproportion = 0
-    for decision in result.decisions:
-        if decision.outcome == ALIGNED:
-            if normalize(decision.text) == normalize(gold_text(decision.source_index)):
-                aligned += 1
-            else:
-                misaligned += 1
-        elif decision.outcome == FILLED:
-            disproportion += 1
-        elif decision.outcome == TRANSLATED:
-            translated += 1
-        else:
-            raise DataError(f"unknown decision outcome: {decision.outcome!r}")
-    total = result.total
+    counts = result.counts()
+    misaligned = sum(
+        normalize(decision.text) != normalize(gold_text(decision.source_index))
+        for decision in result.decisions
+        if decision.outcome == ALIGNED
+    )
+    aligned = counts["A"] - misaligned
+    translated, disproportion, total = counts["T"], counts["D"], counts["L"]
     score = alignment_score(aligned, misaligned, translated, disproportion, total)
     return ScoreCard(aligned, misaligned, translated, disproportion, total, score)
 

@@ -44,28 +44,6 @@ COMPARATOR_COSTS = {
 }
 
 
-@dataclass(frozen=True)
-class MatchingBlock:
-    """A common contiguous run: character offsets into both strings."""
-
-    a_start: int
-    b_start: int
-    length: int
-
-
-def matching_blocks(a: str, b: str) -> list[MatchingBlock]:
-    """Decompose two strings into their common contiguous blocks.
-
-    Finds the longest common block, then recurses on the prefix pair and
-    the suffix pair. Blocks come back ordered and non-overlapping in both
-    strings; the total matched length is the M of the ratio measure.
-    """
-    from difflib import SequenceMatcher
-
-    blocks = SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()
-    return [MatchingBlock(*block) for block in blocks[:-1]]  # drop the (len, len, 0) end
-
-
 def ratio(a: str, b: str) -> float:
     """Matching-blocks similarity 2*M/T in [0, 1].
 
@@ -215,11 +193,17 @@ class ComparatorChain:
 
 @dataclass(frozen=True)
 class ChainContext:
-    """Shared inputs the chain's comparators need."""
+    """Shared inputs the chain's comparators need. ``cap``, the most synonym
+    variants kept per sentence, must be an ``int`` (not a ``bool``) >= 1,
+    else ``ConfigError``."""
 
     stopwords: StopWordList = EMPTY_STOPWORDS
     lexicon: SynonymLexicon = EMPTY_LEXICON
     cap: int = 64
+
+    def __post_init__(self):
+        if type(self.cap) is not int or self.cap < 1:
+            raise ConfigError(f"cap must be an integer >= 1, got {self.cap!r}")
 
 
 DEFAULT_CONTEXT = ChainContext()
@@ -253,15 +237,14 @@ class PairScores:
     popcount of two character masks, both cheaper than a lookup.
 
     A text's character mask is one int with bit slot (c, k) set for
-    k = 1..#text(c); the table owns the slots and allocates them on first
-    need (see ``_masks``). Per-sentence features are lists over the whole
-    corpus, each built the first time a comparator needs it: the occurrence
-    sets of both corpora, each translation line's and each target's text
-    with its mask (built together), and each translation line's synonym
-    variants with theirs. A target's position masks are built the first
-    time one of its pairs reaches the LCS step. Each translation line is
-    tokenized once; its tokens are kept only with a lexicon, where the
-    synonym variants need them too.
+    k = 1..#text(c) (see ``_masks``). Per-sentence features are lists over
+    the whole corpus, each built the first time a comparator needs it: the
+    occurrence sets of both corpora, and each translation line's and each
+    target's text with its mask, built in one batch with each translation
+    line's synonym variants when there is a lexicon. A target's position
+    masks are built the first time one of its pairs reaches the LCS step.
+    Each translation line is tokenized once; its tokens are kept only with
+    a lexicon, where the synonym variants need them too.
     """
 
     def __init__(
@@ -275,8 +258,6 @@ class PairScores:
         self.context = context
         self._ratios: list[dict[tuple[int, int], float]] = [{} for _ in trans]
         self._target_masks: dict[int, dict] = {}
-        self._slots: dict[str, list[int]] = {}  # c -> slots of (c, 1), (c, 2), ...
-        self._runs: dict[tuple[str, int], int] = {}  # (c, n) -> bits of c's first n slots
 
     def accepted(
         self, i: int, pool: Sequence[int], chain: ComparatorChain
@@ -349,64 +330,30 @@ class PairScores:
         return [occurrence_set(tokenize(text), stopwords) for text in self.target]
 
     @cached_property
-    def _chars(self) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+    def _chars(self) -> tuple[list, list, list[list[tuple[str, int]]]]:
         """Each translation line's and each target's text with its character
-        mask. One slot allocation covers both columns, so a long line in
-        one does not lengthen the masks of the other."""
-        texts = [*self.trans, *self.target]
-        rows = list(zip(texts, self._masks(texts)))
-        return rows[: len(self.trans)], rows[len(self.trans) :]
-
-    @cached_property
-    def _variants(self) -> list[list[tuple[str, int]]]:
-        """Per translation line, the texts the synonym tier compares with
-        their character masks: the normalized text, then every other
-        distinct synonym variant."""
+        mask, and with a lexicon, per translation line, the texts the synonym
+        tier compares with their masks: the normalized text, then every other
+        distinct variant. One slot allocation covers every text, so a long
+        text does not lengthen the mask of another."""
         lexicon, cap = self.context.lexicon, self.context.cap
-        plains, others = self._chars[0], []
-        for tokens, (text, _) in zip(self._trans_tokens, plains):
-            variants = expand_sentence(tokens, lexicon, cap)
-            joined = dict.fromkeys(" ".join(variant) for variant in variants)
-            joined.pop(text, None)
-            others.append(joined)
-        texts = list(dict.fromkeys(text for row in others for text in row))
-        masks = dict(zip(texts, self._masks(texts)))
-        return [[plain, *((text, masks[text]) for text in row)] for plain, row in zip(plains, others)]
+        others = []
+        if len(lexicon):
+            for tokens, text in zip(self._trans_tokens, self.trans):
+                variants = expand_sentence(tokens, lexicon, cap)
+                joined = dict.fromkeys(" ".join(variant) for variant in variants)
+                joined.pop(text, None)
+                others.append(joined)
+        texts = [*self.trans, *self.target, *dict.fromkeys(t for row in others for t in row)]
+        rows = list(zip(texts, _masks(texts)))
+        n, m = len(self.trans), len(self.target)
+        plains, masks = rows[:n], dict(rows[n + m :])
+        variants = [[plain, *((t, masks[t]) for t in row)] for plain, row in zip(plains, others)]
+        return plains, rows[n : n + m], variants
 
     @cached_property
     def _lcs(self) -> list[dict[tuple[int, int], int]]:
         return [{} for _ in self.trans]
-
-    def _masks(self, texts: Sequence[str]) -> list[int]:
-        """Each text's character mask: slot (c, k) set for k = 1..#text(c),
-        so ``common_chars`` of two masks is sum_c min(#a(c), #b(c)).
-
-        The slots ``texts`` need and the table lacks are allocated here, for
-        all of them at once and in order of k, then of c: every (c, 1)
-        first, then every (c, 2), and so on. So a mask's highest bit
-        depends on how often its own characters repeat, not on the length
-        of another text in the batch. The bits of c's first n slots are
-        built once per (c, n); a mask is the sum of its characters' bits,
-        which are disjoint.
-        """
-        rows = []
-        for text in texts:
-            chars = set(text)
-            rows.append(tuple(zip(chars, map(text.count, chars))))
-        runs, slots = self._runs, self._slots
-        new = set().union(*rows).difference(runs)
-        need: dict[str, int] = {}
-        for char, n in new:
-            need[char] = max(n, need.get(char, 0))
-        order = sorted(
-            (k, char) for char, n in need.items() for k in range(len(slots.get(char, ())) + 1, n + 1)
-        )
-        for slot, (_, char) in enumerate(order, start=sum(map(len, slots.values()))):
-            slots.setdefault(char, []).append(slot)
-        for char, n in new:
-            runs[char, n] = _bits(slots[char][:n])
-        get = runs.__getitem__
-        return [sum(map(get, row)) for row in rows]
 
     def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
         """The exact best ratio of ``kind``'s texts of line ``i`` against
@@ -419,11 +366,8 @@ class PairScores:
         so far, and reaches the block kernel only when none is. The LCS is
         kept in the table; the character count is recounted on each call.
         """
-        trans_chars, target_chars = self._chars
-        if kind == SYNONYM_RATIO and len(self.context.lexicon):
-            texts = self._variants[i]
-        else:
-            texts = (trans_chars[i],)
+        trans_chars, target_chars, variants = self._chars
+        texts = variants[i] if kind == SYNONYM_RATIO and variants else (trans_chars[i],)
         b, b_mask = target_chars[j]
         b_len = len(b)
         row, lcs_row = self._ratios[i], self._lcs[i]
@@ -453,6 +397,32 @@ class PairScores:
             if score > best:
                 best = score
         return best if best >= threshold else None
+
+
+def _masks(texts: Sequence[str]) -> list[int]:
+    """Each text's character mask: slot (c, k) set for k = 1..#text(c), so
+    ``common_chars`` of two masks is sum_c min(#a(c), #b(c)).
+
+    Slots go in order of k, then of c: every (c, 1) first, then every
+    (c, 2), and so on. So a mask's highest bit depends on how often its own
+    characters repeat, not on the length of another text. The bits of c's
+    first n slots are built once per (c, n); a mask is the sum of its
+    characters' bits, which are disjoint.
+    """
+    rows = []
+    for text in texts:
+        chars = set(text)
+        rows.append(tuple(zip(chars, map(text.count, chars))))
+    counts = set().union(*rows)
+    need: dict[str, int] = {}
+    for char, n in counts:
+        need[char] = max(n, need.get(char, 0))
+    slots: dict[str, list[int]] = {}  # c -> slots of (c, 1), (c, 2), ...
+    order = sorted((k, char) for char, n in need.items() for k in range(1, n + 1))
+    for slot, (_, char) in enumerate(order):
+        slots.setdefault(char, []).append(slot)
+    get = {(char, n): _bits(slots[char][:n]) for char, n in counts}.__getitem__
+    return [sum(map(get, row)) for row in rows]
 
 
 def _bits(positions: Sequence[int]) -> int:

@@ -74,7 +74,7 @@ def test_01_no_line_is_lost_across_randomized_corpora():
         tgt = Corpus("tgt", kept)
         trans = Corpus("y", lines)
         result = align(src, tgt, trans, config)
-        assert result.total == n == len(result.decisions)
+        assert result.counts()["L"] == n == len(result.decisions)
         assert sorted(d.source_index for d in result.decisions) == list(range(n))
 
     # paper-scale mirror: the shipped 1005-line corpus with a dropped and
@@ -83,8 +83,9 @@ def test_01_no_line_is_lost_across_randomized_corpora():
     tgt = load_corpus(FIXTURES / "parallel_1005.tgt", "tgt")
     result = align(src, tgt, Corpus("y", src.lines),
                    AlignmentConfig(chain=exact_chain(), window=20))
-    assert result.total == len(result.decisions) == 1005
-    assert result.aligned_count + result.translated_count + result.disproportion_count == 1005
+    counts = result.counts()
+    assert counts["L"] == len(result.decisions) == 1005
+    assert counts["A"] + counts["T"] + counts["D"] == 1005
 
 
 def test_02_alignment_score_matches_exact_rational_oracle():

@@ -12,6 +12,8 @@ from transalign.align import (
     FILLED,
     TRANSLATED,
     AlignmentConfig,
+    AlignmentDecision,
+    AlignmentResult,
     align,
     lookahead_resolve,
     read_report,
@@ -50,15 +52,15 @@ def distinct_lines(n):
     return [f"w{i} k{i * 7 % 101} q{i * 13 % 89} end{i}" for i in range(n)]
 
 
-def test_identity_corpus_aligns_every_line():
+def test_identity_corpus_aligns_every_line(tmp_path):
     lines = distinct_lines(8)
     src = corpus(*lines, language="src")
     tgt = corpus(*lines, language="tgt")
     result = align(src, tgt, src, config_of(threshold=1.0))
-    assert result.aligned_count == result.total == 8
-    assert result.translated_count == result.disproportion_count == 0
+    assert result.counts() == {"A": 8, "T": 0, "D": 0, "L": 8}
     assert [d.target_index for d in result.decisions] == list(range(8))
-    assert result.output_pairs == tuple((line, line) for line in lines)
+    out_s, out_t, _ = report_bytes(result, src, tmp_path)
+    assert out_s == out_t == "".join(line + "\n" for line in lines).encode("utf-8")
     assert result.unmatched_target_indices == ()
 
 
@@ -71,13 +73,13 @@ LOOKAHEAD_TARGET = [
 
 
 def test_align_never_normalizes_the_source():
-    # Source lines are only copied into the output pairs.
+    # Source lines are only counted; write_alignment copies them.
     lines = distinct_lines(6)
     src = corpus(*lines, language="src")
     trans = corpus(*lines, language="y")
     tgt = corpus(*reversed(lines), language="tgt")
     result = align(src, tgt, trans, config_of(threshold=1.0))
-    assert result.aligned_count == 6
+    assert result.counts()["A"] == 6
     assert "normalized" not in vars(src)
     assert "normalized" in vars(trans) and "normalized" in vars(tgt)
 
@@ -191,10 +193,7 @@ def test_disproportion_fills_attributed_in_source_order():
     src = corpus(*lines, language="src")
     tgt = corpus(lines[0], lines[2], lines[4], language="tgt")
     result = align(src, tgt, src, config_of(threshold=1.0))
-    assert result.aligned_count == 3
-    assert result.disproportion_count == 2
-    assert result.translated_count == 0
-    assert result.total == 5
+    assert result.counts() == {"A": 3, "T": 0, "D": 2, "L": 5}
     fills = [d for d in result.decisions if d.outcome == FILLED]
     assert [d.source_index for d in fills] == [1, 3]
     # the fill text is the line's own translation
@@ -208,9 +207,7 @@ def test_fills_beyond_quota_count_as_translated():
     # unmatched lines are plain Translated
     tgt = corpus(lines[0], "zzz yyy xxx", "qqq ppp ooo", lines[3], language="tgt")
     result = align(src, tgt, src, config_of(threshold=1.0))
-    assert result.aligned_count == 2
-    assert result.translated_count == 2
-    assert result.disproportion_count == 0
+    assert result.counts() == {"A": 2, "T": 2, "D": 0, "L": 4}
     outcomes = [d.outcome for d in result.decisions]
     assert outcomes == [ALIGNED, TRANSLATED, TRANSLATED, ALIGNED]
     assert set(result.unmatched_target_indices) == {1, 2}
@@ -225,7 +222,7 @@ def test_first_gap_unmatched_lines_fill_and_the_rest_translate():
     result = align(src, tgt, src, config_of(threshold=1.0))
     outcomes = [d.outcome for d in result.decisions]
     assert outcomes == [ALIGNED, FILLED, TRANSLATED, TRANSLATED, ALIGNED]
-    assert (result.aligned_count, result.disproportion_count, result.translated_count) == (2, 1, 2)
+    assert result.counts() == {"A": 2, "T": 2, "D": 1, "L": 5}
     assert [d.text for d in result.decisions[1:4]] == lines[1:4]
 
 
@@ -238,7 +235,7 @@ def test_target_longer_than_source_fills_up_to_the_gap():
     result = align(src, tgt, src, config_of(threshold=1.0))
     outcomes = [d.outcome for d in result.decisions]
     assert outcomes == [ALIGNED, FILLED, TRANSLATED]
-    assert (result.aligned_count, result.disproportion_count, result.translated_count) == (1, 1, 1)
+    assert result.counts() == {"A": 1, "T": 1, "D": 1, "L": 3}
     assert result.unmatched_target_indices == (1, 2, 3)
 
 
@@ -248,11 +245,11 @@ def test_trans_length_mismatch_rejected():
         align(src, corpus("a"), corpus("a"), config_of())
 
 
-def test_empty_source_is_empty_result():
+def test_empty_source_is_empty_result(tmp_path):
     result = align(corpus(), corpus("orphan"), corpus(), config_of())
-    assert result.total == 0
+    assert result.counts()["L"] == 0
     assert result.decisions == ()
-    assert result.output_pairs == ()
+    assert report_bytes(result, corpus(), tmp_path)[:2] == (b"", b"")
     assert result.unmatched_target_indices == (0,)
 
 
@@ -284,7 +281,7 @@ def test_config_rejects_bools_non_integers_and_a_zero_cap(settings):
         AlignmentConfig(chain=chain_of(), **settings)
 
 
-def test_zero_line_loss_over_random_corpora():
+def test_zero_line_loss_over_random_corpora(tmp_path):
     rng = random.Random(97)
     for _ in range(150):
         n = rng.randrange(1, 60)
@@ -299,19 +296,16 @@ def test_zero_line_loss_over_random_corpora():
             lookahead=rng.randrange(0, 3),
         )
         result = align(src, tgt, src, cfg)
-        assert result.total == n
-        assert len(result.output_pairs) == n
-        assert [pair[0] for pair in result.output_pairs] == lines
+        counts = result.counts()
+        assert counts["L"] == n
+        out_s, out_t, _ = report_bytes(result, src, tmp_path)
+        assert len(out_t.decode("utf-8").splitlines()) == n
+        assert out_s.decode("utf-8").splitlines() == lines
         aligned_targets = [
             d.target_index for d in result.decisions if d.outcome == ALIGNED
         ]
         assert len(aligned_targets) == len(set(aligned_targets))
-        counted = (
-            result.aligned_count
-            + result.translated_count
-            + result.disproportion_count
-        )
-        assert counted == n
+        assert counts["A"] + counts["T"] + counts["D"] == n
 
 
 def test_permutation_recovery_within_window():
@@ -326,7 +320,7 @@ def test_permutation_recovery_within_window():
     src = corpus(*lines, language="src")
     tgt = Corpus("tgt", shuffled)
     result = align(src, tgt, src, config_of(threshold=1.0, window=20))
-    assert result.aligned_count == 100
+    assert result.counts()["A"] == 100
     for decision, line in zip(result.decisions, lines):
         assert decision.text == line
 
@@ -343,7 +337,7 @@ def test_alignment_is_deterministic(tmp_path):
     for run in range(2):
         result = align(src, tgt, src, config_of(threshold=1.0, window=0))
         paths = [tmp_path / f"{run}-{name}" for name in ("s.txt", "t.txt", "r.jsonl")]
-        write_alignment(result, *paths)
+        write_alignment(result, src, *paths)
         outputs.append(tuple(p.read_bytes() for p in paths))
     assert outputs[0] == outputs[1]
 
@@ -354,7 +348,7 @@ def test_report_schema_and_round_trip(tmp_path):
     tgt = corpus(lines[0], lines[2], lines[4], language="tgt")
     result = align(src, tgt, src, config_of(threshold=1.0))
     out_s, out_t, report = (tmp_path / n for n in ("s.txt", "t.txt", "r.jsonl"))
-    write_alignment(result, out_s, out_t, report)
+    write_alignment(result, src, out_s, out_t, report)
 
     assert out_s.read_text(encoding="utf-8").splitlines() == lines
     raw = report.read_text(encoding="utf-8").splitlines()
@@ -372,10 +366,7 @@ def test_report_schema_and_round_trip(tmp_path):
             assert "target_index" not in r
 
     loaded = read_report(report)
-    assert loaded.aligned_count == result.aligned_count
-    assert loaded.translated_count == result.translated_count
-    assert loaded.disproportion_count == result.disproportion_count
-    assert loaded.total == result.total
+    assert loaded.counts() == result.counts()
     assert [d.outcome for d in loaded.decisions] == [
         d.outcome for d in result.decisions
     ]
@@ -385,11 +376,37 @@ def test_report_schema_and_round_trip(tmp_path):
 def test_write_empty_result(tmp_path):
     result = align(corpus(), corpus(), corpus(), config_of())
     out_s, out_t, report = (tmp_path / n for n in ("s.txt", "t.txt", "r.jsonl"))
-    write_alignment(result, out_s, out_t, report)
+    write_alignment(result, corpus(), out_s, out_t, report)
     assert out_s.read_bytes() == b""
     assert out_t.read_bytes() == b""
     trailer = json.loads(report.read_text(encoding="utf-8").splitlines()[-1])
     assert trailer["A"] == trailer["T"] == trailer["D"] == trailer["L"] == 0
+
+
+def test_fixture_report_round_trip_rewrites_every_file(tmp_path):
+    # A result read back from its report writes the same three files.
+    src = load_corpus(FIXTURES / "parallel_1005.src", "src")
+    tgt = load_corpus(FIXTURES / "parallel_1005.tgt", "tgt")
+    result = align(src, tgt, src, AlignmentConfig(chain=chain_of(0.85), window=20))
+    (tmp_path / "first").mkdir()
+    (tmp_path / "again").mkdir()
+    written = report_bytes(result, src, tmp_path / "first")
+    loaded = read_report(tmp_path / "first" / "r")
+    assert loaded == result
+    assert report_bytes(loaded, src, tmp_path / "again") == written
+    assert len(written[1].decode("utf-8").splitlines()) == 1005
+
+
+def test_write_alignment_refuses_a_source_of_another_length(tmp_path):
+    result = align(corpus("a b"), corpus("a b"), corpus("a b"), config_of())
+    with pytest.raises(DataError):
+        report_bytes(result, corpus("a b", "c d"), tmp_path)
+
+
+def test_counts_refuse_an_unknown_outcome():
+    result = AlignmentResult((AlignmentDecision(0, "lost", "x"),))
+    with pytest.raises(DataError, match="lost"):
+        result.counts()
 
 
 def test_align_rejects_a_table_over_other_inputs():
@@ -445,9 +462,9 @@ def three_tier_chain(t1, t2, t3):
     )
 
 
-def report_bytes(result, tmp_path):
+def report_bytes(result, source, tmp_path):
     paths = [tmp_path / name for name in ("s", "t", "r")]
-    write_alignment(result, *paths)
+    write_alignment(result, source, *paths)
     return tuple(path.read_bytes() for path in paths)
 
 
@@ -470,7 +487,7 @@ def test_warm_pair_table_gives_identical_reports(tmp_path):
                 reports = []
                 for scores in (None, warm):
                     result = align(src, tgt, trans, target_config, scores)
-                    reports.append(report_bytes(result, tmp_path))
+                    reports.append(report_bytes(result, src, tmp_path))
                 assert reports[0] == reports[1], (seed, window, lookahead)
 
 
@@ -501,12 +518,12 @@ def test_bound_pruning_changes_no_report(tmp_path, monkeypatch):
                         chain=chain, window=window, lookahead_depth=lookahead, **extras
                     )
                     run = "pruned"
-                    pruned = report_bytes(align(src, tgt, trans, config), tmp_path)
+                    pruned = report_bytes(align(src, tgt, trans, config), src, tmp_path)
                     run = "unpruned"
                     with monkeypatch.context() as patch:
                         patch.setattr(sim, "common_chars", lambda *args: 10**9)
                         patch.setattr(sim, "lcs_length", lambda *args: 10**9)
-                        unpruned = report_bytes(align(src, tgt, trans, config), tmp_path)
+                        unpruned = report_bytes(align(src, tgt, trans, config), src, tmp_path)
                     assert pruned == unpruned, (seed, window, lookahead, chain)
     assert kernel_calls["unpruned"] > 2 * kernel_calls["pruned"] > 0
 
@@ -560,7 +577,7 @@ def test_fixture_ratio_runs_only_where_the_bound_reaches_the_threshold(monkeypat
         (Comparator("token_overlap", 0.99), Comparator("matching_blocks_ratio", 0.85))
     )
     result = align(src, tgt, src, AlignmentConfig(chain=chain, window=20))
-    assert result.total == 1005
+    assert result.counts()["L"] == 1005
     assert checked and all(checked)
 
 

@@ -562,6 +562,7 @@ def http_config(**settings):
         ("align", {"chain": [{"kind": "token_overlap", "threshold": True}]}),
         ("align", {"chain": [{"kind": "token_overlap", "threshold": False}]}),
         ("align", {"chain": [{"kind": "token_overlap", "threshold": "0.5"}]}),
+        ("align", {"chain": []}),
     ],
 )
 def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):
@@ -597,11 +598,13 @@ def jsonl(*objects):
         (jsonl(RECORD, {**TRAILER, "A": 1, "T": 0}), b"x\n"),
         (jsonl(RECORD, {**TRAILER, "D": 1}), b"x\n"),
         (b"[" * 200_000 + b"]" * 200_000 + b"\n", b"x\n"),
+        (jsonl({**RECORD, "outcome": ["translated"]}, TRAILER), b"x\n"),
     ],
     ids=["no-source-index", "string-source-index", "report-not-utf8", "gold-not-utf8",
          "number-text", "number-unmatched-targets", "more-records-than-L",
          "fewer-records-than-L", "duplicate-source-index", "source-index-out-of-range",
-         "counts-disagree", "fill-count-disagrees", "deeply-nested-json"],
+         "counts-disagree", "fill-count-disagrees", "deeply-nested-json",
+         "unknown-outcome"],
 )
 def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     (tmp_path / "r.jsonl").write_bytes(report)
@@ -794,7 +797,7 @@ def test_package_align_stays_the_function(tmp_path, first):
 def test_every_exported_name_is_its_submodules_object():
     import transalign
 
-    assert len(transalign.__all__) == 68 and transalign.__all__[-1] == "__version__"
+    assert len(transalign.__all__) == 67 and transalign.__all__[-1] == "__version__"
     for name in transalign.__all__[:-1]:
         value = getattr(transalign, name)
         module = sys.modules[f"transalign.{transalign._EXPORTS[name]}"]

@@ -76,14 +76,7 @@ def decision(i, outcome, text):
 
 
 def result_from(decisions):
-    return AlignmentResult(
-        decisions=tuple(decisions),
-        output_pairs=tuple(("s", d.text) for d in decisions),
-        aligned_count=sum(1 for d in decisions if d.outcome == "aligned"),
-        translated_count=sum(1 for d in decisions if d.outcome == "translated"),
-        disproportion_count=sum(1 for d in decisions if d.outcome == "filled"),
-        total=len(decisions),
-    )
+    return AlignmentResult(tuple(decisions))
 
 
 def test_gold_perfect_run_scores_100():
@@ -134,6 +127,12 @@ def test_gold_shorter_than_result_raises():
     res = result_from([decision(0, "aligned", "a"), decision(1, "aligned", "b")])
     with pytest.raises(GoldMismatchError):
         evaluate_against_gold(res, ["a"])
+
+
+def test_gold_scoring_refuses_an_unknown_outcome():
+    res = result_from([decision(0, "aligned", "a"), decision(1, "lost", "b")])
+    with pytest.raises(DataError, match="lost"):
+        evaluate_against_gold(res, ["a", "b"])
 
 
 # -- BLEU --------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 import transalign.similarity as sim
 from oracles import (
-    brute_matching_blocks,
     brute_ratio,
     char_count_bound,
     common_chars_oracle,
@@ -24,7 +23,6 @@ from transalign.similarity import (
     PairScores,
     evaluate_chain,
     lcs_length,
-    matching_blocks,
     position_masks,
     ratio,
     synonym_ratio,
@@ -34,43 +32,12 @@ from transalign.similarity import (
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def blocks(a, b):
-    return [(blk.a_start, blk.b_start, blk.length) for blk in matching_blocks(a, b)]
-
-
-def test_matching_blocks_abxcd():
-    # "ab" and "cd" are matched, the lone "x" is not
-    assert blocks("abxcd", "abcd") == [(0, 0, 2), (3, 2, 2)]
-
-
-def test_matching_blocks_identity_and_disjoint():
-    assert blocks("abc", "abc") == [(0, 0, 3)]
-    assert blocks("abc", "xyz") == []
-
-
-def test_matching_blocks_tie_breaks_smallest_a_then_b():
-    # both "ab" occurrences are candidates; the earliest in a, then b wins
-    assert blocks("abab", "ab")[0] == (0, 0, 2)
-    assert blocks("ab", "abab")[0] == (0, 0, 2)
-
-
-def test_matching_blocks_monotone_and_disjoint_in_both():
-    rng = random.Random(3)
-    for _ in range(300):
-        a = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 12)))
-        b = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 12)))
-        got = blocks(a, b)
-        for (i1, j1, s1), (i2, j2, s2) in zip(got, got[1:]):
-            assert i1 + s1 <= i2
-            assert j1 + s1 <= j2
-
-
-def test_matching_blocks_equals_oracle_on_random_pairs():
-    rng = random.Random(17)
-    for _ in range(500):
-        a = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 9)))
-        b = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 9)))
-        assert blocks(a, b) == brute_matching_blocks(a, b), (a, b)
+def test_ratio_tie_breaks_smallest_a_then_b():
+    # Equal-length blocks tie; taking the one earliest in a (then in b)
+    # decides what the two sides of it can still match.
+    assert ratio("aba", "acb") == float(brute_ratio("aba", "acb")) == pytest.approx(2 / 3)
+    assert ratio("aba", "bca") == float(brute_ratio("aba", "bca")) == pytest.approx(1 / 3)
+    assert ratio("abab", "ab") == float(brute_ratio("abab", "ab")) == pytest.approx(2 / 3)
 
 
 def test_kernel_equals_oracle_on_long_lines():
@@ -84,7 +51,6 @@ def test_kernel_equals_oracle_on_long_lines():
         for position in rng.sample(range(len(a)), 4):
             edited[position] = rng.choice("ab c".replace(a[position], ""))
         b = "".join(edited)
-        assert blocks(a, b) == brute_matching_blocks(a, b)
         assert ratio(a, b) == float(brute_ratio(a, b))
 
 
@@ -200,6 +166,20 @@ def test_comparator_validation():
         Comparator("token_overlap", 1.5)
     with pytest.raises(ConfigError):
         ComparatorChain(())
+
+
+@pytest.mark.parametrize("cap", [0, -1, True, 2.5, "8"])
+def test_chain_context_rejects_a_cap_that_is_not_a_positive_int(cap):
+    with pytest.raises(ConfigError, match="cap"):
+        ChainContext(cap=cap)
+
+
+def test_per_pair_calls_reject_a_zero_cap():
+    with pytest.raises(ConfigError):
+        synonym_ratio("a b", "a b", WILL_WOULD, cap=0)
+    chain = ComparatorChain((Comparator("token_overlap", 0.5),))
+    with pytest.raises(ConfigError):
+        evaluate_chain("a b", "a b", chain, ChainContext(cap=0))
 
 
 def test_chain_sorts_by_cost_class():
@@ -331,8 +311,8 @@ def test_ratio_bound_is_never_below_the_oracle_ratio():
 
 def test_mask_popcount_equals_the_character_count_oracle():
     # Random Unicode pairs (ASCII, Latin-1, Greek, CJK, a combining mark,
-    # astral emoji) with repeats; either side may be empty. The slots are
-    # allocated by ``a`` first, by ``b`` first, or by both in one batch.
+    # astral emoji) with repeats; either side may be empty. Both texts are
+    # masked in one batch, in either order.
     rng = random.Random(101)
     alphabet = "ab \u00e9\u00df\u03b1\u4e2d\u0301\U0001f600"
     for k in range(400):
@@ -341,12 +321,9 @@ def test_mask_popcount_equals_the_character_count_oracle():
             for _ in range(2)
         )
         expected = common_chars_oracle(a, b)
-        for batches in ([[a], [b]], [[b], [a]], [[a, b]]):
-            scores = PairScores((), ())
-            masks = {}
-            for batch in batches:
-                masks.update(zip(batch, scores._masks(batch)))
-            assert sim.common_chars(masks[a], masks[b]) == expected, (a, b, batches)
+        for batch in ([a, b], [b, a]):
+            masks = dict(zip(batch, sim._masks(batch)))
+            assert sim.common_chars(masks[a], masks[b]) == expected, (a, b, batch)
             assert masks[a].bit_count() == len(a)
 
 
@@ -365,6 +342,19 @@ def test_a_long_line_leaves_every_other_mask_small():
         assert max(mask.bit_length() for _, mask in rows) < 400
         for text, mask in rows[:20]:
             assert sim.common_chars(mask, long_mask) == text.count("a")
+
+
+def test_a_long_line_leaves_every_variant_mask_small():
+    # The synonym variants are masked in the columns' batch, so the slot
+    # (t, 4) that only "the kitty sat" needs comes before the long line's
+    # later slots of "a".
+    context = ChainContext(lexicon=SynonymLexicon({"cat": ("kitty",)}))
+    scores = PairScores(("a" * 100_000, "the cat sat"), ("the dog sat",), context)
+    texts = scores._chars[2][1]
+    assert [text for text, _ in texts] == ["the cat sat", "the kitty sat"]
+    assert all(mask.bit_length() < 200 for _, mask in texts)
+    best = max(ratio(text, "the dog sat") for text, _ in texts)
+    assert scores.score(1, 0, "synonym_ratio") == best
 
 
 def test_lcs_length_equals_the_oracle_and_lies_between_ratio_and_bound():
