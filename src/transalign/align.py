@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .corpus import Corpus
+from .corpus import Corpus, Frozen
 from .errors import ConfigError, DataError
 from .lexicon import EMPTY_LEXICON, EMPTY_STOPWORDS, StopWordList, SynonymLexicon
 from .similarity import (
@@ -33,8 +33,7 @@ TRANSLATED = "translated"
 FILLED = "filled"
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
+class AlignmentConfig(Frozen):
     """Knobs for one alignment run.
 
     ``window`` is the candidate-search half-width around the expected
@@ -46,25 +45,28 @@ class AlignmentConfig:
     ``ConfigError``; ``cap`` is checked by the ``ChainContext`` it goes into.
     """
 
-    chain: ComparatorChain
-    window: int = 20
-    lookahead_depth: int = 1
-    cap: int = 64
-    stopwords: StopWordList = EMPTY_STOPWORDS
-    lexicon: SynonymLexicon = EMPTY_LEXICON
+    __slots__ = _fields = ("chain", "window", "lookahead_depth", "cap", "stopwords", "lexicon")
 
-    def __post_init__(self):
-        for name, value in (("window", self.window), ("lookahead_depth", self.lookahead_depth)):
+    def __init__(
+        self,
+        chain: ComparatorChain,
+        window: int = 20,
+        lookahead_depth: int = 1,
+        cap: int = 64,
+        stopwords: StopWordList = EMPTY_STOPWORDS,
+        lexicon: SynonymLexicon = EMPTY_LEXICON,
+    ):
+        for name, value in (("window", window), ("lookahead_depth", lookahead_depth)):
             if type(value) is not int or value < 0:
                 raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+        self._set(chain, window, lookahead_depth, cap, stopwords, lexicon)
         self.context()  # checks cap
 
     def context(self) -> ChainContext:
         return ChainContext(self.stopwords, self.lexicon, self.cap)
 
 
-@dataclass(frozen=True)
-class AlignmentDecision:
+class AlignmentDecision(NamedTuple):
     """Per-source-line outcome: a consumed target line, a translation used
     verbatim, or a fill attributed to input-file size disproportion."""
 
@@ -76,8 +78,7 @@ class AlignmentDecision:
     comparator: str | None = None
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     """One decision per source line, in source order, and the target lines
     no decision consumed. Counts and output lines are derived from these."""
 
@@ -255,7 +256,12 @@ def read_report(report_path) -> AlignmentResult:
 
     The records must hold one decision for each source index ``0..L-1``
     and agree with the trailer's ``A``/``T``/``D`` counts, as
-    ``write_alignment`` writes them; anything else is a ``DataError``.
+    ``write_alignment`` writes them. An aligned record needs an int
+    ``target_index`` >= 0, a ``score`` in [0, 1] and a string
+    ``comparator``; other records keep only their outcome and text. The
+    aligned records' target indices and the trailer's ``unmatched_targets``
+    are distinct ints >= 0, as each target line is consumed at most once.
+    Anything else is a ``DataError``.
     """
     try:
         # Split on LF only: text fields may hold U+2028 and the like raw.
@@ -272,7 +278,7 @@ def read_report(report_path) -> AlignmentResult:
         if type(trailer.get(key)) is not int:
             raise DataError(f"report {report_path} has no counts trailer")
     unmatched = trailer.get("unmatched_targets", [])
-    if not isinstance(unmatched, list) or not all(type(j) is int for j in unmatched):
+    if not isinstance(unmatched, list) or not all(type(j) is int and j >= 0 for j in unmatched):
         raise DataError(f"report trailer has no valid unmatched_targets: {unmatched!r}")
     decisions = []
     for record in objects[:-1]:
@@ -282,22 +288,30 @@ def read_report(report_path) -> AlignmentResult:
         text = record.get("text", "")
         if not isinstance(text, str):
             raise DataError(f"report record has no valid text: {text!r}")
-        decisions.append(
-            AlignmentDecision(
-                source_index=source_index,
-                outcome=record.get("outcome"),
-                text=text,
-                target_index=record.get("target_index"),
-                score=record.get("score"),
-                comparator=record.get("comparator"),
-            )
-        )
+        outcome = record.get("outcome")
+        if outcome != ALIGNED:
+            decisions.append(AlignmentDecision(source_index, outcome, text))
+            continue
+        j, score, comparator = (record.get(key) for key in ("target_index", "score", "comparator"))
+        if type(j) is not int or j < 0:
+            raise DataError(f"aligned report record has no valid target_index: {j!r}")
+        if type(score) not in (int, float) or not 0.0 <= score <= 1.0:
+            raise DataError(f"aligned report record has no valid score: {score!r}")
+        if not isinstance(comparator, str):
+            raise DataError(f"aligned report record has no valid comparator: {comparator!r}")
+        decisions.append(AlignmentDecision(source_index, outcome, text, j, score, comparator))
     decisions.sort(key=lambda decision: decision.source_index)
     total = trailer["L"]
     if [decision.source_index for decision in decisions] != list(range(total)):
         raise DataError(
             f"report {report_path} has {len(decisions)} records, not one for each "
             f"source index 0..{total - 1} of its trailer's L={total}"
+        )
+    targets = [d.target_index for d in decisions if d.outcome == ALIGNED] + unmatched
+    if len(set(targets)) != len(targets):
+        raise DataError(
+            f"report {report_path} names a target index twice in its aligned records "
+            "and unmatched_targets"
         )
     result = AlignmentResult(tuple(decisions), tuple(unmatched))
     counts = result.counts()

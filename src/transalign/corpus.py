@@ -7,6 +7,9 @@ All comparisons elsewhere in the toolkit run on the normalized form
 That form is the ``normalized`` column, built the first time it is read,
 so a corpus whose lines are only copied through (an alignment's source,
 a gold file) is never normalized.
+
+``Value`` and ``Frozen`` are the bases of the toolkit's plain value
+classes, here because every module that defines one imports this one.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from __future__ import annotations
 import io
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import CorpusFormatError
 
@@ -47,27 +49,83 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RUN.findall(text.replace("_", " ")))
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Value:
+    """Base of a plain value class: ``==``, ``repr``, ``_replace``, copying
+    and pickling over ``_fields``, the names of its constructor arguments,
+    which it stores under the same names. Two values are equal when they
+    are of the same class and ``_key()`` is equal. Not hashable, as it may
+    change. A copy or an unpickled value is built by ``__init__`` again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _set(self, *values) -> None:
+        """Store ``values`` under ``_fields``, in order: for ``__init__``."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values  # what == compares
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        """A new value built from this one's fields, with ``changes`` applied."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class Frozen(Value):
+    """A ``Value`` whose attributes cannot be assigned or deleted once
+    ``__init__`` has set them with ``_set``. Hashed by ``_key()``, so it is
+    hashable when its compared fields are."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Corpus(Frozen):
     """Ordered raw lines under one language tag.
 
     ``lines`` may be any iterable of strings and is stored as a tuple; a
     line holding a CR or LF is a ``CorpusFormatError``, since each line is
     one output pair. ``skipped_lines`` reports the 1-based numbers of empty
-    input lines that were dropped during loading.
+    input lines that were dropped during loading; equality and hashing
+    ignore it.
     """
 
-    language: str
-    lines: tuple[str, ...]
-    skipped_lines: tuple[int, ...] = field(default=(), compare=False)
+    # No __slots__: ``normalized`` is cached in the instance's __dict__.
+    _fields = ("language", "lines", "skipped_lines")
 
-    def __post_init__(self):
-        lines = tuple(self.lines)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "skipped_lines", tuple(self.skipped_lines))
+    def __init__(self, language: str, lines: Iterable[str], skipped_lines: Iterable[int] = ()):
+        lines = tuple(lines)
         for index, line in enumerate(lines):
             if "\n" in line or "\r" in line:
                 raise CorpusFormatError(f"line index {index} contains a line-break character")
+        self._set(language, lines, tuple(skipped_lines))
+
+    def _key(self) -> tuple:
+        return self.language, self.lines
 
     @cached_property
     def normalized(self) -> tuple[str, ...]:

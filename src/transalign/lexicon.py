@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import normalize
+from .corpus import Frozen, normalize
 from .errors import LexiconFormatError
 
 
-@dataclass(frozen=True)
-class StopWordList:
+class StopWordList(Frozen):
     """Normalized words to drop before token-overlap comparison."""
 
-    words: frozenset[str]
-    language: str = ""
+    __slots__ = _fields = ("words", "language")
+
+    def __init__(self, words: frozenset[str], language: str = ""):
+        self._set(words, language)
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -23,18 +23,20 @@ class StopWordList:
 EMPTY_STOPWORDS = StopWordList(frozenset())
 
 
-@dataclass(frozen=True)
-class SynonymLexicon:
+class SynonymLexicon(Frozen):
     """Word -> synonyms mapping.
 
     Synonym groups keep the order they had in the lexicon file so variant
     generation is reproducible from the file bytes. Lookup of an unknown
     word yields the empty tuple. The relation is used exactly as stored;
-    symmetrize the file if both directions are wanted.
+    symmetrize the file if both directions are wanted. Not hashable: the
+    entries are a dict.
     """
 
-    entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    language: str = ""
+    __slots__ = _fields = ("entries", "language")
+
+    def __init__(self, entries: dict[str, tuple[str, ...]] | None = None, language: str = ""):
+        self._set({} if entries is None else entries, language)
 
     def synonyms(self, word: str) -> tuple[str, ...]:
         return self.entries.get(word, ())

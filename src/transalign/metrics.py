@@ -13,8 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .corpus import normalize, tokenize
 from .errors import ConfigError, DataError, GoldMismatchError
@@ -28,8 +27,7 @@ BP_STANDARD = "standard"
 BP_PAPER = "paper"
 
 
-@dataclass(frozen=True)
-class ScoreCard:
+class ScoreCard(NamedTuple):
     """Outcome counters and the derived integer score."""
 
     aligned: int
@@ -110,8 +108,7 @@ def evaluate_against_gold(
     return ScoreCard(aligned, misaligned, translated, disproportion, total, score)
 
 
-@dataclass(frozen=True)
-class NgramStats:
+class NgramStats(NamedTuple):
     """Per-order n-gram match/total counts plus both lengths.
 
     Additive under corpus concatenation: summing the per-sentence vectors

@@ -17,11 +17,10 @@ characters of a ``b`` of 200 or more characters and change the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .corpus import normalize, tokenize
+from .corpus import Frozen, normalize, tokenize
 from .errors import ConfigError
 from .lexicon import (
     EMPTY_LEXICON,
@@ -141,42 +140,35 @@ def synonym_ratio(
     return scores.score(0, 0, SYNONYM_RATIO)
 
 
-@dataclass(frozen=True)
-class Comparator:
+class Comparator(Frozen):
     """One tier of the escalation policy: a scoring kind plus its acceptance
     threshold. Lower cost class means the tier runs earlier."""
 
-    kind: str
-    threshold: float
+    __slots__ = _fields = ("kind", "threshold")
 
-    def __post_init__(self):
-        if self.kind not in COMPARATOR_COSTS:
-            raise ConfigError(f"unknown comparator kind: {self.kind!r}")
-        threshold = self.threshold
+    def __init__(self, kind: str, threshold: float):
+        if kind not in COMPARATOR_COSTS:
+            raise ConfigError(f"unknown comparator kind: {kind!r}")
         if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
             raise ConfigError(
                 f"comparator threshold must be a number in [0, 1], got {threshold!r}"
             )
-        object.__setattr__(self, "threshold", float(threshold))
+        self._set(kind, float(threshold))
 
     @property
     def cost_class(self) -> int:
         return COMPARATOR_COSTS[self.kind]
 
 
-@dataclass(frozen=True)
-class ComparatorChain:
+class ComparatorChain(Frozen):
     """Comparators ordered by ascending cost: fast coarse tiers first."""
 
-    comparators: tuple[Comparator, ...]
+    __slots__ = _fields = ("comparators",)
 
-    def __post_init__(self):
-        if not self.comparators:
+    def __init__(self, comparators: tuple[Comparator, ...]):
+        if not comparators:
             raise ConfigError("comparator chain must not be empty")
-        ordered = tuple(
-            sorted(self.comparators, key=lambda comp: comp.cost_class)
-        )
-        object.__setattr__(self, "comparators", ordered)
+        self._set(tuple(sorted(comparators, key=lambda comp: comp.cost_class)))
 
     def __iter__(self):
         return iter(self.comparators)
@@ -191,26 +183,28 @@ class ComparatorChain:
         return ComparatorChain(tuple(comparators))
 
 
-@dataclass(frozen=True)
-class ChainContext:
+class ChainContext(Frozen):
     """Shared inputs the chain's comparators need. ``cap``, the most synonym
     variants kept per sentence, must be an ``int`` (not a ``bool``) >= 1,
     else ``ConfigError``."""
 
-    stopwords: StopWordList = EMPTY_STOPWORDS
-    lexicon: SynonymLexicon = EMPTY_LEXICON
-    cap: int = 64
+    __slots__ = _fields = ("stopwords", "lexicon", "cap")
 
-    def __post_init__(self):
-        if type(self.cap) is not int or self.cap < 1:
-            raise ConfigError(f"cap must be an integer >= 1, got {self.cap!r}")
+    def __init__(
+        self,
+        stopwords: StopWordList = EMPTY_STOPWORDS,
+        lexicon: SynonymLexicon = EMPTY_LEXICON,
+        cap: int = 64,
+    ):
+        if type(cap) is not int or cap < 1:
+            raise ConfigError(f"cap must be an integer >= 1, got {cap!r}")
+        self._set(stopwords, lexicon, cap)
 
 
 DEFAULT_CONTEXT = ChainContext()
 
 
-@dataclass(frozen=True)
-class ChainDecision:
+class ChainDecision(NamedTuple):
     """Outcome of running a chain on one sentence pair."""
 
     accepted: bool

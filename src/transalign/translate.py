@@ -14,10 +14,9 @@ import os
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, load_corpus
+from .corpus import Corpus, Value, load_corpus
 from .errors import (
     ConfigError,
     DataError,
@@ -91,8 +90,7 @@ def _walk_response_path(payload, path: str):
     return value
 
 
-@dataclass
-class HttpProvider(TranslationProvider):
+class HttpProvider(TranslationProvider, Value):
     """Generic HTTP translation endpoint.
 
     ``endpoint`` is a URL template with {text}, {src} and {tgt} placeholders
@@ -106,15 +104,21 @@ class HttpProvider(TranslationProvider):
     with those three placeholders.
     """
 
-    endpoint: str
-    response_path: str = ""
-    max_concurrency: int = 4
-    timeout: float = 10.0
-    retries: int = 2
-    backoff: float = 0.25
+    __slots__ = _fields = (
+        "endpoint", "response_path", "max_concurrency", "timeout", "retries", "backoff"
+    )
     name = "http"
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        endpoint: str,
+        response_path: str = "",
+        max_concurrency: int = 4,
+        timeout: float = 10.0,
+        retries: int = 2,
+        backoff: float = 0.25,
+    ):
+        self._set(endpoint, response_path, max_concurrency, timeout, retries, backoff)
         valid = {
             "endpoint": isinstance(self.endpoint, str) and bool(self.endpoint),
             "response_path": isinstance(self.response_path, str),

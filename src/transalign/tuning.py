@@ -10,11 +10,10 @@ evaluated, and the full score trace is reported for inspection.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .align import AlignmentConfig, align
-from .corpus import Corpus
+from .corpus import Corpus, Value
 from .errors import ConfigError, DataError
 from .metrics import evaluate_against_gold
 from .similarity import ComparatorChain, PairScores
@@ -26,26 +25,30 @@ log = logging.getLogger(__name__)
 RECOMMENDED_DEV_LINES = (1_000, 10_000)
 
 
-@dataclass
-class TuningJob:
+class TuningJob(Value):
     """Everything one tuning run needs: dev corpora, gold, the alignment
     settings (their chain is the template whose thresholds are searched),
-    per-comparator search bounds and the stop resolution."""
+    per-comparator search bounds and the stop resolution.
 
-    source: Corpus
-    target: Corpus
-    trans: Corpus
-    gold: Sequence[str]
-    config: AlignmentConfig
-    bounds: Sequence[tuple[float, float]] = ()
-    resolution: float = 1 / 256
-    # One pair-score table for every evaluation: thresholds change between
-    # evaluations, raw scores do not. ``scored`` maps each threshold vector
-    # aligned so far to its S.
-    scores: PairScores = field(init=False, repr=False, compare=False)
-    scored: dict[tuple[float, ...], int] = field(init=False, repr=False, compare=False)
+    ``scores`` is one pair-score table for every evaluation: thresholds
+    change between evaluations, raw scores do not. ``scored`` maps each
+    threshold vector aligned so far to its S. Neither is compared or shown.
+    """
 
-    def __post_init__(self):
+    _fields = ("source", "target", "trans", "gold", "config", "bounds", "resolution")
+    __slots__ = (*_fields, "scores", "scored")
+
+    def __init__(
+        self,
+        source: Corpus,
+        target: Corpus,
+        trans: Corpus,
+        gold: Sequence[str],
+        config: AlignmentConfig,
+        bounds: Sequence[tuple[float, float]] = (),
+        resolution: float = 1 / 256,
+    ):
+        self._set(source, target, trans, gold, config, bounds, resolution)
         template = self.config.chain
         if not self.bounds:
             self.bounds = [(0.0, 1.0)] * len(template)
@@ -78,8 +81,7 @@ class TuningJob:
         self.scored = {}
 
 
-@dataclass
-class TuningOutcome:
+class TuningOutcome(NamedTuple):
     """Result of tuning one comparator."""
 
     position: int
@@ -89,15 +91,20 @@ class TuningOutcome:
     trace: tuple[tuple[float, int], ...]
 
 
-@dataclass
-class TuningReport:
+class TuningReport(Value):
     """Assembled outcome of tuning a whole chain."""
 
-    thresholds: tuple[float, ...]
-    achieved_score: int
-    evaluations: int
-    outcomes: tuple[TuningOutcome, ...]
-    chain: ComparatorChain = field(repr=False)
+    __slots__ = _fields = ("thresholds", "achieved_score", "evaluations", "outcomes", "chain")
+
+    def __init__(
+        self,
+        thresholds: tuple[float, ...],
+        achieved_score: int,
+        evaluations: int,
+        outcomes: tuple[TuningOutcome, ...],
+        chain: ComparatorChain,
+    ):
+        self._set(thresholds, achieved_score, evaluations, outcomes, chain)
 
     def as_json_dict(self) -> dict:
         return {
@@ -133,7 +140,7 @@ def _score(job: TuningJob, chain: ComparatorChain) -> int:
     thresholds = tuple(comparator.threshold for comparator in chain)
     score = job.scored.get(thresholds)
     if score is None:
-        config = replace(job.config, chain=chain)
+        config = job.config._replace(chain=chain)
         result = align(job.source, job.target, job.trans, config, job.scores)
         score = job.scored[thresholds] = evaluate_against_gold(result, job.gold).score
     return score

@@ -576,6 +576,9 @@ def test_invalid_config_values_exit_one(tmp_path, capsys, command, config):
 
 RECORD = {"source_index": 0, "outcome": "translated", "text": "x"}
 TRAILER = {"A": 0, "T": 1, "D": 0, "L": 1, "unmatched_targets": []}
+ALIGNED = {**RECORD, "outcome": "aligned", "target_index": 0, "score": 1.0,
+           "comparator": "token_overlap"}
+ALIGNED_TRAILER = {**TRAILER, "A": 1, "T": 0}
 
 
 def jsonl(*objects):
@@ -591,7 +594,7 @@ def jsonl(*objects):
         (jsonl(RECORD, TRAILER), b"\xff\n"),
         (jsonl({**RECORD, "outcome": "aligned", "text": 5}, TRAILER), b"x\n"),
         (jsonl(RECORD, {**TRAILER, "unmatched_targets": 5}), b"x\n"),
-        (jsonl(*[{**RECORD, "outcome": "aligned"}] * 2, {**TRAILER, "A": 2, "T": 0}), b"x\n"),
+        (jsonl(ALIGNED, {**ALIGNED, "target_index": 1}, {**TRAILER, "A": 2, "T": 0}), b"x\n"),
         (jsonl(RECORD, {**TRAILER, "L": 2}), b"x\nx\n"),
         (jsonl(RECORD, RECORD, {**TRAILER, "T": 2, "L": 2}), b"x\nx\n"),
         (jsonl({**RECORD, "source_index": 1}, TRAILER), b"x\nx\n"),
@@ -599,12 +602,31 @@ def jsonl(*objects):
         (jsonl(RECORD, {**TRAILER, "D": 1}), b"x\n"),
         (b"[" * 200_000 + b"]" * 200_000 + b"\n", b"x\n"),
         (jsonl({**RECORD, "outcome": ["translated"]}, TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "target_index": "x", "score": "high", "comparator": 7},
+               {**ALIGNED_TRAILER, "unmatched_targets": [-5, -5]}), b"x\n"),
+        (jsonl({**ALIGNED, "target_index": "x"}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "target_index": -1}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "target_index": None}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "score": "high"}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "score": 1.5}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "score": float("nan")}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "score": True}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl({**ALIGNED, "comparator": 7}, ALIGNED_TRAILER), b"x\n"),
+        (jsonl(RECORD, {**TRAILER, "unmatched_targets": [-5]}), b"x\n"),
+        (jsonl(RECORD, {**TRAILER, "unmatched_targets": [3, 3]}), b"x\n"),
+        (jsonl(ALIGNED, {**ALIGNED_TRAILER, "unmatched_targets": [0]}), b"x\n"),
+        (jsonl(ALIGNED, {**ALIGNED, "source_index": 1}, {**ALIGNED_TRAILER, "A": 2, "L": 2}),
+         b"x\nx\n"),
     ],
     ids=["no-source-index", "string-source-index", "report-not-utf8", "gold-not-utf8",
          "number-text", "number-unmatched-targets", "more-records-than-L",
          "fewer-records-than-L", "duplicate-source-index", "source-index-out-of-range",
          "counts-disagree", "fill-count-disagrees", "deeply-nested-json",
-         "unknown-outcome"],
+         "unknown-outcome", "aligned-fields-and-unmatched-all-wrong", "string-target-index",
+         "negative-target-index", "null-target-index", "string-score", "score-above-one",
+         "nan-score", "bool-score", "number-comparator", "negative-unmatched-target",
+         "repeated-unmatched-target", "target-aligned-and-unmatched",
+         "target-aligned-twice"],
 )
 def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     (tmp_path / "r.jsonl").write_bytes(report)
@@ -613,6 +635,15 @@ def test_bad_report_or_gold_exit_two(tmp_path, capsys, report, gold):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("score", [0, 1, 0.5])
+def test_aligned_record_with_any_score_in_range_scores(tmp_path, capsys, score):
+    (tmp_path / "r.jsonl").write_bytes(jsonl({**ALIGNED, "score": score}, ALIGNED_TRAILER))
+    (tmp_path / "gold.txt").write_bytes(b"x\n")
+    argv = ["score", "--report", str(tmp_path / "r.jsonl"), "--gold", str(tmp_path / "gold.txt")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["A"] == 1
 
 
 @pytest.mark.parametrize("flag, code", [("--stopwords", 2), ("--synonyms", 2), ("--config", 1)])
@@ -774,6 +805,19 @@ def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
         "transalign", "transalign.cli", "transalign.corpus", "transalign.errors",
         "transalign.metrics",
     ]
+
+
+def test_no_import_or_command_loads_dataclasses_or_inspect(tmp_path):
+    check = "loaded = {'dataclasses', 'inspect'} & set(sys.modules); assert not loaded, loaded"
+    fresh_interpreter(f"import sys, transalign.corpus, transalign.lexicon; {check}")
+
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    align, out = align_argv(tmp_path, path, path, path)
+    score = ["score", "--report", str(out / "r.jsonl"), "--gold", path]
+    for argv in (align, cli_argv("tune", path, tmp_path), cli_argv("evaluate", path, tmp_path), score):
+        fresh_interpreter(
+            f"import sys, transalign.cli; assert transalign.cli.main({argv!r}) == 0; {check}"
+        )
 
 
 @pytest.mark.parametrize("first", ["import", "tuning", "cli-align"])

@@ -2,7 +2,6 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -59,7 +58,7 @@ def grid_scan(job, position, resolution):
     for k in range(steps + 1):
         threshold = min(lo + k * resolution, hi)
         chain = job.config.chain.with_threshold(position, threshold)
-        result = align(job.source, job.target, job.trans, replace(job.config, chain=chain))
+        result = align(job.source, job.target, job.trans, job.config._replace(chain=chain))
         score = evaluate_against_gold(result, job.gold).score
         if best is None or score > best[1]:
             best = (threshold, score)
@@ -155,7 +154,7 @@ def test_achieved_score_is_reproducible():
     chain = job.config.chain
     for position, threshold in enumerate(report.thresholds):
         chain = chain.with_threshold(position, threshold)
-    rerun = align(job.source, job.target, job.trans, replace(job.config, chain=chain))
+    rerun = align(job.source, job.target, job.trans, job.config._replace(chain=chain))
     assert evaluate_against_gold(rerun, job.gold).score == report.achieved_score
 
 
@@ -325,12 +324,12 @@ def test_table_shared_down_descending_thresholds_matches_fresh_tables(monkeypatc
     words = sorted({token for line in job.gold for token in line.split()})
     for k in range(0, len(words), 3):
         entries.setdefault(words[k], (words[k - 1],))
-    job = replace(
-        job, config=replace(job.config, lexicon=SynonymLexicon(entries)), bounds=[(0.6, 0.95)] * 2
+    job = job._replace(
+        config=job.config._replace(lexicon=SynonymLexicon(entries)), bounds=[(0.6, 0.95)] * 2
     )
     for step in range(8):
         threshold = 0.95 - 0.05 * step
-        config = replace(job.config, chain=chain.with_threshold(1, threshold))
+        config = job.config._replace(chain=chain.with_threshold(1, threshold))
         on_shared = align(job.source, job.target, job.trans, config, job.scores)
         assert on_shared == align(job.source, job.target, job.trans, config), threshold
     shared = tune_chain(job)
