@@ -11,7 +11,6 @@ the raw size difference between the two input files.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import NamedTuple
 
@@ -171,14 +170,17 @@ def align(
     ``scores`` is a pair-score table over the ``normalized`` columns of
     ``trans`` and ``target`` with the config's context; pass the same one
     to several runs that differ only in thresholds to score each pair
-    once. By default a fresh one is used.
+    once; such a table keeps every entry. By default a fresh one is used,
+    and each line's and each target's entries are dropped once the window
+    has passed them, so it holds about the window, not the corpus.
     """
     if len(trans) != len(source):
         raise DataError(
             f"translation corpus has {len(trans)} lines, source has {len(source)}"
         )
     context = config.context()
-    if scores is None:
+    own_table = scores is None
+    if own_table:
         scores = PairScores(trans.normalized, target.normalized, context)
     elif (
         scores.trans is not trans.normalized
@@ -188,17 +190,21 @@ def align(
         raise ConfigError("pair-score table belongs to other corpora or comparator settings")
     n_source, n_target = len(source), len(target)
     gap = abs(n_source - n_target)
-    unconsumed = list(range(n_target))
+    reach = config.window or n_target  # window 0: every target is in reach
+    live: list[int] = []  # the unconsumed targets in the window, ascending
+    unmatched: list[int] = []  # the unconsumed targets the window has passed
+    entering = 0  # the next target to enter the window
 
     decisions: list[AlignmentDecision] = []
     filled = 0
     for i in range(n_source):
         expected = i * n_target / n_source
-        lo, hi = 0, len(unconsumed)
-        if config.window > 0:
-            lo = bisect_left(unconsumed, expected - config.window)
-            hi = bisect_right(unconsumed, expected + config.window)
-        pool = unconsumed[lo:hi]
+        while entering < n_target and entering <= expected + reach:
+            live.append(entering)
+            entering += 1
+        while live and live[0] < expected - reach:
+            unmatched.append(live.pop(0))
+        pool = live[:]
         chosen = select_candidate(i, pool, expected, config.chain, scores)
         while chosen is not None and not lookahead_resolve(
             i, chosen[0], chosen[1].score, config.chain, config.lookahead_depth, scores
@@ -207,7 +213,7 @@ def align(
             chosen = select_candidate(i, pool, expected, config.chain, scores)
         if chosen is not None:
             j, decision = chosen
-            del unconsumed[bisect_left(unconsumed, j)]
+            live.remove(j)
             kind = decision.comparator.kind
             decisions.append(AlignmentDecision(i, ALIGNED, target[j], j, decision.score, kind))
         elif filled < gap:
@@ -215,7 +221,11 @@ def align(
             filled += 1
         else:
             decisions.append(AlignmentDecision(i, TRANSLATED, trans[i]))
-    return AlignmentResult(tuple(decisions), tuple(unconsumed))
+        if own_table:  # no later step reads line i or a target left of live
+            scores.forget(i + 1, live[0] if live else entering)
+    unmatched += live
+    unmatched += range(entering, n_target)
+    return AlignmentResult(tuple(decisions), tuple(unmatched))
 
 
 def write_alignment(
@@ -226,29 +236,34 @@ def write_alignment(
     Output line i is ``source[i]`` and decision i's text, so ``source`` must
     be the corpus the result was aligned from (its line count is checked).
     Report: one record per decision with its details, then a trailer
-    object with the counts and the never-consumed target indices.
+    object with the counts and the never-consumed target indices. Each
+    file is written line by line, in that order, the report last.
     """
     if len(source) != len(result.decisions):
         raise DataError(
             f"source corpus has {len(source)} lines, the result has {len(result.decisions)}"
         )
-    target_lines = "".join(decision.text + "\n" for decision in result.decisions)
-    Path(out_source_path).write_text("".join(line + "\n" for line in source), encoding="utf-8")
-    Path(out_target_path).write_text(target_lines, encoding="utf-8")
-
-    records = []
-    for decision in result.decisions:
-        record: dict = {"source_index": decision.source_index, "outcome": decision.outcome}
-        if decision.outcome == ALIGNED:
-            record["target_index"] = decision.target_index
-            record["score"] = decision.score
-            record["comparator"] = decision.comparator
-        record["text"] = decision.text
-        records.append(record)
     trailer = {**result.counts(), "unmatched_targets": list(result.unmatched_target_indices)}
     encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps makes one per call
-    payload = "".join(encode(record) + "\n" for record in records + [trailer])
-    Path(report_path).write_text(payload, encoding="utf-8")
+
+    def records():
+        for decision in result.decisions:
+            record: dict = {"source_index": decision.source_index, "outcome": decision.outcome}
+            if decision.outcome == ALIGNED:
+                record["target_index"] = decision.target_index
+                record["score"] = decision.score
+                record["comparator"] = decision.comparator
+            record["text"] = decision.text
+            yield encode(record) + "\n"
+        yield encode(trailer) + "\n"
+
+    for path, lines in (
+        (out_source_path, (line + "\n" for line in source)),
+        (out_target_path, (decision.text + "\n" for decision in result.decisions)),
+        (report_path, records()),
+    ):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
 
 
 def read_report(report_path) -> AlignmentResult:

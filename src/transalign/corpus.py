@@ -15,11 +15,10 @@ classes, here because every module that defines one imports this one.
 from __future__ import annotations
 
 import io
+import os
 import re
 import unicodedata
 from functools import cached_property
-from pathlib import Path
-from typing import Iterable, Iterator, Union
 
 from .errors import CorpusFormatError
 
@@ -117,7 +116,7 @@ class Corpus(Frozen):
     # No __slots__: ``normalized`` is cached in the instance's __dict__.
     _fields = ("language", "lines", "skipped_lines")
 
-    def __init__(self, language: str, lines: Iterable[str], skipped_lines: Iterable[int] = ()):
+    def __init__(self, language: str, lines: "Iterable[str]", skipped_lines: "Iterable[int]" = ()):
         lines = tuple(lines)
         for index, line in enumerate(lines):
             if "\n" in line or "\r" in line:
@@ -135,20 +134,18 @@ class Corpus(Frozen):
     def __len__(self) -> int:
         return len(self.lines)
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> "Iterator[str]":
         return iter(self.lines)
 
     def __getitem__(self, index: int) -> str:
         return self.lines[index]
 
 
-PathOrStream = Union[str, Path, io.IOBase]
-
-
-def _read_bytes(source: PathOrStream) -> bytes:
-    if isinstance(source, (str, Path)):
+def _read_bytes(source: str | os.PathLike | io.IOBase) -> bytes:
+    if isinstance(source, (str, os.PathLike)):
         try:
-            return Path(source).read_bytes()
+            with open(source, "rb") as handle:
+                return handle.read()
         except OSError as exc:
             raise CorpusFormatError(f"cannot read corpus file {source}: {exc}") from exc
     data = source.read()
@@ -175,7 +172,7 @@ def _split_lines(text: str, where: str) -> tuple[list[str], tuple[int, ...]]:
     return [line for line in lines if line], skipped
 
 
-def load_corpus(source: PathOrStream, language: str) -> Corpus:
+def load_corpus(source: str | os.PathLike | io.IOBase, language: str) -> Corpus:
     """Load one line per non-empty line of a UTF-8 text source.
 
     LF and CRLF line endings are both accepted; a UTF-8 BOM is tolerated.
@@ -184,7 +181,7 @@ def load_corpus(source: PathOrStream, language: str) -> Corpus:
     line are reported with the number of the first line that has either,
     and with the file name when ``source`` is a path.
     """
-    where = f"{source}: " if isinstance(source, (str, Path)) else ""
+    where = f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
     data = _read_bytes(source)
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
@@ -200,11 +197,12 @@ def load_corpus(source: PathOrStream, language: str) -> Corpus:
     return Corpus(language, lines, skipped)
 
 
-def save_corpus(corpus: Corpus, target: PathOrStream) -> None:
+def save_corpus(corpus: Corpus, target: str | os.PathLike | io.IOBase) -> None:
     """Write the corpus back out, one raw line each, LF-terminated."""
     payload = "".join(line + "\n" for line in corpus)
-    if isinstance(target, (str, Path)):
-        Path(target).write_bytes(payload.encode("utf-8"))
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "wb") as handle:
+            handle.write(payload.encode("utf-8"))
     else:
         data = payload.encode("utf-8")
         try:

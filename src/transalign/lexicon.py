@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .corpus import Frozen, normalize
 from .errors import LexiconFormatError
 
@@ -51,7 +49,8 @@ EMPTY_LEXICON = SynonymLexicon({})
 def load_stopwords(path, language: str = "") -> StopWordList:
     """Read a one-word-per-line stop-word file; `#` lines are comments."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise LexiconFormatError(f"cannot read stop-word file {path}: {exc}") from exc
     words = set()
@@ -73,7 +72,8 @@ def load_synonyms(path, language: str = "") -> SynonymLexicon:
     format error reported with its line number.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise LexiconFormatError(f"cannot read synonym file {path}: {exc}") from exc
     entries: dict[str, tuple[str, ...]] = {}

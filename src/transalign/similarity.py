@@ -231,14 +231,16 @@ class PairScores:
     popcount of two character masks, both cheaper than a lookup.
 
     A text's character mask is one int with bit slot (c, k) set for
-    k = 1..#text(c) (see ``_masks``). Per-sentence features are lists over
-    the whole corpus, each built the first time a comparator needs it: the
-    occurrence sets of both corpora, and each translation line's and each
-    target's text with its mask, built in one batch with each translation
-    line's synonym variants when there is a lexicon. A target's position
-    masks are built the first time one of its pairs reaches the LCS step.
-    Each translation line is tokenized once; its tokens are kept only with
-    a lexicon, where the synonym variants need them too.
+    k = 1..#text(c) (see ``_masks``). The other per-line features are
+    columns indexed by line, each entry built the first time it is read:
+    the occurrence sets of both corpora, the rows of ratios and of LCS
+    lengths, and a target's position masks (read once one of its pairs
+    reaches the LCS step). ``forget`` drops entries a caller will not read
+    again. The character masks are one batch over the whole corpus:
+    each translation line's and each target's text, and with a lexicon
+    each translation line's synonym variants, since one slot layout must
+    cover every text. Each translation line is tokenized once; its tokens
+    are kept only with a lexicon, where the synonym variants need them too.
     """
 
     def __init__(
@@ -250,8 +252,20 @@ class PairScores:
         self.trans = trans
         self.target = target
         self.context = context
-        self._ratios: list[dict[tuple[int, int], float]] = [{} for _ in trans]
-        self._target_masks: dict[int, dict] = {}
+        stopwords = context.stopwords
+        words = self._trans_tokens = _Column(lambda i: tokenize(trans[i]))
+        if len(context.lexicon):  # the synonym variants read the tokens too
+            self._trans_sets = _Column(lambda i: occurrence_set(words[i], stopwords))
+        else:
+            self._trans_sets = _Column(lambda i: occurrence_set(tokenize(trans[i]), stopwords))
+        self._target_sets = _Column(lambda j: occurrence_set(tokenize(target[j]), stopwords))
+        self._rows = _Column(lambda i: ({}, {}))  # (j, k) -> block ratio, LCS length
+        self._target_masks = _Column(lambda j: position_masks(target[j]))
+        self._columns = (
+            (self._trans_sets, self._rows, words),
+            (self._target_sets, self._target_masks),
+        )
+        self._forgotten = 0, 0  # the highest bounds ``forget`` was given
 
     def accepted(
         self, i: int, pool: Sequence[int], chain: ComparatorChain
@@ -301,27 +315,27 @@ class PairScores:
             return ChainDecision(True, score, comparator)
         return None
 
+    def forget(self, trans_below: int, target_below: int) -> None:
+        """Drop the per-line entries of translation lines below
+        ``trans_below`` and of targets below ``target_below``, walking only
+        the indices past the previous call's bounds. An entry read again is
+        rebuilt from the texts, so forgetting changes cost, never a score.
+        The character masks are kept."""
+        trans_from, target_from = self._forgotten
+        trans_columns, target_columns = self._columns
+        for index in range(trans_from, trans_below):
+            for column in trans_columns:
+                column.pop(index, None)
+        for index in range(target_from, target_below):
+            for column in target_columns:
+                column.pop(index, None)
+        self._forgotten = max(trans_from, trans_below), max(target_from, target_below)
+
     def score(self, i: int, j: int, kind: str) -> float:
         """Exact ``kind`` score of translation line ``i`` against target line ``j``."""
         if kind == TOKEN_OVERLAP:
             return token_overlap(self._trans_sets[i], self._target_sets[j])
         return self._best_ratio(i, j, kind, 0.0)
-
-    @cached_property
-    def _trans_tokens(self) -> list[tuple[str, ...]]:
-        return [tokenize(text) for text in self.trans]
-
-    @cached_property
-    def _trans_sets(self) -> list[frozenset]:
-        # The tokens are kept only where the synonym variants need them too.
-        lines = self._trans_tokens if len(self.context.lexicon) else map(tokenize, self.trans)
-        stopwords = self.context.stopwords
-        return [occurrence_set(tokens, stopwords) for tokens in lines]
-
-    @cached_property
-    def _target_sets(self) -> list[frozenset]:
-        stopwords = self.context.stopwords
-        return [occurrence_set(tokenize(text), stopwords) for text in self.target]
 
     @cached_property
     def _chars(self) -> tuple[list, list, list[list[tuple[str, int]]]]:
@@ -333,8 +347,8 @@ class PairScores:
         lexicon, cap = self.context.lexicon, self.context.cap
         others = []
         if len(lexicon):
-            for tokens, text in zip(self._trans_tokens, self.trans):
-                variants = expand_sentence(tokens, lexicon, cap)
+            for i, text in enumerate(self.trans):
+                variants = expand_sentence(self._trans_tokens[i], lexicon, cap)
                 joined = dict.fromkeys(" ".join(variant) for variant in variants)
                 joined.pop(text, None)
                 others.append(joined)
@@ -344,10 +358,6 @@ class PairScores:
         plains, masks = rows[:n], dict(rows[n + m :])
         variants = [[plain, *((t, masks[t]) for t in row)] for plain, row in zip(plains, others)]
         return plains, rows[n : n + m], variants
-
-    @cached_property
-    def _lcs(self) -> list[dict[tuple[int, int], int]]:
-        return [{} for _ in self.trans]
 
     def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
         """The exact best ratio of ``kind``'s texts of line ``i`` against
@@ -364,7 +374,7 @@ class PairScores:
         texts = variants[i] if kind == SYNONYM_RATIO and variants else (trans_chars[i],)
         b, b_mask = target_chars[j]
         b_len = len(b)
-        row, lcs_row = self._ratios[i], self._lcs[i]
+        row, lcs_row = self._rows[i]
         best = -1.0
         for k, (text, mask) in enumerate(texts):
             score = row.get((j, k))
@@ -380,10 +390,7 @@ class PairScores:
                         bound = 2.0 * common_chars(mask, b_mask) / total
                         if bound < threshold or bound <= best:
                             continue
-                        masks = self._target_masks.get(j)
-                        if masks is None:
-                            masks = self._target_masks[j] = position_masks(b)
-                        lcs = lcs_row[j, k] = lcs_length(text, b, masks)
+                        lcs = lcs_row[j, k] = lcs_length(text, b, self._target_masks[j])
                     bound = 2.0 * lcs / total
                     if bound < threshold or bound <= best:
                         continue
@@ -391,6 +398,20 @@ class PairScores:
             if score > best:
                 best = score
         return best if best >= threshold else None
+
+
+class _Column(dict):
+    """Entries by index, each built by ``build(index)`` on first read. A
+    dict, so reading an entry that is there costs one dict lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, index):
+        value = self[index] = self.build(index)
+        return value
 
 
 def _masks(texts: Sequence[str]) -> list[int]:

@@ -155,7 +155,8 @@ def tune_threshold(job: TuningJob, comparator_position: int) -> TuningOutcome:
     best (threshold, score) point ever evaluated is returned, not the final
     midpoint. ``evaluations`` counts the thresholds probed, one per memo
     entry; a threshold vector the job has already aligned is not aligned
-    again.
+    again. The search also stops when no float lies strictly between the
+    bracket's ends, as with a ``resolution`` below their spacing.
     """
     if not 0 <= comparator_position < len(job.config.chain):
         raise ConfigError(f"no comparator at position {comparator_position}")
@@ -174,6 +175,8 @@ def tune_threshold(job: TuningJob, comparator_position: int) -> TuningOutcome:
     score_at((lo + hi) / 2.0)
     while hi - lo > resolution:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:  # [lo, hi] is two adjacent floats: it cannot shrink
+            break
         below = score_at(mid - resolution)
         above = score_at(mid + resolution)
         score_at(mid)

@@ -7,8 +7,10 @@ package under test.
 
 import math
 import re
+import unicodedata
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 
 def brute_longest_block(a, b):
@@ -117,6 +119,80 @@ def tokenize_pattern_oracle(text):
     """Word tokens by the one-pass run pattern that excludes the underscore
     inside its character class, with no rewriting of the text."""
     return tuple(re.findall(r"(?<!')'*[^\W_](?:[^\W_]|')*", text))
+
+
+def normalize_oracle(text):
+    """Lowercased and NFC-composed, whitespace runs collapsed to one space,
+    no space at either end."""
+    return " ".join(unicodedata.normalize("NFC", text.lower()).split())
+
+
+@lru_cache(maxsize=None)
+def _tier_score(kind, a, b, stopwords):
+    if kind == "token_overlap":
+        return float(dice_overlap_oracle(tokenize_oracle(a), tokenize_oracle(b), stopwords))
+    return float(brute_ratio(a, b))
+
+
+def align_oracle(n_source, target, trans, chain, window, depth, stopwords=frozenset()):
+    """``align``'s decisions restated from its docstring, the slow way.
+
+    ``target`` and ``trans`` are raw lines and ``chain`` is
+    ``(kind, threshold)`` pairs, cheapest tier first: ``token_overlap``
+    (Dice of the ``tokenize_oracle`` tokens without ``stopwords``) or
+    ``matching_blocks_ratio`` (``brute_ratio``), both on the
+    ``normalize_oracle`` texts. A pair is accepted by the first tier whose
+    score reaches its threshold, with that score. Line i expects target
+    ``i * len(target) / n_source`` and may take any unconsumed target within
+    ``window`` of it (any at all for window 0), found by scanning the full
+    list of unconsumed targets. It takes the best-scoring accepted one,
+    nearest the expected position on a tie, then the lowest index, unless one
+    of the next ``depth`` translation lines accepts that target with a
+    strictly higher score; then it chooses again without it. A line with no
+    target is filled while fewer than ``|n_source - len(target)|`` lines
+    were, and translated after that.
+
+    Returns each line's ``(outcome, target index, score, comparator kind)``,
+    the last three None unless the line is aligned, and the unconsumed
+    target indices in ascending order.
+    """
+    target = [normalize_oracle(text) for text in target]
+    trans = [normalize_oracle(text) for text in trans]
+
+    def accepts(i, j):
+        for kind, threshold in chain:
+            score = _tier_score(kind, trans[i], target[j], stopwords)
+            if score >= threshold:
+                return score, kind
+        return None
+
+    unconsumed = list(range(len(target)))
+    decisions, fills = [], 0
+    for i in range(n_source):
+        expected = Fraction(i * len(target), n_source)
+        candidates = [j for j in unconsumed if window == 0 or abs(j - expected) <= window]
+        chosen = None
+        while chosen is None:
+            hits = [(j, accepts(i, j)) for j in candidates if accepts(i, j)]
+            if not hits:
+                break
+            j, (score, kind) = min(
+                hits, key=lambda hit: (-hit[1][0], abs(hit[0] - expected), hit[0])
+            )
+            later = [accepts(k, j) for k in range(i + 1, min(i + depth, n_source - 1) + 1)]
+            if any(hit and hit[0] > score for hit in later):
+                candidates.remove(j)
+            else:
+                chosen = (j, score, kind)
+        if chosen:
+            unconsumed.remove(chosen[0])
+            decisions.append(("aligned", *chosen))
+        elif fills < abs(n_source - len(target)):
+            fills += 1
+            decisions.append(("filled", None, None, None))
+        else:
+            decisions.append(("translated", None, None, None))
+    return decisions, unconsumed
 
 
 def load_lines_oracle(data):

@@ -1,12 +1,13 @@
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import transalign.similarity as sim
-from oracles import char_count_bound
+from oracles import align_oracle, char_count_bound
 from transalign.align import (
     ALIGNED,
     FILLED,
@@ -263,6 +264,12 @@ def test_window_zero_scans_everything():
     full = align(src, tgt, src, config_of(threshold=1.0, window=0))
     assert full.decisions[0].outcome == ALIGNED
     assert full.decisions[0].target_index == 29
+    # and the last of many source lines still reaches the first target
+    src = corpus(*lines, language="src")
+    tgt = corpus(lines[29], *(["xx yy zz"] * 9), language="tgt")
+    full = align(src, tgt, src, config_of(threshold=1.0, window=0))
+    assert full.decisions[29].outcome == ALIGNED
+    assert full.decisions[29].target_index == 0
 
 
 def test_config_rejects_negative_values():
@@ -588,3 +595,141 @@ def window_shuffled(lines, rng, width=10):
         rng.shuffle(block)
         out.extend(block)
     return out
+
+
+def differential_corpora(seed):
+    """Translation and target lines over a 2-4 letter alphabet: targets
+    that copy, replace or drop translation lines, duplicates, lines that
+    are empty or tokenless after normalizing, stray capitals and spaces,
+    and unequal corpus lengths."""
+    rng = random.Random(seed)
+    letters = "abcd"[: 2 + seed % 3]
+
+    def line():
+        if rng.random() < 0.1:
+            return rng.choice([" ", "\t", "!!", " ' "])
+        words = [
+            "".join(rng.choices(letters, k=rng.randint(1, 3))) for _ in range(rng.randint(1, 4))
+        ]
+        text = ("  " if rng.random() < 0.2 else " ").join(words)
+        return text.upper() if rng.random() < 0.1 else text
+
+    trans = [line() for _ in range(rng.randint(12, 30))]
+    extra = (0.15, 1.5)[seed % 4 == 3]  # lines added per translation line
+    target = []
+    for text in trans:
+        draw = rng.random()
+        if draw > 0.15:
+            target.append(text if draw < 0.7 else line())
+        while rng.random() < extra / (1 + extra):
+            target.append(rng.choice(trans) if rng.random() < 0.5 else line())
+    return trans, target
+
+
+def test_align_equals_the_oracle_on_random_corpora():
+    # The oracle rescans every unconsumed target and recomputes every score
+    # from scratch; the aligner slides a window over a pair-score table.
+    configs = 0
+    for seed in range(8):
+        trans, target = differential_corpora(seed)
+        stopwords = frozenset({"a"} if seed % 2 else ())
+        token, ratio_threshold = (0.5, 0.67, 0.8)[seed % 3], (0.5, 0.7)[seed % 2]
+        source = corpus(*(f"zrodlo {i}" for i in range(len(trans))), language="src")
+        for tiers in (
+            (("token_overlap", token),),
+            (("token_overlap", token), ("matching_blocks_ratio", ratio_threshold)),
+        ):
+            chain = ComparatorChain(tuple(Comparator(*tier) for tier in tiers))
+            for window in (0, 1, 3, 20):
+                for depth in (0, 1, 2):
+                    config = AlignmentConfig(
+                        chain, window, depth, stopwords=StopWordList(stopwords)
+                    )
+                    result = align(source, Corpus("tgt", target), Corpus("y", trans), config)
+                    decisions, unmatched = align_oracle(
+                        len(trans), target, trans, tiers, window, depth, stopwords
+                    )
+                    got = [
+                        (d.outcome, d.target_index, d.score, d.comparator)
+                        for d in result.decisions
+                    ]
+                    assert got == decisions, (seed, tiers, window, depth)
+                    assert list(result.unmatched_target_indices) == unmatched
+                    configs += 1
+    assert configs == 8 * 2 * 4 * 3
+
+
+def table_entries(scores):
+    """Per-line entries the table holds: (translation side, target side),
+    the largest column of each."""
+    return tuple(max(map(len, columns)) for columns in scores._columns)
+
+
+def test_align_holds_only_the_window_of_its_own_table(monkeypatch):
+    # While line i is decided, the table holds translation lines i..i+depth
+    # and targets from the smallest one the window can still offer up to the
+    # last that entered it: at most 2 * window + 2 when the corpora have
+    # equal lengths. The character masks are one batch over the corpus and
+    # are not counted.
+    window, depth = 20, 1
+    peaks = []
+
+    class SpyScores(PairScores):
+        def accepted(self, i, pool, chain):
+            found = super().accepted(i, pool, chain)
+            peaks.append(table_entries(self))
+            return found
+
+    rng = random.Random(2000)
+    words = ["ab", "cd", "ef", "gh", "ij", "kl"]
+    lines = [" ".join(rng.choices(words, k=4)) for _ in range(2000)]
+    target = Corpus("tgt", window_shuffled(lines, rng))
+    trans = Corpus("y", lines)
+    chain = ComparatorChain(
+        (Comparator("token_overlap", 0.99), Comparator("matching_blocks_ratio", 0.8))
+    )
+    monkeypatch.setattr(sys.modules["transalign.align"], "PairScores", SpyScores)
+    result = align(trans, target, trans, AlignmentConfig(chain, window, depth))
+    assert result.counts()["A"] > 1000
+    trans_peak, target_peak = map(max, zip(*peaks))
+    assert trans_peak <= depth + 1
+    assert window < target_peak <= 2 * window + 2
+
+
+def test_a_table_passed_in_keeps_every_entry(monkeypatch):
+    src, trans, tgt, extras = drift_corpora(3)
+    config = AlignmentConfig(three_tier_chain(0.99, 0.6, 0.6), window=3, **extras)
+    scores = PairScores(trans.normalized, tgt.normalized, config.context())
+    lcs_calls = Counter()
+    real_lcs = sim.lcs_length
+
+    def counting_lcs(*args):
+        lcs_calls[run] += 1
+        return real_lcs(*args)
+
+    monkeypatch.setattr(sim, "lcs_length", counting_lcs)
+    run = "first"
+    first = align(src, tgt, trans, config, scores)
+    held = [list(map(len, columns)) for columns in scores._columns]
+    assert held[0][0] == len(trans)
+    run = "second"
+    assert align(src, tgt, trans, config, scores) == first
+    assert lcs_calls["first"] > 0 and lcs_calls["second"] == 0
+    assert [list(map(len, columns)) for columns in scores._columns] == held
+
+
+def test_forgotten_entries_are_rebuilt_with_equal_scores():
+    _, trans, tgt, extras = drift_corpora(4)
+    context = ChainContext(**extras)
+    kinds = ("token_overlap", "matching_blocks_ratio", "synonym_ratio")
+    pairs = [(i, j) for i in range(len(trans)) for j in range(len(tgt))]
+    scores = PairScores(trans.normalized, tgt.normalized, context)
+    before = {(i, j, kind): scores.score(i, j, kind) for i, j in pairs for kind in kinds}
+    scores.forget(10, 5)
+    scores.forget(3, 2)  # below the last bounds: drops nothing
+    assert all(i not in column for column in scores._columns[0] for i in range(10))
+    assert all(j not in column for column in scores._columns[1] for j in range(5))
+    assert all(10 in column for column in scores._columns[0])
+    scores.forget(len(trans), len(tgt))
+    assert table_entries(scores) == (0, 0)
+    assert {(i, j, kind): scores.score(i, j, kind) for i, j in pairs for kind in kinds} == before

@@ -820,6 +820,14 @@ def test_no_import_or_command_loads_dataclasses_or_inspect(tmp_path):
         )
 
 
+def test_corpus_and_lexicon_load_neither_typing_nor_pathlib():
+    # The set-up probe's imports: under python -S nothing else loads these.
+    fresh_interpreter(
+        "import sys, transalign.corpus, transalign.lexicon; "
+        "loaded = {'typing', 'pathlib'} & set(sys.modules); assert not loaded, loaded"
+    )
+
+
 @pytest.mark.parametrize("first", ["import", "tuning", "cli-align"])
 def test_package_align_stays_the_function(tmp_path, first):
     # Importing the transalign.align submodule binds it on the package as

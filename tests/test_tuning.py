@@ -8,6 +8,7 @@ import pytest
 import transalign.similarity as sim
 import transalign.tuning as tuning
 from oracles import lcs_oracle
+from test_cli import fresh_interpreter
 from transalign.align import AlignmentConfig, align
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError, DataError
@@ -95,6 +96,33 @@ def test_narrow_bounds_terminate_within_three_evaluations():
     outcome = tune_threshold(job, 0)
     assert outcome.evaluations <= 3
     assert 0.3 <= outcome.threshold <= 0.3 + resolution
+
+
+@pytest.mark.parametrize("bounds", [(0.3, 0.7), (0.33, 0.34), (0.1, 0.9)])
+def test_a_resolution_below_the_float_spacing_ends_the_search(bounds):
+    # With a score that grows with the threshold and a resolution no float
+    # gap reaches, the bracket narrows to two adjacent floats whose midpoint
+    # rounds onto one end; the search must stop there, not probe it forever.
+    # A search that hangs fails on the child's timeout.
+    code = """
+import sys
+import transalign.tuning as tuning
+from transalign.align import AlignmentConfig
+from transalign.corpus import Corpus
+from transalign.similarity import Comparator, ComparatorChain
+tuning._score = lambda job, chain: int(chain.comparators[0].threshold * 2**60)
+lines = Corpus("x", ["a b"])
+config = AlignmentConfig(ComparatorChain((Comparator("matching_blocks_ratio", 0.5),)))
+bounds = [tuple(map(float, sys.argv[1:]))]
+job = tuning.TuningJob(lines, lines, lines, ["a b"], config, bounds, 1e-300)
+outcome = tuning.tune_threshold(job, 0)
+print(outcome.threshold, outcome.score, outcome.evaluations, max(s for _, s in outcome.trace))
+"""
+    out = fresh_interpreter(code, *map(str, bounds))
+    threshold, score, evaluations, best = out.split()
+    assert bounds[0] <= float(threshold) <= bounds[1]
+    assert int(score) == int(best) == int(float(threshold) * 2**60)
+    assert int(evaluations) < 3 * 64
 
 
 def test_flat_objective_returns_constant_score():
