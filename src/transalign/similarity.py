@@ -276,11 +276,24 @@ class PairScores:
         pool order.
 
         The chain runs tier by tier over the whole pool, and each tier
-        scores only the targets the earlier tiers rejected. A ratio tier
-        runs the block kernel only on texts whose bounds (see
-        ``_best_ratio``) reach its threshold and, among synonym variants,
-        exceed the best score found so far. Both cuts are exact: a skipped
-        text can neither reach the threshold nor raise the maximum.
+        scores only the targets the earlier tiers rejected. Each tier first
+        runs one exact test per target, inline:
+
+        - the token tier scores a target whose occurrence set shares no
+          token with line ``i``'s as 0.0 (1.0 when both sets are empty),
+          so ``token_overlap`` runs only on sets that meet;
+        - a ratio tier rejects a target ``b`` when ``2 * common_chars(u,
+          b) / (n_min + |b|)`` is below its threshold, for ``u`` the OR of
+          the masks of the tier's texts of line ``i`` and ``n_min`` the
+          shortest one's length. No text matches more characters of ``b``
+          than ``u`` holds, and none is shorter, so this bounds every
+          text's ratio (the count filter of filter-and-verify joins).
+
+        Only the targets that pass reach ``_best_ratio``, which runs the
+        block kernel only on texts whose own bounds reach the threshold
+        and, among synonym variants, exceed the best score found so far.
+        Every cut is exact: a skipped target or text can neither reach the
+        threshold nor raise the maximum.
         """
         found = []
         for comparator in chain:
@@ -290,15 +303,31 @@ class PairScores:
             rejected = []
             if comparator.kind == TOKEN_OVERLAP:
                 overlap, a, sets = token_overlap, self._trans_sets[i], self._target_sets
+                disjoint = a.isdisjoint
                 for j in pool:
-                    score = overlap(a, sets[j])
+                    b = sets[j]
+                    if disjoint(b):
+                        score = 0.0 if a or b else 1.0
+                    else:
+                        score = overlap(a, b)
                     if score >= threshold:
                         found.append((j, score, comparator))
                     else:
                         rejected.append(j)
             else:
                 best_ratio, kind = self._best_ratio, comparator.kind
+                trans_chars, target_chars, variants = self._chars
+                texts = variants[i] if kind == SYNONYM_RATIO and variants else (trans_chars[i],)
+                union = 0
+                for _, mask in texts:
+                    union |= mask
+                n_min = min(len(text) for text, _ in texts)
                 for j in pool:
+                    b, b_mask = target_chars[j]
+                    total = n_min + len(b)
+                    if total and 2.0 * common_chars(union, b_mask) / total < threshold:
+                        rejected.append(j)
+                        continue
                     score = best_ratio(i, j, kind, threshold)
                     if score is None:
                         rejected.append(j)

@@ -5,6 +5,7 @@ rational arithmetic, full DP matrices. None of it shares code with the
 package under test.
 """
 
+import json
 import math
 import re
 import unicodedata
@@ -193,6 +194,31 @@ def align_oracle(n_source, target, trans, chain, window, depth, stopwords=frozen
         else:
             decisions.append(("translated", None, None, None))
     return decisions, unconsumed
+
+
+def report_lines_oracle(decisions, unmatched):
+    """The report's lines as first written: a dict per decision and one for
+    the counts trailer, each through ``JSONEncoder(ensure_ascii=False)``."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    lines = []
+    for decision in decisions:
+        record = {"source_index": decision.source_index, "outcome": decision.outcome}
+        if decision.outcome == "aligned":
+            record["target_index"] = decision.target_index
+            record["score"] = decision.score
+            record["comparator"] = decision.comparator
+        record["text"] = decision.text
+        lines.append(encode(record) + "\n")
+    outcomes = [decision.outcome for decision in decisions]
+    trailer = {
+        "A": outcomes.count("aligned"),
+        "T": outcomes.count("translated"),
+        "D": outcomes.count("filled"),
+        "L": len(outcomes),
+        "unmatched_targets": list(unmatched),
+    }
+    lines.append(encode(trailer) + "\n")
+    return lines
 
 
 def load_lines_oracle(data):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import transalign.similarity as sim
-from oracles import align_oracle, char_count_bound
+from oracles import align_oracle, char_count_bound, report_lines_oracle
 from transalign.align import (
     ALIGNED,
     FILLED,
@@ -402,6 +402,37 @@ def test_fixture_report_round_trip_rewrites_every_file(tmp_path):
     assert loaded == result
     assert report_bytes(loaded, src, tmp_path / "again") == written
     assert len(written[1].decode("utf-8").splitlines()) == 1005
+
+
+def test_report_lines_equal_the_encoder_oracle_and_read_back(tmp_path):
+    # Texts with quotes, backslashes, control characters, line and
+    # paragraph separators and characters beyond the BMP, and scores whose
+    # shortest repr is long or subnormal.
+    texts = [
+        'say "hi"',
+        "back\\slash \\u0041",
+        "nul\x00 bell\x07 esc\x1b del\x7f nel\x85 tab\t",
+        "line\u2028sep\u2029para",
+        "\U0001f600 \U00010348 \ud7ff\ue000 \ufeff",
+        "zażółć 中文 \u00e9",
+        "",
+    ]
+    scores = [0.0, 1.0, 1 / 3, 0.1 + 0.2, 5e-324, 1, 0.85]
+    rng = random.Random(21)
+    decisions = []
+    for i in range(42):
+        text = texts[i % len(texts)]
+        if i % 3 == 0:
+            score, kind = scores[i // 3 % len(scores)], ("token_overlap", "synonym_ratio")[i % 2]
+            decisions.append(AlignmentDecision(i, ALIGNED, text, 100 - i, score, kind))
+        else:
+            decisions.append(AlignmentDecision(i, (TRANSLATED, FILLED)[rng.randrange(2)], text))
+    result = AlignmentResult(tuple(decisions), (7, 0, 3))
+    source = Corpus("src", [f"{text} {i}" for i, text in enumerate(texts * 6)])
+    written = report_bytes(result, source, tmp_path)
+    expected = "".join(report_lines_oracle(result.decisions, result.unmatched_target_indices))
+    assert written[2] == expected.encode("utf-8")
+    assert read_report(tmp_path / "r") == result
 
 
 def test_write_alignment_refuses_a_source_of_another_length(tmp_path):

@@ -67,6 +67,23 @@ def test_tokenize_equals_the_run_pattern_oracle_on_random_strings():
         assert tokenize(text) == tokenize_pattern_oracle(text), text
 
 
+def test_alphanumeric_text_of_several_scripts_tokenizes_as_the_oracle_does():
+    # Numerals of other scripts (superscript two, Roman twelve, ideographic
+    # zero, Arabic-Indic digits) are word characters. A tab, a no-break
+    # space, an ideographic space, an apostrophe, an underscore and
+    # punctuation mixed in must end or join runs as the oracle says.
+    rng = random.Random(2021)
+    alnum = ["a", "Z", "7", "\u00e9", "\u05d0", "\u00b2", "\u216b", "\u3007", "\u0663", "\u0669"]
+    others = ["\t", "\u00a0", "\u3000", "'", "_", "-", "."]
+    for n in range(4000):
+        mixed = others if n % 2 else []  # every other text is alphanumerics and spaces
+        text = "".join(rng.choice(alnum + [" ", " "] + mixed) for _ in range(rng.randrange(0, 16)))
+        assert tokenize(text) == tokenize_oracle(text), repr(text)
+    assert tokenize(" \u00b2 \u216b  \u3007\u0663 ") == ("\u00b2", "\u216b", "\u3007\u0663")
+    assert tokenize("a\tb\u00a0c\u3000d") == ("a", "b", "c", "d")
+    assert tokenize("") == tokenize(" ") == ()
+
+
 def test_split_tokens_is_linear_in_a_long_apostrophe_run():
     # A pattern that retries the run from each of its apostrophes takes
     # tens of seconds here; one pass takes milliseconds.

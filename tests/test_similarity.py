@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -572,3 +573,80 @@ def test_pool_call_accepts_what_decide_and_evaluate_chain_accept():
                 else:
                     assert chosen is None
     assert hits > 300 and picks > 100
+
+
+def accepted_reference(scores, i, pool, chain):
+    """``accepted`` restated pair by pair from ``score``: each tier scores
+    every target the earlier tiers rejected, with no cut before the score."""
+    found = []
+    for comparator in chain:
+        rejected = []
+        for j in pool:
+            score = scores.score(i, j, comparator.kind)
+            if score >= comparator.threshold:
+                found.append((j, score, comparator))
+            else:
+                rejected.append(j)
+        pool = rejected
+    return found
+
+
+def test_pool_pre_tests_accept_what_scoring_every_pair_accepts():
+    # The inline tests ``accepted`` runs per target (disjoint occurrence
+    # sets, the character-count bound over all of a line's texts) must cut
+    # only targets that scoring would reject. Synonyms much shorter or
+    # longer than their headwords make a line's texts differ in length, and
+    # targets copy a line or one of its variants, so that exact scores of
+    # 1.0 and bounds equal to the threshold occur. Lines of stop words only
+    # have empty occurrence sets, and "" has no characters either.
+    rng = random.Random(2121)
+    stop = StopWordList(frozenset({"ca", "dd"}))
+    entries = {"ab": ("a",), "b": ("bcdbcdb",), "abc": ("c", "dcbadcb"), "dab": ("ab",)}
+    vocab = ["ab", "b", "abc", "dab", "cd", "ca", "dd", "ac"]
+    contexts = [
+        ChainContext(stopwords=stop, lexicon=SynonymLexicon(entries), cap=5),
+        ChainContext(stopwords=stop),
+    ]
+    chains = [
+        ComparatorChain((Comparator(kind, threshold),))
+        for kind in CHAIN_KINDS
+        for threshold in (0.0, 0.4, 0.75, 1.0)
+    ]
+    chains += [
+        ComparatorChain(tuple(map(Comparator, CHAIN_KINDS, thresholds)))
+        for thresholds in ((1.0, 1.0, 1.0), (0.0, 0.5, 0.5), (0.9, 0.0, 0.8), (0.6, 0.85, 0.0))
+    ]
+
+    def line():
+        return " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 5)))
+
+    cases = Counter()
+    for context in contexts:
+        for _ in range(12):
+            trans = [line() for _ in range(6)] + ["ca dd", ""]
+            variants = [
+                " ".join(v)
+                for text in trans
+                for v in expand_sentence(tokenize(text), context.lexicon, context.cap)[1:]
+            ]
+            target = [line() for _ in range(4)] + rng.sample(trans, 3) + ["dd ca dd", ""]
+            target += rng.sample(variants, min(3, len(variants)))
+            scores = PairScores(trans, target, context)
+            for chain in chains:
+                # Thresholds equal to scores that occur put the bound on them.
+                kind = chain.comparators[0].kind
+                i = rng.randrange(len(trans))
+                exact = sorted({scores.score(i, j, kind) for j in range(len(target))})
+                tight = ComparatorChain((Comparator(kind, rng.choice(exact)),))
+                for run in (chain, tight):
+                    for i in range(len(trans)):
+                        pool = rng.sample(range(len(target)), rng.randint(1, len(target)))
+                        fresh = PairScores(trans, target, context)
+                        expected = accepted_reference(scores, i, pool, run)
+                        assert fresh.accepted(i, pool, run) == expected, (trans[i], pool, run)
+                        assert scores.accepted(i, pool, run) == expected
+                        for j, score, comparator in expected:
+                            cases[comparator.kind, score == 1.0] += 1
+                            cases["at threshold"] += score == comparator.threshold
+    assert min(cases.values()) > 20, cases
+
