@@ -9,23 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
 from .corpus import load_corpus, save_corpus
 from .errors import ConfigError, DataError, ProviderError
-from .metrics import BP_PAPER, BP_STANDARD, evaluate_against_gold, evaluate_corpus
 
 # These names are read from the package, which imports their submodule on
 # first use (PEP 562): each command loads only the modules it runs.
 # Commands read them through ``_lazy``, this module itself, at call time,
 # so a wrapper set on this module (perfbench/tracer.py sets ``align``,
-# ``write_alignment`` and ``tune_chain``) is the one that runs.
+# ``write_alignment``, ``tune_chain`` and ``evaluate_corpus``) is the one
+# that runs.
 _LAZY = {
     "AlignmentConfig", "align", "read_report", "write_alignment",
     "EMPTY_LEXICON", "EMPTY_STOPWORDS", "load_stopwords", "load_synonyms",
     "Comparator", "ComparatorChain",
+    "BP_STANDARD", "evaluate_against_gold", "evaluate_corpus",
     "FileProvider", "HttpProvider", "TranslationCache", "translate_corpus",
     "TuningJob", "tune_chain",
 }
@@ -205,6 +205,13 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
 
+def _log_warnings() -> None:
+    """Print warnings to stderr: for the commands whose code logs."""
+    import logging  # not at the top: align and evaluate never log
+
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+
+
 # -- commands -------------------------------------------------------------
 
 
@@ -256,11 +263,12 @@ def cmd_align(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _log_warnings()  # a score outside 1..100
     _require_file(args.report, "report file")
     result = _lazy.read_report(args.report)
     _require_file(args.gold, "gold file")
     gold = load_corpus(args.gold, "gold").lines
-    card = evaluate_against_gold(result, gold)
+    card = _lazy.evaluate_against_gold(result, gold)
     _print_json(card.as_json_dict())
     return EXIT_OK
 
@@ -271,15 +279,16 @@ def cmd_evaluate(args) -> int:
     _require_file(args.ref, "reference file")
     hyp = load_corpus(args.hyp, "hyp")
     ref = load_corpus(args.ref, "ref")
-    report = evaluate_corpus(
+    report = _lazy.evaluate_corpus(
         hyp, ref, max_order=args.max_order,
-        bp_form=settings.get("bp_form", default=BP_STANDARD),
+        bp_form=settings.get("bp_form", default=_lazy.BP_STANDARD),
     )
     _print_json(report)
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
+    _log_warnings()  # a dev set below the recommended size
     settings = Settings(args)
     config = settings.alignment_config()  # reject bad thresholds before any I/O
     for path, what in (
@@ -384,7 +393,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hyp", required=True, help="hypothesis file")
     p.add_argument("--ref", required=True, help="reference file")
     p.add_argument("--max-order", type=int, default=4, help="largest n-gram order")
-    p.add_argument("--bp-form", dest="bp_form", choices=[BP_STANDARD, BP_PAPER])
+    # evaluate_corpus checks the value, from a flag or the config alike
+    p.add_argument("--bp-form", dest="bp_form", help="brevity penalty: standard or paper")
     p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("tune", help="binary-search comparator thresholds on a dev set")
@@ -403,7 +413,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

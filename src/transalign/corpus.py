@@ -26,10 +26,12 @@ from .errors import CorpusFormatError
 # digit; everything else separates tokens. ``tokenize`` first turns each
 # underscore into a space, so \w, which also matches the underscore, then
 # matches exactly the Unicode letters and digits. A run of apostrophes alone
-# cannot match, since the leading '* must be followed by a letter or digit;
-# the lookbehind starts a match only at a run's first apostrophe, which
-# keeps a long apostrophe run linear instead of quadratic.
-_TOKEN_RUN = re.compile(r"(?<!')'*\w[\w']*")
+# cannot match, since the leading apostrophes must be followed by a letter or
+# digit; the lookbehind starts such a match only at a run's first
+# apostrophe, which keeps a long apostrophe run linear instead of quadratic.
+# Every match begins with \w or an apostrophe, so ``re`` skips straight to
+# the next such character between tokens.
+_TOKEN_RUN = re.compile(r"(?:\w|'(?<!'')'*\w)[\w']*")
 
 
 def normalize(text: str) -> str:
@@ -46,6 +48,17 @@ def tokenize(text: str) -> tuple[str, ...]:
     are dropped, as is everything else outside the run class.
     """
     return tuple(_TOKEN_RUN.findall(text.replace("_", " ")))
+
+
+def position_masks(b: "Sequence") -> dict:
+    """Map each item of ``b`` to the bitmask of the positions it occupies:
+    the match vectors of the bit-parallel LCS and edit-distance kernels."""
+    masks: dict = {}
+    bit = 1
+    for item in b:
+        masks[item] = masks.get(item, 0) | bit
+        bit <<= 1
+    return masks
 
 
 class Value:

@@ -10,18 +10,15 @@ across a corpus.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .corpus import normalize, tokenize
+from .corpus import normalize, position_masks, tokenize
 from .errors import ConfigError, DataError, GoldMismatchError
 
 if TYPE_CHECKING:
     from .align import AlignmentResult
-
-log = logging.getLogger(__name__)
 
 BP_STANDARD = "standard"
 BP_PAPER = "paper"
@@ -71,7 +68,11 @@ def alignment_score(
     numerator = 20 * (5 * aligned - misaligned + 2 * translated + 5 * abs(disproportion))
     score = numerator // total
     if not 1 <= score <= 100:
-        log.warning("alignment score %d outside the nominal 1..100 range", score)
+        import logging  # not at the top: evaluate never logs
+
+        logging.getLogger(__name__).warning(
+            "alignment score %d outside the nominal 1..100 range", score
+        )
     return score
 
 
@@ -180,37 +181,19 @@ def brevity_penalty(hyp_len: int, ref_len: int, form: str = BP_STANDARD) -> floa
     raise DataError(f"unknown brevity-penalty form: {form!r}")
 
 
-def bleu(
-    stats: NgramStats,
-    weights: Sequence[float] | None = None,
-    bp_form: str = BP_STANDARD,
-    smooth_eps: float = 0.0,
-) -> float:
-    """Weighted n-gram precision score in [0, 1] from summed statistics.
-
-    Any zero precision makes the whole score zero unless the add-epsilon
-    diagnostic smoothing is switched on (off by default).
-    """
+def bleu(stats: NgramStats, bp_form: str = BP_STANDARD) -> float:
+    """Uniformly weighted n-gram precision score in [0, 1] from summed
+    statistics. Any zero precision makes the whole score zero."""
     order = len(stats.matches)
     if order == 0:
         raise DataError("BLEU needs n-gram statistics of at least one order")
-    if weights is None:
-        weights = [1.0 / order] * order
-    if len(weights) != order:
-        raise DataError(f"expected {order} weights, got {len(weights)}")
-    if any(w <= 0 for w in weights):
-        raise DataError("BLEU weights must be positive")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise DataError("BLEU weights must sum to one")
     if stats.hyp_len == 0:
         raise DataError("BLEU undefined for an empty hypothesis corpus")
 
+    weight = 1.0 / order
     log_sum = 0.0
-    for matched, total, weight in zip(stats.matches, stats.totals, weights):
-        if smooth_eps > 0.0:
-            precision = (matched + smooth_eps) / (total + smooth_eps) if total else smooth_eps
-        else:
-            precision = matched / total if total else 0.0
+    for matched, total in zip(stats.matches, stats.totals):
+        precision = matched / total if total else 0.0
         if precision == 0.0:
             return 0.0
         log_sum += weight * math.log(precision)
@@ -223,16 +206,6 @@ def precisions(stats: NgramStats) -> list[float]:
         matched / total if total else 0.0
         for matched, total in zip(stats.matches, stats.totals)
     ]
-
-
-def position_masks(b: Sequence) -> dict:
-    """Map each item of ``b`` to the bitmask of the positions it occupies."""
-    masks: dict = {}
-    bit = 1
-    for item in b:
-        masks[item] = masks.get(item, 0) | bit
-        bit <<= 1
-    return masks
 
 
 def edit_distance(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
@@ -345,7 +318,6 @@ def evaluate_corpus(
     hyp_corpus,
     ref_corpus,
     max_order: int = 4,
-    weights: Sequence[float] | None = None,
     bp_form: str = BP_STANDARD,
     max_shift_size: int = 10,
 ) -> dict:
@@ -387,7 +359,7 @@ def evaluate_corpus(
     padding = (0,) * (max_order - orders)
     stats = NgramStats(stats.matches + padding, stats.totals + padding, stats.hyp_len, stats.ref_len)
     return {
-        "bleu": bleu(stats, weights, bp_form),
+        "bleu": bleu(stats, bp_form),
         "ter": ter_edit_total / ref_token_total,
         "cer": cer_edit_total / ref_char_total,
         "c": stats.hyp_len,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .corpus import Frozen, normalize, tokenize
+from .corpus import Frozen, normalize, position_masks, tokenize
 from .errors import ConfigError
 from .lexicon import (
     EMPTY_LEXICON,
@@ -29,7 +29,6 @@ from .lexicon import (
     SynonymLexicon,
     expand_sentence,
 )
-from .metrics import position_masks
 
 MATCHING_BLOCKS_RATIO = "matching_blocks_ratio"
 TOKEN_OVERLAP = "token_overlap"

@@ -336,14 +336,12 @@ def ter_greedy_oracle(hyp, ref, max_shift_size=10):
     return shifts + distance
 
 
-def bleu_direct(pairs, max_order=4, weights=None):
+def bleu_direct(pairs, max_order=4):
     """BLEU recomputed from scratch on whole token-list pairs.
 
-    Rational n-gram precisions, float only at the final exp. Standard
-    brevity penalty. Returns 0 when any precision is 0.
+    Rational n-gram precisions, float only at the final exp. Uniform
+    weights, standard brevity penalty. Returns 0 when any precision is 0.
     """
-    if weights is None:
-        weights = [Fraction(1, max_order)] * max_order
     matches = [0] * max_order
     totals = [0] * max_order
     hyp_len = ref_len = 0
@@ -363,9 +361,6 @@ def bleu_direct(pairs, max_order=4, weights=None):
         raise ValueError("empty hypothesis corpus")
     if any(t == 0 for t in totals) or any(m == 0 for m in matches):
         return 0.0
-    log_sum = sum(
-        float(w) * math.log(Fraction(m, t))
-        for w, m, t in zip(weights, matches, totals)
-    )
+    log_sum = sum(math.log(Fraction(m, t)) for m, t in zip(matches, totals)) / max_order
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum)

@@ -791,7 +791,8 @@ def fresh_interpreter(code, *args):
 
 
 def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
-    loaded = "print(*sorted(m for m in sys.modules if m.startswith('transalign')))"
+    # Only tune and score run code that logs, so no list here has logging.
+    loaded = "print(*sorted(m for m in sys.modules if m.startswith('transalign') or m == 'logging'))"
     out = fresh_interpreter(f"import sys, transalign.corpus, transalign.lexicon; {loaded}")
     assert out.split() == ["transalign", "transalign.corpus", "transalign.errors", "transalign.lexicon"]
 
@@ -805,6 +806,43 @@ def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
         "transalign", "transalign.cli", "transalign.corpus", "transalign.errors",
         "transalign.metrics",
     ]
+
+    argv, _ = align_argv(tmp_path, path, path, path)
+    out = fresh_interpreter(
+        f"import sys, transalign.cli; assert transalign.cli.main({argv!r}) == 0; " + loaded
+    )
+    assert out.splitlines()[-1].split() == [
+        "transalign", "transalign.align", "transalign.cli", "transalign.corpus",
+        "transalign.errors", "transalign.lexicon", "transalign.similarity",
+    ]
+
+
+def test_tune_and_score_print_their_warnings(tmp_path):
+    # Outside pytest's log capture the warnings reach stderr in the CLI's
+    # "LEVEL logger: message" format.
+    def stderr_of(argv):  # with stdout after it, which fresh_interpreter returns
+        out = fresh_interpreter(
+            "import sys, transalign.cli; sys.stderr = sys.stdout; "
+            f"assert transalign.cli.main({argv!r}) == 0"
+        )
+        return out.splitlines()
+
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    lines = stderr_of(cli_argv("tune", path, tmp_path))
+    assert any(
+        line.startswith("WARNING transalign.tuning: dev set has 3 lines;") for line in lines
+    ), lines
+
+    # Every line aligned to the wrong target: A = 0, M = 3, so S = -20.
+    report = write(tmp_path, "report.jsonl", [
+        *(json.dumps({"source_index": i, "outcome": "aligned", "target_index": (i + 1) % 3,
+                      "score": 1.0, "comparator": "token_overlap", "text": f"wrong {i}"})
+          for i in range(3)),
+        json.dumps({"A": 3, "T": 0, "D": 0, "L": 3, "unmatched_targets": []}),
+    ])
+    lines = stderr_of(["score", "--report", report, "--gold", path])
+    assert json.loads(lines[-1])["S"] == -20
+    assert "WARNING transalign.metrics: alignment score -20 outside the nominal 1..100 range" in lines
 
 
 def test_no_import_or_command_loads_dataclasses_or_inspect(tmp_path):
