@@ -14,7 +14,6 @@ classes, here because every module that defines one imports this one.
 
 from __future__ import annotations
 
-import io
 import os
 import re
 import unicodedata
@@ -154,19 +153,6 @@ class Corpus(Frozen):
         return self.lines[index]
 
 
-def _read_bytes(source: str | os.PathLike | io.IOBase) -> bytes:
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "rb") as handle:
-                return handle.read()
-        except OSError as exc:
-            raise CorpusFormatError(f"cannot read corpus file {source}: {exc}") from exc
-    data = source.read()
-    if isinstance(data, str):
-        return data.encode("utf-8")
-    return data
-
-
 def _split_lines(text: str, where: str) -> tuple[list[str], tuple[int, ...]]:
     """The non-empty lines of a decoded file and the 1-based numbers of the
     empty ones. One CR before each LF, or at the very end, is part of the
@@ -185,17 +171,21 @@ def _split_lines(text: str, where: str) -> tuple[list[str], tuple[int, ...]]:
     return [line for line in lines if line], skipped
 
 
-def load_corpus(source: str | os.PathLike | io.IOBase, language: str) -> Corpus:
-    """Load one line per non-empty line of a UTF-8 text source.
+def load_corpus(path: str | os.PathLike, language: str) -> Corpus:
+    """Load one line per non-empty line of a UTF-8 text file.
 
     LF and CRLF line endings are both accepted; a UTF-8 BOM is tolerated.
     Empty lines are dropped; their 1-based line numbers end up in
-    ``Corpus.skipped_lines``. Invalid UTF-8 and a carriage return inside a
-    line are reported with the number of the first line that has either,
-    and with the file name when ``source`` is a path.
+    ``Corpus.skipped_lines``. An unreadable file, invalid UTF-8 and a
+    carriage return inside a line are ``CorpusFormatError``s naming the
+    file, the last two with the number of the first line that has either.
     """
-    where = f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
-    data = _read_bytes(source)
+    where = f"{path}: "
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
     try:
@@ -210,15 +200,7 @@ def load_corpus(source: str | os.PathLike | io.IOBase, language: str) -> Corpus:
     return Corpus(language, lines, skipped)
 
 
-def save_corpus(corpus: Corpus, target: str | os.PathLike | io.IOBase) -> None:
-    """Write the corpus back out, one raw line each, LF-terminated."""
-    payload = "".join(line + "\n" for line in corpus)
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "wb") as handle:
-            handle.write(payload.encode("utf-8"))
-    else:
-        data = payload.encode("utf-8")
-        try:
-            target.write(data)
-        except TypeError:
-            target.write(payload)
+def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
+    """Write the corpus to ``path`` as UTF-8, one raw line each, LF-terminated."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("".join(line + "\n" for line in corpus))

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from .corpus import Frozen, normalize
-from .errors import LexiconFormatError
+from .errors import ConfigError, LexiconFormatError
 
 
 class StopWordList(Frozen):
     """Normalized words to drop before token-overlap comparison."""
 
-    __slots__ = _fields = ("words", "language")
+    __slots__ = _fields = ("words",)
 
-    def __init__(self, words: frozenset[str], language: str = ""):
-        self._set(words, language)
+    def __init__(self, words: frozenset[str]):
+        self._set(words)
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -31,10 +31,10 @@ class SynonymLexicon(Frozen):
     entries are a dict.
     """
 
-    __slots__ = _fields = ("entries", "language")
+    __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: dict[str, tuple[str, ...]] | None = None, language: str = ""):
-        self._set({} if entries is None else entries, language)
+    def __init__(self, entries: dict[str, tuple[str, ...]] | None = None):
+        self._set({} if entries is None else entries)
 
     def synonyms(self, word: str) -> tuple[str, ...]:
         return self.entries.get(word, ())
@@ -46,7 +46,7 @@ class SynonymLexicon(Frozen):
 EMPTY_LEXICON = SynonymLexicon({})
 
 
-def load_stopwords(path, language: str = "") -> StopWordList:
+def load_stopwords(path) -> StopWordList:
     """Read a one-word-per-line stop-word file; `#` lines are comments."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -61,10 +61,10 @@ def load_stopwords(path, language: str = "") -> StopWordList:
         word = normalize(line)
         if word:
             words.add(word)
-    return StopWordList(frozenset(words), language)
+    return StopWordList(frozenset(words))
 
 
-def load_synonyms(path, language: str = "") -> SynonymLexicon:
+def load_synonyms(path) -> SynonymLexicon:
     """Read a `headword<TAB>syn1,syn2,...` lexicon file.
 
     Headwords and synonyms are normalized; self-references are stripped;
@@ -94,7 +94,7 @@ def load_synonyms(path, language: str = "") -> SynonymLexicon:
             if synonym and synonym != head and synonym not in merged:
                 merged.append(synonym)
         entries[head] = tuple(merged)
-    return SynonymLexicon(entries, language)
+    return SynonymLexicon(entries)
 
 
 def expand_sentence(
@@ -108,7 +108,7 @@ def expand_sentence(
     at most ``cap`` entries.
     """
     if cap < 1:
-        raise ValueError(f"variant cap must be >= 1, got {cap}")
+        raise ConfigError(f"variant cap must be >= 1, got {cap}")
     variants = [tokens]
     for position, token in enumerate(tokens):
         for synonym in lexicon.synonyms(token):

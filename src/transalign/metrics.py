@@ -168,17 +168,17 @@ def brevity_penalty(hyp_len: int, ref_len: int, form: str = BP_STANDARD) -> floa
 
     1 when the hypothesis is longer; otherwise e^(1 - r/c) in the standard
     form, or e^((1 - r)/c) in the alternative "paper" form kept for
-    comparison runs.
+    comparison runs. An unknown ``form`` is a ``DataError`` at any lengths.
     """
+    if form not in (BP_STANDARD, BP_PAPER):
+        raise DataError(f"unknown brevity-penalty form: {form!r}")
     if hyp_len < 1:
         raise DataError("brevity penalty undefined for empty hypothesis")
     if hyp_len > ref_len:
         return 1.0
     if form == BP_STANDARD:
         return math.exp(1.0 - ref_len / hyp_len)
-    if form == BP_PAPER:
-        return math.exp((1.0 - ref_len) / hyp_len)
-    raise DataError(f"unknown brevity-penalty form: {form!r}")
+    return math.exp((1.0 - ref_len) / hyp_len)
 
 
 def bleu(stats: NgramStats, bp_form: str = BP_STANDARD) -> float:
@@ -298,13 +298,11 @@ def ter_edits(
     return shifts + distance
 
 
-def ter(
-    hyp_tokens: Sequence[str], ref_tokens: Sequence[str], max_shift_size: int = 10
-) -> float:
+def ter(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> float:
     """Translation edit rate: edits (incl. shifts) per reference word."""
     if not ref_tokens:
         raise DataError("TER undefined for an empty reference")
-    return ter_edits(hyp_tokens, ref_tokens, max_shift_size) / len(ref_tokens)
+    return ter_edits(hyp_tokens, ref_tokens) / len(ref_tokens)
 
 
 def cer(hyp_text: str, ref_text: str) -> float:
@@ -315,11 +313,7 @@ def cer(hyp_text: str, ref_text: str) -> float:
 
 
 def evaluate_corpus(
-    hyp_corpus,
-    ref_corpus,
-    max_order: int = 4,
-    bp_form: str = BP_STANDARD,
-    max_shift_size: int = 10,
+    hyp_corpus, ref_corpus, max_order: int = 4, bp_form: str = BP_STANDARD
 ) -> dict:
     """Corpus-level BLEU/TER/CER over paired hypothesis/reference corpora.
 
@@ -350,7 +344,7 @@ def evaluate_corpus(
         hyp_tokens = tokenize(hyp)
         ref_tokens = tokenize(ref)
         stats = stats + bleu_stats(hyp_tokens, ref_tokens, orders)
-        ter_edit_total += ter_edits(hyp_tokens, ref_tokens, max_shift_size)
+        ter_edit_total += ter_edits(hyp_tokens, ref_tokens)
         ref_token_total += len(ref_tokens)
         cer_edit_total += edit_distance(hyp, ref)
         ref_char_total += len(ref)

@@ -6,8 +6,8 @@ contiguous blocks found by recursive longest-block decomposition
 (Ratcliff/Obershelp) and T is the summed length of both strings. It rewards
 partial word matches ("boy"/"boys") and is insensitive to small reorderings,
 which plain token intersection is not. The blocks form a common subsequence,
-so M <= LCS(a, b) <= sum_c min(#a(c), #b(c)) <= min(|a|, |b|): exact
-bounds that decide most pairs without the block search.
+so M <= LCS(a, b) <= sum_c min(#a(c), #b(c)): two exact bounds that decide
+most pairs without the block search.
 
 The block search is ``difflib.SequenceMatcher(None, a, b, autojunk=False)``,
 imported on first use. Without junk, its blocks and tie rule (smallest start in
@@ -141,7 +141,7 @@ def synonym_ratio(
 
 class Comparator(Frozen):
     """One tier of the escalation policy: a scoring kind plus its acceptance
-    threshold. Lower cost class means the tier runs earlier."""
+    threshold. A kind of lower ``COMPARATOR_COSTS`` runs earlier."""
 
     __slots__ = _fields = ("kind", "threshold")
 
@@ -154,10 +154,6 @@ class Comparator(Frozen):
             )
         self._set(kind, float(threshold))
 
-    @property
-    def cost_class(self) -> int:
-        return COMPARATOR_COSTS[self.kind]
-
 
 class ComparatorChain(Frozen):
     """Comparators ordered by ascending cost: fast coarse tiers first."""
@@ -167,7 +163,7 @@ class ComparatorChain(Frozen):
     def __init__(self, comparators: tuple[Comparator, ...]):
         if not comparators:
             raise ConfigError("comparator chain must not be empty")
-        self._set(tuple(sorted(comparators, key=lambda comp: comp.cost_class)))
+        self._set(tuple(sorted(comparators, key=lambda comp: COMPARATOR_COSTS[comp.kind])))
 
     def __iter__(self):
         return iter(self.comparators)
@@ -238,8 +234,9 @@ class PairScores:
     again. The character masks are one batch over the whole corpus:
     each translation line's and each target's text, and with a lexicon
     each translation line's synonym variants, since one slot layout must
-    cover every text. Each translation line is tokenized once; its tokens
-    are kept only with a lexicon, where the synonym variants need them too.
+    cover every text. Each translation line is tokenized once, into a
+    tokens column that both its occurrence set and, with a lexicon, its
+    synonym variants read.
     """
 
     def __init__(
@@ -253,10 +250,7 @@ class PairScores:
         self.context = context
         stopwords = context.stopwords
         words = self._trans_tokens = _Column(lambda i: tokenize(trans[i]))
-        if len(context.lexicon):  # the synonym variants read the tokens too
-            self._trans_sets = _Column(lambda i: occurrence_set(words[i], stopwords))
-        else:
-            self._trans_sets = _Column(lambda i: occurrence_set(tokenize(trans[i]), stopwords))
+        self._trans_sets = _Column(lambda i: occurrence_set(words[i], stopwords))
         self._target_sets = _Column(lambda j: occurrence_set(tokenize(target[j]), stopwords))
         self._rows = _Column(lambda i: ({}, {}))  # (j, k) -> block ratio, LCS length
         self._target_masks = _Column(lambda j: position_masks(target[j]))
@@ -391,12 +385,13 @@ class PairScores:
         """The exact best ratio of ``kind``'s texts of line ``i`` against
         target ``j``, or None when it is below ``threshold``.
 
-        A text not scored yet runs a chain of bounds on its matched length
-        M, cheapest first: min(|a|, |b|), the character count
-        ``common_chars``, then ``lcs_length``. It is dropped at the first
-        bound whose 2*M/T is below ``threshold`` or at most the best score
-        so far, and reaches the block kernel only when none is. The LCS is
-        kept in the table; the character count is recounted on each call.
+        A text not scored yet runs two bounds on its matched length M,
+        cheapest first: the character count ``common_chars``, then
+        ``lcs_length``. It is dropped at the first bound whose 2*M/T is
+        below ``threshold`` or at most the best score so far, and reaches
+        the block kernel only when neither is. The count is at most
+        min(|a|, |b|), so no length bound would cut a text it keeps. The LCS
+        is kept in the table; the character count is recounted on each call.
         """
         trans_chars, target_chars, variants = self._chars
         texts = variants[i] if kind == SYNONYM_RATIO and variants else (trans_chars[i],)
@@ -407,14 +402,10 @@ class PairScores:
         for k, (text, mask) in enumerate(texts):
             score = row.get((j, k))
             if score is None:
-                n = len(text)
-                total = n + b_len
+                total = len(text) + b_len
                 if total:  # two empty texts go straight to the kernel's 1.0
                     lcs = lcs_row.get((j, k))
                     if lcs is None:
-                        bound = 2.0 * (n if n < b_len else b_len) / total
-                        if bound < threshold or bound <= best:
-                            continue
                         bound = 2.0 * common_chars(mask, b_mask) / total
                         if bound < threshold or bound <= best:
                             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 import time
 import urllib.parse
@@ -32,14 +33,12 @@ class TranslationProvider:
     """Interface: translate one line for a language pair.
 
     ``max_concurrency`` bounds how many translate_line calls may run at
-    once; ``prepare`` is called with the corpus before any work starts.
+    once; ``prepare`` is called with the corpus before any work starts. A
+    provider that cannot translate a pair raises ``ProviderError`` from
+    ``translate_line``.
     """
 
-    name = "provider"
     max_concurrency = 1
-
-    def supports(self, source_language: str, target_language: str) -> bool:
-        return True
 
     def prepare(self, corpus: Corpus) -> None:
         pass
@@ -57,8 +56,6 @@ class FileProvider(TranslationProvider):
     hold exactly one line per source line; the length is checked
     against the corpus before any translation happens.
     """
-
-    name = "file"
 
     def __init__(self, path):
         self.path = path
@@ -107,7 +104,6 @@ class HttpProvider(TranslationProvider, Value):
     __slots__ = _fields = (
         "endpoint", "response_path", "max_concurrency", "timeout", "retries", "backoff"
     )
-    name = "http"
 
     def __init__(
         self,
@@ -201,28 +197,18 @@ def http_translate(line: str, lang_pair: tuple[str, str], provider: HttpProvider
     raise last_error
 
 
-_ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r")]
+_ESCAPE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_UNESCAPE = {"t": "\t", "n": "\n", "r": "\r"}
 
 
 def _escape(text: str) -> str:
-    for plain, escaped in _ESCAPES:
-        text = text.replace(plain, escaped)
-    return text
+    return text.translate(_ESCAPE)
 
 
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo ``_escape``: a backslash and the character after it become that
+    character, or TAB, LF or CR for t, n or r; a lone trailing backslash stays."""
+    return re.sub(r"\\(.)", lambda m: _UNESCAPE.get(m[1], m[1]), text, flags=re.DOTALL)
 
 
 class TranslationCache:
@@ -316,10 +302,6 @@ def translate_corpus(
     line that did translate is cached first, so a rerun resumes.
     """
     pair = (corpus.language, target_language)
-    if not provider.supports(*pair):
-        raise ProviderError(
-            f"provider {provider.name!r} does not support {pair[0]}->{pair[1]}"
-        )
     provider.prepare(corpus)
 
     translations: dict[str, str] = {}

@@ -532,8 +532,7 @@ def test_warm_pair_table_gives_identical_reports(tmp_path):
 def test_bound_pruning_changes_no_report(tmp_path, monkeypatch):
     # The same runs with every cut before the block kernel turned off give
     # the same bytes: a character count and an LCS longer than any text
-    # clear the count bound and the LCS bound. Only the O(1) length bound
-    # min(|a|, |b|) stays; the test below checks it against the kernel.
+    # clear the count bound and the LCS bound, the only two there are.
     chains = [
         three_tier_chain(0.99, 0.8, 0.85),
         three_tier_chain(1.0, 0.0, 1.0),
@@ -567,9 +566,10 @@ def test_bound_pruning_changes_no_report(tmp_path, monkeypatch):
 
 
 def test_ratio_tiers_equal_the_kernel_on_every_drift_pair():
-    # The reference runs the kernel on every text of every pair, so it also
-    # checks the O(1) length cut, which the test above leaves on. A fresh
-    # table per threshold keeps every cut in play.
+    # The reference runs the kernel on every text of every pair. A fresh
+    # table per threshold keeps every cut in play. ``length_cut`` counts the
+    # pairs a length bound min(|a|, |b|) would cut: the character count is
+    # at most that, so the count bound cuts each of them too.
     length_cut = 0
     for seed in range(2):
         _, trans, tgt, extras = drift_corpora(seed)

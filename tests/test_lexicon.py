@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from transalign.errors import LexiconFormatError
+from transalign.errors import ConfigError, LexiconFormatError
 from transalign.lexicon import (
     EMPTY_LEXICON,
     StopWordList,
@@ -91,7 +91,7 @@ def test_expand_cap_truncates_but_keeps_original_first():
 
 
 def test_expand_cap_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         expand_sentence(("a",), EMPTY_LEXICON, cap=0)
 
 
@@ -110,15 +110,15 @@ def test_expand_bounds_and_determinism():
 
 
 def test_stopword_list_contains():
-    sw = StopWordList(frozenset({"the"}), "en")
+    sw = StopWordList(frozenset({"the"}))
     assert "the" in sw and "dog" not in sw
 
 
 def test_shipped_starter_files_load():
     fixtures = Path(__file__).parent / "fixtures"
-    stopwords = load_stopwords(fixtures / "stopwords_en.txt", "en")
+    stopwords = load_stopwords(fixtures / "stopwords_en.txt")
     assert {"i", "to", "the"} <= set(stopwords.words)
-    lexicon = load_synonyms(fixtures / "synonyms_en.tsv", "en")
+    lexicon = load_synonyms(fixtures / "synonyms_en.tsv")
     assert "play" in lexicon.synonyms("game")
     assert lexicon.synonyms("will") == ("would",)
     assert lexicon.synonyms("would") == ("will",)

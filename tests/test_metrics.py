@@ -245,6 +245,17 @@ def test_brevity_penalty_errors():
         brevity_penalty(3, 5, form="nonsense")
 
 
+def test_unknown_brevity_form_is_refused_for_a_longer_hypothesis():
+    # No penalty applies to a hypothesis longer than its reference, but an
+    # unknown form is still an error, not a silent 1.0.
+    with pytest.raises(DataError):
+        brevity_penalty(5, 3, form="bogus")
+    stats = bleu_stats("a b c d e".split(), "a b c".split(), max_order=2)
+    assert bleu(stats) == pytest.approx(0.5477, abs=1e-4)
+    with pytest.raises(DataError):
+        bleu(stats, "bogus")
+
+
 # -- edit distance / TER / CER ------------------------------------------------
 
 

@@ -38,7 +38,6 @@ class CountingProvider(TranslationProvider):
     """Uppercases input; tracks call count and peak concurrency."""
 
     def __init__(self, max_concurrency=1, delay=0.0, fail_on=None):
-        self.name = "counting"
         self.max_concurrency = max_concurrency
         self.delay = delay
         self.fail_on = fail_on or set()
@@ -214,13 +213,18 @@ def test_failure_aborts_with_smallest_line_index():
     assert "line index 1" in str(err.value)
 
 
-def test_unsupported_pair_rejected():
+def test_provider_refusing_a_pair_fails_at_line_0():
     class Narrow(CountingProvider):
-        def supports(self, source_language, target_language):
-            return source_language == "pl"
+        def translate_line(self, text, source_language, target_language, index):
+            if source_language != "pl":
+                raise ProviderError(f"no {source_language}->{target_language}")
+            return super().translate_line(text, source_language, target_language, index)
 
-    with pytest.raises(ProviderError):
-        translate_corpus(corpus("a", language="en"), Narrow())
+    with pytest.raises(TranslationFailedError) as err:
+        translate_corpus(corpus("a", "b", language="en"), Narrow())
+    assert err.value.line_index == 0
+    assert isinstance(err.value.cause, ProviderError)
+    assert translate_corpus(corpus("a"), Narrow()).lines == ("A",)
 
 
 # -- HTTP provider against a local mock server ------------------------------

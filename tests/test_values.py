@@ -28,11 +28,11 @@ CHAIN = ComparatorChain(comparators=(COMPARATOR,))
 
 
 def stopwords():
-    return StopWordList(words=frozenset({"the"}), language="en")
+    return StopWordList(words=frozenset({"the"}))
 
 
 def lexicon():
-    return SynonymLexicon(entries={"cat": ("kitty",)}, language="en")
+    return SynonymLexicon(entries={"cat": ("kitty",)})
 
 
 def context(cap=8):
@@ -50,9 +50,9 @@ def test_corpus_equality_ignores_skipped_lines_and_equal_corpora_hash_equal():
 
 def test_context_stopwords_and_lexicon_compare_by_value():
     assert stopwords() == stopwords() and hash(stopwords()) == hash(stopwords())
-    assert stopwords() != StopWordList(frozenset({"the"}), "de")
-    assert lexicon() == lexicon() and lexicon() != SynonymLexicon({"cat": ("tom",)}, "en")
-    assert SynonymLexicon() == SynonymLexicon({}, "")
+    assert stopwords() != StopWordList(frozenset({"a"}))
+    assert lexicon() == lexicon() and lexicon() != SynonymLexicon({"cat": ("tom",)})
+    assert SynonymLexicon() == SynonymLexicon({})
     assert context() == context() and context() != context(cap=9)
     for unhashable in (lexicon(), context()):  # a lexicon's entries are a dict
         with pytest.raises(TypeError):
