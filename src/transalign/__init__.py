@@ -25,8 +25,8 @@ _EXPORTS = {
         ("errors", ("ConfigError", "CorpusFormatError", "DataError", "GoldMismatchError",
                     "LexiconFormatError", "ProviderError", "TransalignError",
                     "TranslationFailedError")),
-        ("lexicon", ("EMPTY_LEXICON", "EMPTY_STOPWORDS", "StopWordList", "SynonymLexicon",
-                     "expand_sentence", "load_stopwords", "load_synonyms")),
+        ("lexicon", ("EMPTY_LEXICON", "EMPTY_STOPWORDS", "expand_sentence", "load_stopwords",
+                     "load_synonyms")),
         ("metrics", ("BP_PAPER", "BP_STANDARD", "NgramStats", "ScoreCard", "alignment_score",
                      "bleu", "bleu_stats", "brevity_penalty", "cer", "edit_distance",
                      "evaluate_against_gold", "evaluate_corpus", "ter", "ter_edits")),

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus, Frozen
 from .errors import ConfigError, DataError
-from .lexicon import EMPTY_LEXICON, EMPTY_STOPWORDS, StopWordList, SynonymLexicon
+from .lexicon import DEFAULT_CAP, EMPTY_LEXICON, EMPTY_STOPWORDS
 from .similarity import (
     ChainContext,
     ChainDecision,
@@ -51,9 +51,9 @@ class AlignmentConfig(Frozen):
         chain: ComparatorChain,
         window: int = 20,
         lookahead_depth: int = 1,
-        cap: int = 64,
-        stopwords: StopWordList = EMPTY_STOPWORDS,
-        lexicon: SynonymLexicon = EMPTY_LEXICON,
+        cap: int = DEFAULT_CAP,
+        stopwords: frozenset[str] = EMPTY_STOPWORDS,
+        lexicon: dict[str, tuple[str, ...]] = EMPTY_LEXICON,
     ):
         for name, value in (("window", window), ("lookahead_depth", lookahead_depth)):
             if type(value) is not int or value < 0:

@@ -153,39 +153,22 @@ class Corpus(Frozen):
         return self.lines[index]
 
 
-def _split_lines(text: str, where: str) -> tuple[list[str], tuple[int, ...]]:
-    """The non-empty lines of a decoded file and the 1-based numbers of the
-    empty ones. One CR before each LF, or at the very end, is part of the
-    line ending; any other CR is a ``CorpusFormatError``."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # trailing newline, not an empty line
-    if "\r" in text:
-        lines = [line[:-1] if line[-1:] == "\r" else line for line in lines]
-        for lineno, line in enumerate(lines, start=1):
-            if "\r" in line:
-                raise CorpusFormatError(f"{where}line {lineno} contains a line-break character")
-    if "" not in lines:
-        return lines, ()
-    skipped = tuple(lineno for lineno, line in enumerate(lines, start=1) if not line)
-    return [line for line in lines if line], skipped
+def read_lines(path: str | os.PathLike, what: str, error: type[Exception]) -> list[str]:
+    """Every line of a UTF-8 text file, empty ones included, so line n is
+    item n-1: the line rules of every file the toolkit reads.
 
-
-def load_corpus(path: str | os.PathLike, language: str) -> Corpus:
-    """Load one line per non-empty line of a UTF-8 text file.
-
-    LF and CRLF line endings are both accepted; a UTF-8 BOM is tolerated.
-    Empty lines are dropped; their 1-based line numbers end up in
-    ``Corpus.skipped_lines``. An unreadable file, invalid UTF-8 and a
-    carriage return inside a line are ``CorpusFormatError``s naming the
-    file, the last two with the number of the first line that has either.
+    LF and CRLF line endings are both accepted (one CR before each LF, or
+    at the very end, is part of the line ending), and a UTF-8 BOM is
+    dropped. An unreadable file, invalid UTF-8 and a carriage return inside
+    a line raise ``error`` naming the ``what`` file, the last two with the
+    number of the first line that has either.
     """
     where = f"{path}: "
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
     try:
@@ -193,11 +176,36 @@ def load_corpus(path: str | os.PathLike, language: str) -> Corpus:
     except UnicodeDecodeError as exc:
         # CR and LF are never part of a multi-byte sequence, so the lines
         # before the bad one decode; a CR inside one of them comes first.
-        _split_lines(data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), where)
+        _split_lines(data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), where, error)
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"{where}invalid UTF-8 on line {lineno}: {exc.reason}") from exc
-    lines, skipped = _split_lines(text, where)
-    return Corpus(language, lines, skipped)
+        raise error(f"{where}invalid UTF-8 on line {lineno}: {exc.reason}") from exc
+    return _split_lines(text, where, error)
+
+
+def _split_lines(text: str, where: str, error: type[Exception]) -> list[str]:
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # trailing newline, not an empty line
+    if "\r" in text:
+        lines = [line[:-1] if line[-1:] == "\r" else line for line in lines]
+        for lineno, line in enumerate(lines, start=1):
+            if "\r" in line:
+                raise error(f"{where}line {lineno} contains a line-break character")
+    return lines
+
+
+def load_corpus(path: str | os.PathLike, language: str) -> Corpus:
+    """Load one line per non-empty line of a UTF-8 text file.
+
+    The file is read by ``read_lines``, whose errors are
+    ``CorpusFormatError``s. Empty lines are dropped; their 1-based line
+    numbers end up in ``Corpus.skipped_lines``.
+    """
+    lines = read_lines(path, "corpus", CorpusFormatError)
+    if "" not in lines:
+        return Corpus(language, lines)
+    skipped = tuple(lineno for lineno, line in enumerate(lines, start=1) if not line)
+    return Corpus(language, [line for line in lines if line], skipped)
 
 
 def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:

@@ -22,13 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .corpus import Frozen, normalize, position_masks, tokenize
 from .errors import ConfigError
-from .lexicon import (
-    EMPTY_LEXICON,
-    EMPTY_STOPWORDS,
-    StopWordList,
-    SynonymLexicon,
-    expand_sentence,
-)
+from .lexicon import DEFAULT_CAP, EMPTY_LEXICON, EMPTY_STOPWORDS, expand_sentence
 
 MATCHING_BLOCKS_RATIO = "matching_blocks_ratio"
 TOKEN_OVERLAP = "token_overlap"
@@ -54,7 +48,7 @@ def ratio(a: str, b: str) -> float:
 
 
 def occurrence_set(
-    tokens: Sequence[str], stopwords: StopWordList = EMPTY_STOPWORDS
+    tokens: Sequence[str], stopwords: frozenset[str] = EMPTY_STOPWORDS
 ) -> frozenset:
     """The stop-word-filtered tokens as a set of occurrences.
 
@@ -62,8 +56,7 @@ def occurrence_set(
     ``(token, k)``. So ``len(A & B)`` of two such sets is the size of the
     multiset intersection of their tokens, and ``len(A)`` the token count.
     """
-    words = stopwords.words
-    content = [token for token in tokens if token not in words]
+    content = [token for token in tokens if token not in stopwords]
     occurrences = frozenset(content)
     if len(occurrences) == len(content):
         return occurrences
@@ -78,7 +71,7 @@ def occurrence_set(
 def token_overlap(
     a: Sequence[str] | frozenset,
     b: Sequence[str] | frozenset,
-    stopwords: StopWordList = EMPTY_STOPWORDS,
+    stopwords: frozenset[str] = EMPTY_STOPWORDS,
 ) -> float:
     """Dice overlap of the stop-word-filtered token multisets.
 
@@ -125,8 +118,8 @@ def lcs_length(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
 def synonym_ratio(
     a: str,
     b: str,
-    lexicon: SynonymLexicon = EMPTY_LEXICON,
-    cap: int = 64,
+    lexicon: dict[str, tuple[str, ...]] = EMPTY_LEXICON,
+    cap: int = DEFAULT_CAP,
 ) -> float:
     """Best matching-blocks ratio over the synonym variants of ``a``.
 
@@ -179,17 +172,19 @@ class ComparatorChain(Frozen):
 
 
 class ChainContext(Frozen):
-    """Shared inputs the chain's comparators need. ``cap``, the most synonym
-    variants kept per sentence, must be an ``int`` (not a ``bool``) >= 1,
-    else ``ConfigError``."""
+    """Shared inputs the chain's comparators need: the ``frozenset`` of stop
+    words, the lexicon ``dict`` (see ``lexicon``) and ``cap``, the most
+    synonym variants kept per sentence, which must be an ``int`` (not a
+    ``bool``) >= 1, else ``ConfigError``. Not hashable, as the lexicon is
+    a dict; two contexts are equal when all three fields are."""
 
     __slots__ = _fields = ("stopwords", "lexicon", "cap")
 
     def __init__(
         self,
-        stopwords: StopWordList = EMPTY_STOPWORDS,
-        lexicon: SynonymLexicon = EMPTY_LEXICON,
-        cap: int = 64,
+        stopwords: frozenset[str] = EMPTY_STOPWORDS,
+        lexicon: dict[str, tuple[str, ...]] = EMPTY_LEXICON,
+        cap: int = DEFAULT_CAP,
     ):
         if type(cap) is not int or cap < 1:
             raise ConfigError(f"cap must be an integer >= 1, got {cap!r}")

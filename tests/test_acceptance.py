@@ -20,7 +20,6 @@ from transalign import (
     Corpus,
     FileProvider,
     NgramStats,
-    SynonymLexicon,
     TuningJob,
     align,
     alignment_score,
@@ -249,7 +248,7 @@ def test_07_permutation_recovery_and_noisy_alignment_quality(tmp_path):
         chain=chain,
         window=30,
         lookahead_depth=1,
-        lexicon=SynonymLexicon(entries=entries),
+        lexicon=entries,
     )
     result = align(
         Corpus("src", [f"zrodlo {i}" for i in range(500)]),

@@ -23,7 +23,7 @@ from transalign.align import (
 )
 from transalign.corpus import Corpus, load_corpus, tokenize
 from transalign.errors import ConfigError, DataError
-from transalign.lexicon import StopWordList, SynonymLexicon, expand_sentence
+from transalign.lexicon import expand_sentence
 from transalign.similarity import ChainContext, Comparator, ComparatorChain, PairScores
 
 
@@ -486,7 +486,7 @@ def drift_corpora(seed):
     src = Corpus("src", [f"zrodlo {i}" for i in range(40)])
     trans = Corpus("y", trans_lines)
     tgt = Corpus("tgt", window_shuffled(kept, rng))
-    extras = dict(stopwords=StopWordList(frozenset(stop)), lexicon=SynonymLexicon(entries))
+    extras = dict(stopwords=frozenset(stop), lexicon=entries)
     return src, trans, tgt, extras
 
 
@@ -673,9 +673,7 @@ def test_align_equals_the_oracle_on_random_corpora():
             chain = ComparatorChain(tuple(Comparator(*tier) for tier in tiers))
             for window in (0, 1, 3, 20):
                 for depth in (0, 1, 2):
-                    config = AlignmentConfig(
-                        chain, window, depth, stopwords=StopWordList(stopwords)
-                    )
+                    config = AlignmentConfig(chain, window, depth, stopwords=stopwords)
                     result = align(source, Corpus("tgt", target), Corpus("y", trans), config)
                     decisions, unmatched = align_oracle(
                         len(trans), target, trans, tiers, window, depth, stopwords

@@ -887,7 +887,7 @@ def test_package_align_stays_the_function(tmp_path, first):
 def test_every_exported_name_is_its_submodules_object():
     import transalign
 
-    assert len(transalign.__all__) == 67 and transalign.__all__[-1] == "__version__"
+    assert len(transalign.__all__) == 65 and transalign.__all__[-1] == "__version__"
     for name in transalign.__all__[:-1]:
         value = getattr(transalign, name)
         module = sys.modules[f"transalign.{transalign._EXPORTS[name]}"]

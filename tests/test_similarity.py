@@ -15,7 +15,7 @@ from oracles import (
 from transalign.align import select_candidate
 from transalign.corpus import Corpus, load_corpus, normalize, tokenize
 from transalign.errors import ConfigError
-from transalign.lexicon import EMPTY_LEXICON, StopWordList, SynonymLexicon, expand_sentence
+from transalign.lexicon import EMPTY_LEXICON, expand_sentence
 from transalign.similarity import (
     ChainContext,
     ChainDecision,
@@ -96,14 +96,14 @@ def toks(*tokens):
 
 
 def test_token_overlap_hand_fixture():
-    sw = StopWordList(frozenset({"i", "to"}))
+    sw = frozenset({"i", "to"})
     a, b = toks("i", "go", "to", "school"), toks("i", "like", "school")
     value = token_overlap(a, b, sw)
     assert value == float(dice_overlap_oracle(a, b, {"i", "to"})) == 0.5
 
 
 def test_token_overlap_identity_and_all_stopwords():
-    sw = StopWordList(frozenset({"the", "a", "an"}))
+    sw = frozenset({"the", "a", "an"})
     assert token_overlap(toks("the", "a"), toks("an", "the"), sw) == 1.0
     assert token_overlap(toks("x", "y"), toks("x", "y"), sw) == 1.0
 
@@ -117,7 +117,7 @@ def test_token_overlap_multiset_counting():
 def test_token_overlap_symmetric_permutation_invariant_oracle():
     rng = random.Random(41)
     vocab = ["go", "school", "day", "the", "like"]
-    sw = StopWordList(frozenset({"the"}))
+    sw = frozenset({"the"})
     for _ in range(300):
         a = [rng.choice(vocab) for _ in range(rng.randrange(0, 7))]
         b = [rng.choice(vocab) for _ in range(rng.randrange(0, 7))]
@@ -129,8 +129,8 @@ def test_token_overlap_symmetric_permutation_invariant_oracle():
         assert value == float(dice_overlap_oracle(a, b, {"the"}))
 
 
-WILL_WOULD = SynonymLexicon({"will": ("would",), "would": ("will",)})
-GAME = SynonymLexicon({"game": ("play", "sport", "fun", "gaming", "action", "skittle")})
+WILL_WOULD = {"will": ("would",), "would": ("will",)}
+GAME = {"game": ("play", "sport", "fun", "gaming", "action", "skittle")}
 
 
 def test_synonym_ratio_will_would_reaches_one():
@@ -349,7 +349,7 @@ def test_a_long_line_leaves_every_variant_mask_small():
     # The synonym variants are masked in the columns' batch, so the slot
     # (t, 4) that only "the kitty sat" needs comes before the long line's
     # later slots of "a".
-    context = ChainContext(lexicon=SynonymLexicon({"cat": ("kitty",)}))
+    context = ChainContext(lexicon={"cat": ("kitty",)})
     scores = PairScores(("a" * 100_000, "the cat sat"), ("the dog sat",), context)
     texts = scores._chars[2][1]
     assert [text for text, _ in texts] == ["the cat sat", "the kitty sat"]
@@ -378,8 +378,8 @@ def test_lcs_length_equals_the_oracle_and_lies_between_ratio_and_bound():
 # each other and with the vocabulary, so ties and duplicates are common.
 CHAIN_VOCAB = ["a", "b", "ab", "ba", "abb", "bb"]
 CHAIN_CONTEXT = ChainContext(
-    stopwords=StopWordList(frozenset({"bb"})),
-    lexicon=SynonymLexicon({"ab": ("ba", "abb"), "b": ("a", "bb"), "ba": ("ab",)}),
+    stopwords=frozenset({"bb"}),
+    lexicon={"ab": ("ba", "abb"), "b": ("a", "bb"), "ba": ("ab",)},
     cap=4,
 )
 CHAIN_KINDS = ["token_overlap", "matching_blocks_ratio", "synonym_ratio"]
@@ -403,7 +403,7 @@ def unpruned_decision(a, b, chain, context):
     variants = [" ".join(v) for v in expand_sentence(tokenize(a), context.lexicon, context.cap)]
     scores = {
         "token_overlap": float(
-            dice_overlap_oracle(tokenize(a), tokenize(b), context.stopwords.words)
+            dice_overlap_oracle(tokenize(a), tokenize(b), context.stopwords)
         ),
         "matching_blocks_ratio": plain,
         "synonym_ratio": max([plain] + [float(brute_ratio(v, b)) for v in variants]),
@@ -526,14 +526,14 @@ def test_table_token_overlap_equals_oracle_under_heavy_repeats():
     # repeat a word, so the occurrence sets take their (token, k) path.
     rng = random.Random(89)
     vocab = ["x", "y", "z", "the"]
-    stopwords = StopWordList(frozenset({"the"}))
+    stopwords = frozenset({"the"})
     lines = [" ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 9))) for _ in range(80)]
     trans = [normalize(line) for line in lines[:40]]
     target = [normalize(line) for line in lines[40:]]
     scores = PairScores(trans, target, ChainContext(stopwords=stopwords))
     for i, a in enumerate(trans):
         for j, b in enumerate(target):
-            expected = dice_overlap_oracle(tokenize(a), tokenize(b), stopwords.words)
+            expected = dice_overlap_oracle(tokenize(a), tokenize(b), stopwords)
             assert scores.score(i, j, "token_overlap") == float(expected), (a, b)
 
 
@@ -600,11 +600,11 @@ def test_pool_pre_tests_accept_what_scoring_every_pair_accepts():
     # 1.0 and bounds equal to the threshold occur. Lines of stop words only
     # have empty occurrence sets, and "" has no characters either.
     rng = random.Random(2121)
-    stop = StopWordList(frozenset({"ca", "dd"}))
+    stop = frozenset({"ca", "dd"})
     entries = {"ab": ("a",), "b": ("bcdbcdb",), "abc": ("c", "dcbadcb"), "dab": ("ab",)}
     vocab = ["ab", "b", "abc", "dab", "cd", "ca", "dd", "ac"]
     contexts = [
-        ChainContext(stopwords=stop, lexicon=SynonymLexicon(entries), cap=5),
+        ChainContext(stopwords=stop, lexicon=entries, cap=5),
         ChainContext(stopwords=stop),
     ]
     chains = [

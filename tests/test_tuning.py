@@ -12,7 +12,6 @@ from test_cli import fresh_interpreter
 from transalign.align import AlignmentConfig, align
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError, DataError
-from transalign.lexicon import SynonymLexicon
 from transalign.metrics import evaluate_against_gold
 from transalign.similarity import Comparator, ComparatorChain, ratio
 from transalign.tuning import TuningJob, tune_chain, tune_threshold
@@ -353,7 +352,7 @@ def test_table_shared_down_descending_thresholds_matches_fresh_tables(monkeypatc
     for k in range(0, len(words), 3):
         entries.setdefault(words[k], (words[k - 1],))
     job = job._replace(
-        config=job.config._replace(lexicon=SynonymLexicon(entries)), bounds=[(0.6, 0.95)] * 2
+        config=job.config._replace(lexicon=entries), bounds=[(0.6, 0.95)] * 2
     )
     for step in range(8):
         threshold = 0.95 - 0.05 * step

@@ -11,7 +11,6 @@ import pytest
 from transalign.align import AlignmentConfig, AlignmentDecision, AlignmentResult, align
 from transalign.corpus import Corpus
 from transalign.errors import ConfigError
-from transalign.lexicon import StopWordList, SynonymLexicon
 from transalign.metrics import NgramStats, ScoreCard
 from transalign.similarity import (
     ChainContext,
@@ -28,11 +27,11 @@ CHAIN = ComparatorChain(comparators=(COMPARATOR,))
 
 
 def stopwords():
-    return StopWordList(words=frozenset({"the"}))
+    return frozenset({"the"})
 
 
 def lexicon():
-    return SynonymLexicon(entries={"cat": ("kitty",)})
+    return {"cat": ("kitty",)}
 
 
 def context(cap=8):
@@ -49,14 +48,12 @@ def test_corpus_equality_ignores_skipped_lines_and_equal_corpora_hash_equal():
 
 
 def test_context_stopwords_and_lexicon_compare_by_value():
-    assert stopwords() == stopwords() and hash(stopwords()) == hash(stopwords())
-    assert stopwords() != StopWordList(frozenset({"a"}))
-    assert lexicon() == lexicon() and lexicon() != SynonymLexicon({"cat": ("tom",)})
-    assert SynonymLexicon() == SynonymLexicon({})
     assert context() == context() and context() != context(cap=9)
-    for unhashable in (lexicon(), context()):  # a lexicon's entries are a dict
-        with pytest.raises(TypeError):
-            hash(unhashable)
+    assert context() != ChainContext(frozenset({"a"}), lexicon(), 8)
+    assert context() != ChainContext(stopwords(), {"cat": ("tom",)}, 8)
+    assert ChainContext() == ChainContext(frozenset(), {})
+    with pytest.raises(TypeError):
+        hash(context())  # its lexicon is a dict
 
 
 def test_align_accepts_a_table_built_with_an_equal_context():
@@ -83,8 +80,6 @@ def test_equal_values_and_their_hashes():
 
 FROZEN = [
     (Corpus("en", ("a",)), "lines"),
-    (stopwords(), "words"),
-    (lexicon(), "entries"),
     (COMPARATOR, "threshold"),
     (CHAIN, "comparators"),
     (context(), "cap"),
