@@ -34,8 +34,8 @@ _EXPORTS = {
                         "ChainContext", "ChainDecision", "Comparator", "ComparatorChain",
                         "PairScores", "evaluate_chain", "lcs_length", "ratio",
                         "synonym_ratio", "token_overlap")),
-        ("translate", ("FileProvider", "HttpProvider", "TranslationCache",
-                       "TranslationProvider", "translate_corpus")),
+        ("translate", ("HttpProvider", "TranslationCache", "TranslationProvider",
+                       "translate_corpus")),
         ("tuning", ("TuningJob", "TuningOutcome", "TuningReport", "tune_chain",
                     "tune_threshold")),
     )

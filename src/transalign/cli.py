@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import load_corpus, save_corpus
+from .corpus import Corpus, load_corpus, save_corpus
 from .errors import ConfigError, DataError, ProviderError
 
 # These names are read from the package, which imports their submodule on
@@ -26,7 +26,7 @@ _LAZY = {
     "EMPTY_LEXICON", "EMPTY_STOPWORDS", "load_stopwords", "load_synonyms",
     "Comparator", "ComparatorChain",
     "BP_STANDARD", "evaluate_against_gold", "evaluate_corpus",
-    "FileProvider", "HttpProvider", "TranslationCache", "translate_corpus",
+    "HttpProvider", "TranslationCache", "translate_corpus",
     "TuningJob", "tune_chain",
 }
 _lazy = sys.modules[__name__]
@@ -45,6 +45,15 @@ EXIT_DATA = 2
 EXIT_PROVIDER = 3
 
 DEFAULT_CHAIN = "token_overlap:0.99,matching_blocks_ratio:0.85"
+
+# The one config key each flag falls back to; "a.b" is field b of object a.
+CONFIG_KEYS = {
+    "source_language": "source_language", "target_language": "target_language", "chain": "chain",
+    "window": "window", "lookahead": "lookahead_depth", "cap": "cap", "stopwords": "stopwords",
+    "synonyms": "synonyms", "trans": "trans", "cache": "cache_dir", "bp_form": "bp_form",
+    "provider": "provider", "provider_path": "provider_settings.path",
+    "endpoint": "provider_settings.endpoint",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,11 +110,19 @@ class Settings:
         self.config = _load_config_file(getattr(args, "config", None))
         self.args = args
 
-    def get(self, flag_name: str, config_key: str | None = None, default=None):
-        value = getattr(self.args, flag_name, None)
+    def get(self, flag: str, default=None):
+        """The flag's value, else its ``CONFIG_KEYS`` key's, else ``default``."""
+        value = getattr(self.args, flag, None)
         if value is not None:
             return value
-        return self.config.get(config_key or flag_name, default)
+        section, _, key = CONFIG_KEYS[flag].rpartition(".")
+        return (self.provider_settings() if section else self.config).get(key, default)
+
+    def provider_settings(self) -> dict:
+        settings = self.config.get("provider_settings", {})
+        if not isinstance(settings, dict):
+            raise ConfigError("provider settings must be a JSON object")
+        return settings
 
     def source_language(self) -> str:
         return self._language("source_language", "src")
@@ -150,36 +167,46 @@ class Settings:
         return _lazy.load_synonyms(path)
 
     def cache(self) -> TranslationCache | None:
-        directory = self.get("cache", "cache_dir")
+        directory = self.get("cache")
         if directory is not None and not isinstance(directory, str):
             raise ConfigError(f"cache_dir must be a path string, got {directory!r}")
         return _lazy.TranslationCache(directory) if directory else None
 
     def provider(self):
+        """An ``HttpProvider``, or for ``file`` its translation file read as
+        ``--trans`` is: a ``Corpus`` in the target language."""
+        settings = self.provider_settings()
         kind = self.get("provider")
-        settings = self.config.get("provider_settings", {})
-        if not isinstance(settings, dict):
-            raise ConfigError("provider settings must be a JSON object")
         if kind is None:
             raise ConfigError("no translation provider configured")
         if kind == "file":
-            path = self.get("provider_path", default=settings.get("path"))
+            path = self.get("provider_path")
             if not path:
                 raise ConfigError("file provider needs a path (--provider-path)")
             _require_file(path, "translation file")
-            return _lazy.FileProvider(path)
+            return load_corpus(path, self.target_language())
         if kind == "http":
-            endpoint = self.get("endpoint", default=settings.get("endpoint"))
             optional = ("response_path", "max_concurrency", "timeout", "retries", "backoff")
             given = {key: settings[key] for key in optional if key in settings}
-            return _lazy.HttpProvider(endpoint=endpoint, **given)
+            return _lazy.HttpProvider(endpoint=self.get("endpoint"), **given)
         raise ConfigError(f"unknown provider type {kind!r} (expected file or http)")
+
+    def translation(self, provider, source: Corpus, stats: dict) -> Corpus:
+        """``source`` translated by ``provider()``'s result, counts in ``stats``;
+        a ``file`` corpus is taken as it is, with no provider call and no cache."""
+        if not isinstance(provider, Corpus):
+            return _lazy.translate_corpus(source, provider, self.cache(), self.target_language(), stats)
+        if len(provider) != len(source):
+            raise DataError(f"translation file {self.get('provider_path')} has {len(provider)} "
+                            f"lines but the source corpus has {len(source)}")
+        stats.update(lines=len(source), provider_calls=0, cache_hits=0)
+        return provider
 
     def alignment_config(self) -> AlignmentConfig:
         given = {
-            field: self.get(flag, field)
-            for flag, field in (("window", "window"), ("lookahead", "lookahead_depth"), ("cap", "cap"))
-            if getattr(self.args, flag, None) is not None or field in self.config
+            CONFIG_KEYS[flag]: self.get(flag)
+            for flag in ("window", "lookahead", "cap")
+            if getattr(self.args, flag, None) is not None or CONFIG_KEYS[flag] in self.config
         }
         return _lazy.AlignmentConfig(
             chain=self.chain(), stopwords=self.stopwords(), lexicon=self.lexicon(), **given
@@ -221,13 +248,7 @@ def cmd_translate(args) -> int:
     provider = settings.provider()
     corpus = load_corpus(args.source, settings.source_language())
     stats: dict = {}
-    translated = _lazy.translate_corpus(
-        corpus,
-        provider,
-        cache=settings.cache(),
-        target_language=settings.target_language(),
-        stats_out=stats,
-    )
+    translated = settings.translation(provider, corpus, stats)
     _write_output(save_corpus, translated, args.out)
     if args.stats:
         _print_json(stats)
@@ -242,17 +263,12 @@ def cmd_align(args) -> int:
     source = load_corpus(args.source, settings.source_language())
     target = load_corpus(args.target, settings.target_language())
 
-    trans_path = args.trans or settings.config.get("trans")
+    trans_path = settings.get("trans")
     if trans_path:
         _require_file(trans_path, "translation file")
         trans = load_corpus(trans_path, settings.target_language())
     else:
-        trans = _lazy.translate_corpus(
-            source,
-            settings.provider(),
-            cache=settings.cache(),
-            target_language=settings.target_language(),
-        )
+        trans = settings.translation(settings.provider(), source, {})
 
     result = _lazy.align(source, target, trans, config)
     _write_output(

@@ -12,7 +12,7 @@ never mutate it.
 
 from __future__ import annotations
 
-from .corpus import normalize, read_lines
+from .corpus import normalize, read_lines, tokenize
 from .errors import ConfigError, LexiconFormatError
 
 EMPTY_STOPWORDS: frozenset[str] = frozenset()
@@ -23,12 +23,18 @@ DEFAULT_CAP = 64
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """Read a one-word-per-line stop-word file; `#` lines are comments."""
+    """Read a one-word-per-line stop-word file; `#` lines are comments.
+
+    A line whose normalized text is not exactly one ``tokenize`` token could
+    never match a token, so it is a format error reported with its number.
+    """
     words = set()
-    for line in read_lines(path, "stop-word", LexiconFormatError):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(normalize(line))
+    for lineno, line in enumerate(read_lines(path, "stop-word", LexiconFormatError), start=1):
+        word = normalize(line)
+        if word and not word.startswith("#"):
+            if tokenize(word) != (word,):
+                raise LexiconFormatError(f"{path}: line {lineno}: {word!r} is not one word")
+            words.add(word)
     return frozenset(words)
 
 

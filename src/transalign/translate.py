@@ -1,9 +1,10 @@
 """Intermediate-corpus translation via pluggable providers, with caching.
 
 The aligner never talks to a real web translator: translations come from a
-pre-translated file (FileProvider) or a generic HTTP endpoint (HttpProvider)
-that tests back with a local mock server. Results are cached per
-(source line, language pair) so repeated lines and repeated runs are free.
+generic HTTP endpoint (HttpProvider) that tests back with a local mock
+server. Results are cached per (source line, language pair) so repeated
+lines and repeated runs are free. A pre-translated file is not a provider:
+it is read as a corpus, with ``load_corpus``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 import urllib.parse
 from pathlib import Path
 
-from .corpus import Corpus, Value, load_corpus
+from .corpus import Corpus, Value
 from .errors import (
     ConfigError,
     DataError,
@@ -30,46 +31,14 @@ from .errors import (
 
 
 class TranslationProvider:
-    """Interface: translate one line for a language pair.
-
-    ``max_concurrency`` bounds how many translate_line calls may run at
-    once; ``prepare`` is called with the corpus before any work starts. A
-    provider that cannot translate a pair raises ``ProviderError`` from
-    ``translate_line``.
-    """
+    """Interface: translate one line for a language pair, in at most
+    ``max_concurrency`` concurrent calls; a pair it cannot translate raises
+    ``ProviderError``."""
 
     max_concurrency = 1
 
-    def prepare(self, corpus: Corpus) -> None:
-        pass
-
-    def translate_line(
-        self, text: str, source_language: str, target_language: str, index: int
-    ) -> str:
+    def translate_line(self, text: str, source_language: str, target_language: str) -> str:
         raise NotImplementedError
-
-
-class FileProvider(TranslationProvider):
-    """Serves translations positionally from a pre-translated file.
-
-    The file is read with the corpus line rules (``load_corpus``) and must
-    hold exactly one line per source line; the length is checked
-    against the corpus before any translation happens.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self.translations = load_corpus(path, "translation")
-
-    def prepare(self, corpus: Corpus) -> None:
-        if len(self.translations) != len(corpus):
-            raise DataError(
-                f"translation file {self.path} has {len(self.translations)} lines "
-                f"but the source corpus has {len(corpus)}"
-            )
-
-    def translate_line(self, text, source_language, target_language, index):
-        return self.translations[index]
 
 
 def _walk_response_path(payload, path: str):
@@ -131,7 +100,7 @@ class HttpProvider(TranslationProvider, Value):
         except (KeyError, IndexError, ValueError, AttributeError) as exc:
             raise ConfigError(f"invalid provider endpoint {self.endpoint!r}: {exc!r}") from exc
 
-    def translate_line(self, text, source_language, target_language, index):
+    def translate_line(self, text, source_language, target_language):
         return http_translate(text, (source_language, target_language), self)
 
 
@@ -302,50 +271,36 @@ def translate_corpus(
     line that did translate is cached first, so a rerun resumes.
     """
     pair = (corpus.language, target_language)
-    provider.prepare(corpus)
-
     translations: dict[str, str] = {}
-    cache_hits = 0
-    seen: set[str] = set()
-    todo: list[tuple[str, int]] = []  # unique uncached text, first line index
+    todo: dict[str, int] = {}  # each uncached text and its first line index
     for index, text in enumerate(corpus):
-        if text in seen:
+        if text in translations or text in todo:
             continue
-        seen.add(text)
         cached = cache.get(text, pair) if cache is not None else None
-        if cached is not None:
-            translations[text] = cached
-            cache_hits += 1
+        if cached is None:
+            todo[text] = index
         else:
-            todo.append((text, index))
+            translations[text] = cached
+    cache_hits = len(translations)
 
     failures: list[tuple[int, Exception]] = []
     if todo:
         from concurrent.futures import ThreadPoolExecutor
 
-        workers = max(1, provider.max_concurrency)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                text: (index, pool.submit(provider.translate_line, text, *pair, index))
-                for text, index in todo
-            }
-            for text, (index, future) in futures.items():
+        with ThreadPoolExecutor(max_workers=max(1, provider.max_concurrency)) as pool:
+            futures = {text: pool.submit(provider.translate_line, text, *pair) for text in todo}
+            for text, future in futures.items():
                 try:
                     translations[text] = future.result()
                 except Exception as exc:  # noqa: BLE001 - every failure aborts
-                    failures.append((index, exc))
+                    failures.append((todo[text], exc))
     if cache is not None:
-        for text, _ in todo:
+        for text in todo:
             if text in translations:
                 cache.put(text, pair, translations[text])
         cache.save()
     if failures:
-        index, cause = min(failures, key=lambda item: item[0])
-        raise TranslationFailedError(index, cause)
-
+        raise TranslationFailedError(*min(failures, key=lambda item: item[0]))
     if stats_out is not None:
-        stats_out.update(
-            lines=len(corpus), provider_calls=len(todo), cache_hits=cache_hits
-        )
-
+        stats_out.update(lines=len(corpus), provider_calls=len(todo), cache_hits=cache_hits)
     return Corpus(target_language, (translations[text] for text in corpus))

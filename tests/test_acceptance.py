@@ -2,8 +2,8 @@
 
 Run order matters only for the final timing check, so the tests are
 numbered. Everything here works from local files and in-process calls;
-translation goes through the file-backed provider, which keeps the whole
-suite runnable without network access.
+translations are read from files with ``load_corpus``, which keeps the
+whole suite runnable without network access.
 """
 import math
 import random
@@ -18,7 +18,6 @@ from transalign import (
     Comparator,
     ComparatorChain,
     Corpus,
-    FileProvider,
     NgramStats,
     TuningJob,
     align,
@@ -31,7 +30,6 @@ from transalign import (
     ratio,
     ter,
     ter_edits,
-    translate_corpus,
     tune_threshold,
 )
 
@@ -214,7 +212,7 @@ def test_07_permutation_recovery_and_noisy_alignment_quality(tmp_path):
     source_path = tmp_path / "clean.src"
     source_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     src = load_corpus(source_path, "src")
-    trans = translate_corpus(src, FileProvider(source_path))
+    trans = load_corpus(source_path, "tgt")
     tgt = Corpus("tgt", window_shuffle(lines, rng))
     result = align(src, tgt, trans, AlignmentConfig(chain=exact_chain(), window=20))
     card = evaluate_against_gold(result, lines)

@@ -13,6 +13,8 @@ import pytest
 from transalign.cli import main, parse_chain_spec
 from transalign.errors import ConfigError
 
+from test_translate import endpoint, mock_server  # noqa: F401 - mock_server is a fixture
+
 LOOKAHEAD_TRANS = ["I go to school every day.", "I don't go to school every day."]
 LOOKAHEAD_TARGET = [
     "I like going to school every day.",
@@ -72,12 +74,78 @@ def test_translate_missing_source_names_path(tmp_path, capsys):
     assert "absent.txt" in capsys.readouterr().err
 
 
-def test_translate_cached_rerun_zero_provider_calls(tmp_path, capsys):
+def test_translate_file_provider_keeps_repeated_source_lines(tmp_path, capsys):
+    # Line 3 repeats line 1's source text but keeps its own translation.
+    source = write(tmp_path, "src.txt", ["dziekuje", "ala ma kota", "dziekuje"])
+    pre = write(tmp_path, "pre.txt", ["thanks", "ala has a cat", "thank you very much"])
+    out = tmp_path / "out.txt"
+    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+            "--stats", "--out", str(out)]
+    assert main(argv) == 0
+    assert last_json(capsys) == {"lines": 3, "provider_calls": 0, "cache_hits": 0}
+    assert out.read_text(encoding="utf-8") == "thanks\nala has a cat\nthank you very much\n"
+
+
+def test_translate_file_provider_changed_file_wins_over_cache(tmp_path, capsys):
     source = write(tmp_path, "src.txt", ["jeden", "dwa"])
     pre = write(tmp_path, "pre.txt", ["one", "two"])
+    cache = tmp_path / "cache"
+    out = tmp_path / "out.txt"
+    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+            "--cache", str(cache), "--out", str(out)]
+    assert main(argv) == 0
+    write(tmp_path, "pre.txt", ["uno", "two"])
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8") == "uno\ntwo\n"
+    assert not cache.exists()  # the file provider neither reads nor writes a cache
+
+
+def test_translate_file_provider_uses_the_corpus_line_rules(tmp_path, capsys):
+    # The BOM and CRLF ending go, a form feed stays inside its line, and the
+    # empty line is skipped.
+    source = write(tmp_path, "src.txt", ["a", "b"])
+    pre = tmp_path / "pre.txt"
+    pre.write_bytes(b"\xef\xbb\xbfone\x0ctwo\r\n\nthree\n")
+    out = tmp_path / "out.txt"
+    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", str(pre),
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8") == "one\x0ctwo\nthree\n"
+
+
+@pytest.mark.parametrize("command", ["translate", "align"])
+def test_file_provider_length_mismatch_names_the_file_and_both_counts(tmp_path, capsys, command):
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    pre = write(tmp_path, "pre.txt", distinct_lines(2))
+    assert main(with_file_provider(cli_argv(command, path, tmp_path), pre)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: translation file {pre} has 2 lines but the source corpus has 3\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({"provider": "file", "provider_path": "pre.txt"}, "file provider needs a path"),
+     ({"provider": "http", "endpoint": "http://127.0.0.1:9/{text}"}, "invalid provider endpoint")],
+)
+def test_config_reads_provider_path_and_endpoint_only_in_provider_settings(
+    tmp_path, capsys, monkeypatch, config, message
+):
+    source = write(tmp_path, "src.txt", ["jeden"])
+    write(tmp_path, "pre.txt", ["one"])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # where "pre.txt" would be found
+    argv = ["translate", "--config", str(config_path), "--source", source,
+            "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_translate_cached_rerun_zero_provider_calls(tmp_path, capsys, mock_server):
+    source = write(tmp_path, "src.txt", ["jeden", "dwa"])
     cache = str(tmp_path / "cache")
-    argv = ["translate", "--source", source, "--provider", "file",
-            "--provider-path", pre, "--cache", cache, "--stats",
+    argv = ["translate", "--source", source, "--provider", "http",
+            "--endpoint", endpoint(mock_server, "/echo"), "--cache", cache, "--stats",
             "--out", str(tmp_path / "out.txt")]
     assert main(argv) == 0
     first = last_json(capsys)
@@ -85,37 +153,38 @@ def test_translate_cached_rerun_zero_provider_calls(tmp_path, capsys):
     assert main(argv) == 0
     second = last_json(capsys)
     assert second == {"lines": 2, "provider_calls": 0, "cache_hits": 2}
+    assert len(mock_server.state["requests"]) == 2
 
 
-def test_translate_cache_not_utf8_exits_two(tmp_path, capsys):
+def test_translate_cache_not_utf8_exits_two(tmp_path, capsys, mock_server):
     source = write(tmp_path, "src.txt", ["jeden"])
-    pre = write(tmp_path, "pre.txt", ["one"])
     (tmp_path / "cache").mkdir()
     (tmp_path / "cache" / "src-tgt.tsv").write_bytes(b"\xffjeden\tone\n")
-    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+    argv = ["translate", "--source", source, "--provider", "http",
+            "--endpoint", endpoint(mock_server, "/echo"),
             "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out.txt")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "src-tgt.tsv" in err and "Traceback" not in err
 
 
-def test_translate_unwritable_cache_exits_one(tmp_path, capsys):
+def test_translate_unwritable_cache_exits_one(tmp_path, capsys, mock_server):
     source = write(tmp_path, "src.txt", ["jeden"])
-    pre = write(tmp_path, "pre.txt", ["one"])
-    cache = str(tmp_path / "pre.txt" / "sub")  # a regular file is in the way
-    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+    cache = str(tmp_path / "src.txt" / "sub")  # a regular file is in the way
+    argv = ["translate", "--source", source, "--provider", "http",
+            "--endpoint", endpoint(mock_server, "/echo"),
             "--cache", cache, "--out", str(tmp_path / "out.txt")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {cache}") and "Traceback" not in err
 
 
-def test_translate_unreadable_cache_exits_one(tmp_path, capsys):
+def test_translate_unreadable_cache_exits_one(tmp_path, capsys, mock_server):
     source = write(tmp_path, "src.txt", ["jeden"])
-    pre = write(tmp_path, "pre.txt", ["one"])
     pair_file = tmp_path / "cache" / "src-tgt.tsv"
     pair_file.mkdir(parents=True)  # a directory where the pair's file goes
-    argv = ["translate", "--source", source, "--provider", "file", "--provider-path", pre,
+    argv = ["translate", "--source", source, "--provider", "http",
+            "--endpoint", endpoint(mock_server, "/echo"),
             "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out.txt")]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -130,6 +199,13 @@ def align_argv(tmp_path, source, target, trans, subdir="run", extra=()):
         "--out-source", str(out / "s.txt"), "--out-target", str(out / "t.txt"),
         "--report", str(out / "r.jsonl"), *extra,
     ], out
+
+
+def with_file_provider(argv, path):
+    """``argv`` reading its translation from ``path`` through the file
+    provider, in place of its ``--trans`` option if it has one."""
+    at = argv.index("--trans") if "--trans" in argv else len(argv)
+    return argv[:at] + ["--provider", "file", "--provider-path", path] + argv[at + 2 :]
 
 
 def test_align_identity_summary(tmp_path, capsys):
@@ -194,6 +270,20 @@ def test_align_auto_translates_without_trans_file(tmp_path, capsys):
     )
     assert code == 0
     assert last_json(capsys)["A"] == 4
+
+
+def test_align_file_provider_writes_what_trans_writes(tmp_path, capsys):
+    source = write(tmp_path, "src.txt", ["dziekuje", "ala ma kota", "dziekuje"])
+    target = write(tmp_path, "tgt.txt", ["thank you very much", "ala has a cat", "thanks"])
+    pre = write(tmp_path, "pre.txt", ["thanks", "ala has a cat", "thank you very much"])
+    argv, by_trans = align_argv(tmp_path, source, target, pre, "trans")
+    assert main(argv) == 0
+    assert last_json(capsys)["A"] == 3
+    argv, by_provider = align_argv(tmp_path, source, target, pre, "provider")
+    assert main(with_file_provider(argv, pre)) == 0
+    assert last_json(capsys) == {"A": 3, "T": 0, "D": 0, "L": 3, "unmatched_targets": 0}
+    for name in ("s.txt", "t.txt", "r.jsonl"):
+        assert (by_provider / name).read_bytes() == (by_trans / name).read_bytes(), name
 
 
 def test_align_is_byte_deterministic(tmp_path, capsys):
@@ -656,6 +746,13 @@ def test_option_file_not_utf8_names_the_file(tmp_path, capsys, flag, code):
     assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
 
 
+def test_stopword_line_of_two_tokens_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    stopwords = write(tmp_path, "sw.txt", ["the", "of the"])
+    assert main(cli_argv("align", path, tmp_path) + ["--stopwords", stopwords]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {stopwords}: line 2: ")
+
+
 @pytest.mark.parametrize(
     "command, out_flag", [("align", "--out-source"), ("tune", "--out"), ("translate", "--out")]
 )
@@ -807,14 +904,17 @@ def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
         "transalign.metrics",
     ]
 
+    # The file provider reads its file as --trans does, so it loads the same
+    # modules: no transalign.translate.
     argv, _ = align_argv(tmp_path, path, path, path)
-    out = fresh_interpreter(
-        f"import sys, transalign.cli; assert transalign.cli.main({argv!r}) == 0; " + loaded
-    )
-    assert out.splitlines()[-1].split() == [
-        "transalign", "transalign.align", "transalign.cli", "transalign.corpus",
-        "transalign.errors", "transalign.lexicon", "transalign.similarity",
-    ]
+    for argv in (argv, with_file_provider(argv, path)):
+        out = fresh_interpreter(
+            f"import sys, transalign.cli; assert transalign.cli.main({argv!r}) == 0; " + loaded
+        )
+        assert out.splitlines()[-1].split() == [
+            "transalign", "transalign.align", "transalign.cli", "transalign.corpus",
+            "transalign.errors", "transalign.lexicon", "transalign.similarity",
+        ], argv
 
 
 def test_tune_and_score_print_their_warnings(tmp_path):
@@ -887,7 +987,7 @@ def test_package_align_stays_the_function(tmp_path, first):
 def test_every_exported_name_is_its_submodules_object():
     import transalign
 
-    assert len(transalign.__all__) == 65 and transalign.__all__[-1] == "__version__"
+    assert len(transalign.__all__) == 64 and transalign.__all__[-1] == "__version__"
     for name in transalign.__all__[:-1]:
         value = getattr(transalign, name)
         module = sys.modules[f"transalign.{transalign._EXPORTS[name]}"]

@@ -36,6 +36,15 @@ def test_load_stopwords_comments_and_normalization(tmp_path):
     assert "b" not in sw
 
 
+@pytest.mark.parametrize("line", ["of the", "the,", "New_York", "--"])
+def test_load_stopwords_refuses_a_line_that_is_not_one_token(tmp_path, line):
+    # Only a single token can equal a token, so any other line removes nothing.
+    path = write(tmp_path, "sw.txt", f"# header\nthe\n{line}\n")
+    with pytest.raises(LexiconFormatError) as err:
+        load_stopwords(path)
+    assert str(err.value).startswith(f"{path}: line 3: ")
+
+
 def test_load_synonyms_game_entry(tmp_path):
     lex = load_synonyms(
         write(tmp_path, "syn.tsv", "game\tplay,sport,fun,gaming,action,skittle\n")

@@ -21,7 +21,6 @@ from transalign.errors import (
     TranslationFailedError,
 )
 from transalign.translate import (
-    FileProvider,
     HttpProvider,
     TranslationCache,
     TranslationProvider,
@@ -35,7 +34,8 @@ def corpus(*lines, language="pl"):
 
 
 class CountingProvider(TranslationProvider):
-    """Uppercases input; tracks call count and peak concurrency."""
+    """Uppercases input; tracks call count and peak concurrency. A text in
+    ``fail_on`` fails."""
 
     def __init__(self, max_concurrency=1, delay=0.0, fail_on=None):
         self.max_concurrency = max_concurrency
@@ -46,7 +46,7 @@ class CountingProvider(TranslationProvider):
         self.peak = 0
         self._lock = threading.Lock()
 
-    def translate_line(self, text, source_language, target_language, index):
+    def translate_line(self, text, source_language, target_language):
         with self._lock:
             self.calls += 1
             self.active += 1
@@ -54,36 +54,12 @@ class CountingProvider(TranslationProvider):
         try:
             if self.delay:
                 time.sleep(self.delay)
-            if index in self.fail_on:
-                raise ProviderStatusError(f"scripted failure for line {index}")
+            if text in self.fail_on:
+                raise ProviderStatusError(f"scripted failure for {text!r}")
             return text.upper()
         finally:
             with self._lock:
                 self.active -= 1
-
-
-def test_file_provider_pass_through(tmp_path):
-    path = tmp_path / "pre.txt"
-    path.write_text("one\ntwo\nthree\n", encoding="utf-8")
-    out = translate_corpus(corpus("a", "b", "c"), FileProvider(path))
-    assert list(out) == ["one", "two", "three"]
-    assert out.language == "tgt"
-
-
-def test_file_provider_uses_the_corpus_line_rules(tmp_path):
-    path = tmp_path / "pre.txt"
-    path.write_text("one\x0ctwo\nthree\n", encoding="utf-8")
-    out = translate_corpus(corpus("a", "b"), FileProvider(path))
-    assert list(out) == ["one\x0ctwo", "three"]
-
-
-def test_file_provider_length_mismatch_names_both_counts(tmp_path):
-    path = tmp_path / "pre.txt"
-    path.write_text("one\ntwo\n", encoding="utf-8")
-    with pytest.raises(DataError) as err:
-        translate_corpus(corpus("a", "b", "c"), FileProvider(path))
-    message = str(err.value)
-    assert "2" in message and "3" in message
 
 
 def test_repeated_line_translated_once():
@@ -123,7 +99,7 @@ def test_failed_run_caches_the_lines_that_translated(tmp_path):
     lines = ("a", "b", "c", "d")
     with pytest.raises(TranslationFailedError):
         translate_corpus(
-            corpus(*lines), CountingProvider(fail_on={2}), cache=TranslationCache(tmp_path / "cache")
+            corpus(*lines), CountingProvider(fail_on={"c"}), cache=TranslationCache(tmp_path / "cache")
         )
 
     rerun = CountingProvider()
@@ -206,7 +182,7 @@ def test_concurrency_bound_respected():
 
 
 def test_failure_aborts_with_smallest_line_index():
-    provider = CountingProvider(fail_on={1, 3})
+    provider = CountingProvider(fail_on={"b", "d"})
     with pytest.raises(TranslationFailedError) as err:
         translate_corpus(corpus("a", "b", "c", "d"), provider)
     assert err.value.line_index == 1
@@ -215,10 +191,10 @@ def test_failure_aborts_with_smallest_line_index():
 
 def test_provider_refusing_a_pair_fails_at_line_0():
     class Narrow(CountingProvider):
-        def translate_line(self, text, source_language, target_language, index):
+        def translate_line(self, text, source_language, target_language):
             if source_language != "pl":
                 raise ProviderError(f"no {source_language}->{target_language}")
-            return super().translate_line(text, source_language, target_language, index)
+            return super().translate_line(text, source_language, target_language)
 
     with pytest.raises(TranslationFailedError) as err:
         translate_corpus(corpus("a", "b", language="en"), Narrow())
