@@ -196,9 +196,7 @@ class Settings:
         a ``file`` corpus is taken as it is, with no provider call and no cache."""
         if not isinstance(provider, Corpus):
             return _lazy.translate_corpus(source, provider, self.cache(), self.target_language(), stats)
-        if len(provider) != len(source):
-            raise DataError(f"translation file {self.get('provider_path')} has {len(provider)} "
-                            f"lines but the source corpus has {len(source)}")
+        _require_translation(provider, source, self.get("provider_path"))
         stats.update(lines=len(source), provider_calls=0, cache_hits=0)
         return provider
 
@@ -218,6 +216,13 @@ def _require_file(path, description: str) -> None:
         raise ConfigError(f"{description} must be a path string, got {path!r}")
     if not Path(path).is_file():
         raise ConfigError(f"{description} not found: {path}")
+
+
+def _require_translation(trans: Corpus, source: Corpus, path) -> None:
+    """The one check, and message, for a translation file of another length."""
+    if len(trans) != len(source):
+        raise DataError(f"translation file {path} has {len(trans)} lines "
+                        f"but the source corpus has {len(source)}")
 
 
 def _write_output(write, *args) -> None:
@@ -267,6 +272,7 @@ def cmd_align(args) -> int:
     if trans_path:
         _require_file(trans_path, "translation file")
         trans = load_corpus(trans_path, settings.target_language())
+        _require_translation(trans, source, trans_path)  # align()'s first check, naming the file
     else:
         trans = settings.translation(settings.provider(), source, {})
 
@@ -330,15 +336,20 @@ def cmd_tune(args) -> int:
                 raise ConfigError(f"bad bounds entry {part!r}, expected lo:hi") from None
         bounds = tuple(parsed)
 
-    job = _lazy.TuningJob(
-        source=source,
-        target=target,
-        trans=trans,
-        gold=gold,
-        config=config,
-        bounds=bounds,
-        resolution=args.resolution,
-    )
+    try:
+        job = _lazy.TuningJob(
+            source=source,
+            target=target,
+            trans=trans,
+            gold=gold,
+            config=config,
+            bounds=bounds,
+            resolution=args.resolution,
+        )
+    except DataError:
+        # the job's first data check is the translation's length: name the file
+        _require_translation(trans, source, args.trans)
+        raise
     report = _lazy.tune_chain(job)
     payload = report.as_json_dict()
     payload["config_fragment"] = report.config_fragment()

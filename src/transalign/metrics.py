@@ -11,7 +11,6 @@ across a corpus.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .corpus import normalize, position_masks, tokenize
@@ -136,10 +135,13 @@ class NgramStats(NamedTuple):
         return cls((0,) * max_order, (0,) * max_order, 0, 0)
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+def _ngram_counts(tokens: tuple, order: int) -> dict:
+    counts: dict = {}
+    get = counts.get
+    for i in range(len(tokens) - order + 1):
+        gram = tokens[i : i + order]
+        counts[gram] = get(gram, 0) + 1
+    return counts
 
 
 def bleu_stats(
@@ -147,19 +149,22 @@ def bleu_stats(
 ) -> NgramStats:
     """Clipped n-gram matches and totals for one hypothesis/reference pair.
 
-    A hypothesis of n tokens has no n-gram above order n, so those orders
-    are zeros without counting.
+    A hypothesis of n tokens has n - k + 1 n-grams of order k, so orders
+    above n are zeros without counting.
     """
+    hyp_tokens, ref_tokens = tuple(hyp_tokens), tuple(ref_tokens)
     matches = []
-    totals = []
     for order in range(1, min(max_order, len(hyp_tokens)) + 1):
-        hyp_counts = _ngram_counts(hyp_tokens, order)
         ref_counts = _ngram_counts(ref_tokens, order)
-        totals.append(sum(hyp_counts.values()))
-        matches.append(sum((hyp_counts & ref_counts).values()))
-    padding = (0,) * (max_order - len(matches))
+        matched = 0
+        for gram, count in _ngram_counts(hyp_tokens, order).items():
+            if gram in ref_counts:
+                matched += min(count, ref_counts[gram])
+        matches.append(matched)
+    totals = [len(hyp_tokens) - k for k in range(len(matches))]
+    padding = [0] * (max_order - len(matches))
     return NgramStats(
-        tuple(matches) + padding, tuple(totals) + padding, len(hyp_tokens), len(ref_tokens)
+        tuple(matches + padding), tuple(totals + padding), len(hyp_tokens), len(ref_tokens)
     )
 
 
@@ -242,17 +247,64 @@ def edit_distance(a: Sequence, b: Sequence, b_masks: dict | None = None) -> int:
     return distance
 
 
-def _shifted_variants(tokens: tuple, max_block: int):
-    """Every sequence reachable by moving one contiguous block elsewhere."""
-    n = len(tokens)
+def _kernel_states(eqs: list, vp: int, vn: int, distance: int, full: int, last: int) -> list:
+    """The ``(vp, vn, distance)`` state of ``edit_distance``'s kernel, from
+    the one given, before and after each match vector of ``eqs``.
+    ``edit_distance`` keeps its own loop: building the states costs it
+    about a tenth more per item."""
+    states = [(vp, vn, distance)]
+    for eq in eqs:
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+        states.append((vp, vn, distance))
+    return states
+
+
+def _best_shift(eqs: list, length: int, bound: int, floor: int, max_block: int) -> tuple:
+    """The first shift, in ``ter_edits``'s scan order, of the hypothesis
+    with match vectors ``eqs`` against a reference of ``length`` tokens
+    whose distance is the lowest below ``bound``: ``(distance, (start,
+    end, dest))``, or ``(bound, None)``. The block ``[start, end)`` goes
+    to ``dest`` in the rest. A scan stops at a variant at ``floor``."""
+    n, full, last = len(eqs), (1 << length) - 1, 1 << length >> 1
+    states = _kernel_states(eqs, full, 0, length, full, last)
+    best = None
     for size in range(1, min(n, max_block) + 1):
         for start in range(n - size + 1):
-            block = tokens[start : start + size]
-            rest = tokens[:start] + tokens[start + size :]
-            for dest in range(len(rest) + 1):
-                if dest == start:
-                    continue
-                yield rest[:dest] + block + rest[dest:]
+            end = start + size
+            block, rest = eqs[start:end], eqs[:start] + eqs[end:]
+            # the state after rest[:dest], for every dest
+            starts = states[:start] + _kernel_states(eqs[end:], *states[start], full, last)
+            for dest in range(n - size + 1):
+                if -size <= dest - start < size:
+                    continue  # unmoved, or the twin of a shift scanned before
+                vp, vn, d = starts[dest]
+                if d - (n - dest) >= bound:
+                    continue  # each item left lowers the distance by one at most
+                for eq in block + rest[dest:]:
+                    d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+                    hp = vn | ~(d0 | vp)
+                    hn = d0 & vp
+                    if hp & last:
+                        d += 1
+                    elif hn & last:
+                        d -= 1
+                    hp = (hp << 1) | 1
+                    vp = ((hn << 1) | ~(d0 | hp)) & full
+                    vn = hp & d0
+                if d < bound:
+                    bound, best = d, (start, end, dest)
+                    if d == floor:
+                        return bound, best
+    return bound, best
 
 
 def ter_edits(
@@ -269,31 +321,33 @@ def ter_edits(
     hypothesis's tokens, so every variant has the same bag distance, and
     no edit distance is below it. So no round runs once the distance is
     within one of it, and a round ends at the first variant that reaches
-    it. A variant met twice in one round is scored once. All keep the
-    first strictly best shift, so the result is the plain greedy's.
+    it. Moving s tokens right past t others gives what moving those t left
+    past the s gives, and the scan meets the move of the smaller block
+    first, the right one at equal sizes: only that one is scored. A
+    variant resumes the kernel after the prefix it shares with the rest of
+    the hypothesis, and is dropped there if the items left cannot bring
+    it below the best so far (Ukkonen 1985). All keep the first strictly
+    best shift, so the result is the plain greedy's.
     """
-    current = tuple(hyp_tokens)
     masks = position_masks(ref_tokens)
-    shared = sum((Counter(current) & Counter(ref_tokens)).values())
-    floor = max(len(current), len(ref_tokens)) - shared
+    left = {token: mask.bit_count() for token, mask in masks.items()}
+    shared = 0
+    for token in hyp_tokens:
+        if left.get(token):
+            left[token] -= 1
+            shared += 1
+    floor = max(len(hyp_tokens), len(ref_tokens)) - shared
+    eqs = [masks.get(token, 0) for token in hyp_tokens]
     shifts = 0
-    distance = edit_distance(current, ref_tokens, masks)
+    distance = edit_distance(hyp_tokens, ref_tokens, masks)
     while distance > floor + 1:
         # only a variant two or more edits better pays for its shift
-        best_distance, best_variant = distance - 1, None
-        seen = set()
-        for variant in _shifted_variants(current, max_shift_size):
-            if variant in seen:
-                continue
-            seen.add(variant)
-            candidate = edit_distance(variant, ref_tokens, masks)
-            if candidate < best_distance:
-                best_distance, best_variant = candidate, variant
-                if candidate == floor:
-                    break
-        if best_variant is None:
+        distance_after, best = _best_shift(eqs, len(ref_tokens), distance - 1, floor, max_shift_size)
+        if best is None:
             break
-        current, distance = best_variant, best_distance
+        start, end, dest = best
+        rest = eqs[:start] + eqs[end:]
+        eqs, distance = rest[:dest] + eqs[start:end] + rest[dest:], distance_after
         shifts += 1
     return shifts + distance
 
@@ -335,26 +389,26 @@ def evaluate_corpus(
     # No line has more tokens than characters: orders above the longest
     # line are zeros in every sentence and are padded once, at the end.
     orders = min(max_order, max(map(len, hyp_corpus.normalized)))
-    stats = NgramStats.zero(orders)
-    ter_edit_total = 0
-    ref_token_total = 0
-    cer_edit_total = 0
-    ref_char_total = 0
+    matches, totals = [0] * orders, [0] * orders
+    hyp_len = ref_len = ter_edit_total = cer_edit_total = ref_char_total = 0
     for hyp, ref in zip(hyp_corpus.normalized, ref_corpus.normalized):
         hyp_tokens = tokenize(hyp)
         ref_tokens = tokenize(ref)
-        stats = stats + bleu_stats(hyp_tokens, ref_tokens, orders)
+        line = bleu_stats(hyp_tokens, ref_tokens, orders)
+        matches = [x + y for x, y in zip(matches, line.matches)]
+        totals = [x + y for x, y in zip(totals, line.totals)]
+        hyp_len += len(hyp_tokens)
+        ref_len += len(ref_tokens)
         ter_edit_total += ter_edits(hyp_tokens, ref_tokens)
-        ref_token_total += len(ref_tokens)
         cer_edit_total += edit_distance(hyp, ref)
         ref_char_total += len(ref)
-    if ref_token_total == 0 or ref_char_total == 0:
+    if ref_len == 0 or ref_char_total == 0:
         raise DataError("reference corpus is empty after normalization")
-    padding = (0,) * (max_order - orders)
-    stats = NgramStats(stats.matches + padding, stats.totals + padding, stats.hyp_len, stats.ref_len)
+    padding = [0] * (max_order - orders)
+    stats = NgramStats(tuple(matches + padding), tuple(totals + padding), hyp_len, ref_len)
     return {
         "bleu": bleu(stats, bp_form),
-        "ter": ter_edit_total / ref_token_total,
+        "ter": ter_edit_total / ref_len,
         "cer": cer_edit_total / ref_char_total,
         "c": stats.hyp_len,
         "r": stats.ref_len,

@@ -336,6 +336,19 @@ def ter_greedy_oracle(hyp, ref, max_shift_size=10):
     return shifts + distance
 
 
+def ngram_stats_oracle(hyp, ref, max_order):
+    """Per-order clipped n-gram matches and totals from ``Counter``
+    intersections, as ``(matches, totals)``: zeros above the hypothesis's
+    length."""
+    matches, totals = [], []
+    for n in range(1, max_order + 1):
+        hyp_grams = Counter(tuple(hyp[k : k + n]) for k in range(len(hyp) - n + 1))
+        ref_grams = Counter(tuple(ref[k : k + n]) for k in range(len(ref) - n + 1))
+        matches.append(sum((hyp_grams & ref_grams).values()))
+        totals.append(sum(hyp_grams.values()))
+    return tuple(matches), tuple(totals)
+
+
 def bleu_direct(pairs, max_order=4):
     """BLEU recomputed from scratch on whole token-list pairs.
 

@@ -122,6 +122,32 @@ def test_file_provider_length_mismatch_names_the_file_and_both_counts(tmp_path, 
     assert err == f"error: translation file {pre} has 2 lines but the source corpus has 3\n"
 
 
+def with_trans(argv, path):
+    """``argv`` with ``path`` as its ``--trans`` file."""
+    at = argv.index("--trans")
+    return argv[: at + 1] + [path] + argv[at + 2 :]
+
+
+@pytest.mark.parametrize("command", ["align", "tune"])
+def test_trans_length_mismatch_names_the_file_and_both_counts(tmp_path, capsys, command):
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    pre = write(tmp_path, "pre.txt", distinct_lines(2))
+    assert main(with_trans(cli_argv(command, path, tmp_path), pre)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: translation file {pre} has 2 lines but the source corpus has 3\n"
+    if command == "align":  # the file provider says the same of the same file
+        assert main(with_file_provider(cli_argv(command, path, tmp_path), pre)) == 2
+        assert capsys.readouterr().err == err
+
+
+def test_tune_reports_a_bad_resolution_before_a_short_translation(tmp_path, capsys):
+    path = write(tmp_path, "lines.txt", distinct_lines(3))
+    pre = write(tmp_path, "pre.txt", distinct_lines(2))
+    argv = with_trans(cli_argv("tune", path, tmp_path), pre) + ["--resolution", "0"]
+    assert main(argv) == 1
+    assert "resolution" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config, message",
     [({"provider": "file", "provider_path": "pre.txt"}, "file provider needs a path"),

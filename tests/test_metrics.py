@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     bleu_direct,
     levenshtein_matrix,
+    ngram_stats_oracle,
     score_oracle,
     ter_greedy_oracle,
     ter_oracle_edits,
@@ -224,6 +225,20 @@ def test_bleu_clipping_caps_repeated_ngrams():
     assert stats.totals == (3,)
 
 
+@pytest.mark.parametrize("max_order", range(1, 7))
+def test_bleu_stats_matches_counter_oracle(max_order):
+    # three words and up to 8 tokens: n-grams repeat on both sides, so
+    # clipping decides the matches, and many hypotheses are shorter than
+    # the order
+    rng = random.Random(29 + max_order)
+    for _ in range(200):
+        hyp = [rng.choice("abc") for _ in range(rng.randrange(0, 9))]
+        ref = [rng.choice("abc") for _ in range(rng.randrange(0, 9))]
+        stats = bleu_stats(hyp, ref, max_order)
+        assert (stats.matches, stats.totals) == ngram_stats_oracle(hyp, ref, max_order), (hyp, ref)
+        assert (stats.hyp_len, stats.ref_len) == (len(hyp), len(ref))
+
+
 # -- brevity penalty ----------------------------------------------------------
 
 
@@ -333,19 +348,65 @@ def test_ter_edits_matches_greedy_oracle_on_mt_like_pairs(max_shift_size):
         ), (hyp, ref)
 
 
+@pytest.mark.parametrize("max_shift_size", [1, 2, 3, 10])
+def test_ter_edits_matches_greedy_oracle_on_longer_pairs(max_shift_size):
+    # up to 16 tokens from 2 to 8 words: a block often moves past more
+    # tokens than max_shift_size, so its twin shift is never scanned, and
+    # repeated tokens make distinct shifts give equal sequences
+    rng = random.Random(71 + max_shift_size)
+    for _ in range(40):
+        alphabet = "abcdefgh"[: rng.randrange(2, 9)]
+        hyp = [rng.choice(alphabet) for _ in range(rng.randrange(0, 17))]
+        ref = [rng.choice(alphabet) for _ in range(rng.randrange(0, 17))]
+        assert ter_edits(hyp, ref, max_shift_size) == ter_greedy_oracle(
+            hyp, ref, max_shift_size
+        ), (hyp, ref)
+
+
+def evaluate_mt_pair(rng, index):
+    """A pair shaped as the benchmark's evaluate-mt lines: 4 to 9 words,
+    one dropped (from more than four), one or two substituted and one
+    2-word block moved elsewhere."""
+    words = [f"w{k}" for k in range(30)]
+    ref = [rng.choice(words) for _ in range(rng.randrange(4, 10))]
+    hyp = list(ref)
+    if len(hyp) > 4:
+        del hyp[rng.randrange(len(hyp))]
+    for _ in range(1 + index % 2):
+        hyp[rng.randrange(len(hyp))] = rng.choice(words)
+    start = rng.randrange(len(hyp) - 1)
+    block, rest = hyp[start : start + 2], hyp[:start] + hyp[start + 2 :]
+    dest = rng.choice([d for d in range(len(rest) + 1) if d != start])
+    return rest[:dest] + block + rest[dest:], ref
+
+
+def test_ter_edits_matches_greedy_oracle_on_evaluate_mt_pairs():
+    rng = random.Random(67)
+    for index in range(150):
+        hyp, ref = evaluate_mt_pair(rng, index)
+        assert ter_edits(hyp, ref) == ter_greedy_oracle(hyp, ref), (hyp, ref)
+
+
 @pytest.mark.parametrize(
-    "hyp, ref, calls",
-    [("a x c y e", "a b c d e", 1), ("b a x d", "a b c d", 2)],
+    "hyp, ref, runs",
+    [
+        ("a x c y e", "a b c d e", 0),
+        ("a b", "b a c", 0),
+        ("b a x d", "a b c d", 2),
+        ("d a b x", "a b c d", 2),
+    ],
 )
-def test_ter_edits_stops_at_the_bag_distance(monkeypatch, hyp, ref, calls):
-    # The bag distance is 2 and 1. The first pair is within one edit of it,
-    # so no shift round runs; in the second the first variant tried reaches
-    # it and ends the round.
+def test_ter_edits_stops_at_the_bag_distance(monkeypatch, hyp, ref, runs):
+    # The bag distance is 2, 1, 1 and 1. The first two pairs are at it and
+    # one edit above it, so no shift round runs. A round runs the kernel
+    # over the hypothesis, then over the rest of each block it moves; in
+    # the last two the first block, "b" or "d", reaches it (at its first
+    # and at its last destination) and ends the round before the next one.
     seen = []
-    kernel = metrics.edit_distance
-    monkeypatch.setattr(metrics, "edit_distance", lambda *args: seen.append(args) or kernel(*args))
+    kernel = metrics._kernel_states
+    monkeypatch.setattr(metrics, "_kernel_states", lambda *args: seen.append(args) or kernel(*args))
     assert ter_edits(hyp.split(), ref.split()) == 2
-    assert len(seen) == calls
+    assert len(seen) == runs
 
 
 def test_ter_identity_is_zero():
