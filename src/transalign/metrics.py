@@ -120,20 +120,6 @@ class NgramStats(NamedTuple):
     hyp_len: int
     ref_len: int
 
-    def __add__(self, other: "NgramStats") -> "NgramStats":
-        if len(self.matches) != len(other.matches):
-            raise DataError("cannot sum n-gram stats of different orders")
-        return NgramStats(
-            tuple(x + y for x, y in zip(self.matches, other.matches)),
-            tuple(x + y for x, y in zip(self.totals, other.totals)),
-            self.hyp_len + other.hyp_len,
-            self.ref_len + other.ref_len,
-        )
-
-    @classmethod
-    def zero(cls, max_order: int = 4) -> "NgramStats":
-        return cls((0,) * max_order, (0,) * max_order, 0, 0)
-
 
 def _ngram_counts(tokens: tuple, order: int) -> dict:
     counts: dict = {}

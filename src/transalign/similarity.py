@@ -17,7 +17,6 @@ characters of a ``b`` of 200 or more characters and change the ratio.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .corpus import Frozen, normalize, position_masks, tokenize
@@ -221,17 +220,13 @@ class PairScores:
     popcount of two character masks, both cheaper than a lookup.
 
     A text's character mask is one int with bit slot (c, k) set for
-    k = 1..#text(c) (see ``_masks``). The other per-line features are
-    columns indexed by line, each entry built the first time it is read:
-    the occurrence sets of both corpora, the rows of ratios and of LCS
-    lengths, and a target's position masks (read once one of its pairs
-    reaches the LCS step). ``forget`` drops entries a caller will not read
-    again. The character masks are one batch over the whole corpus:
-    each translation line's and each target's text, and with a lexicon
-    each translation line's synonym variants, since one slot layout must
-    cover every text. Each translation line is tokenized once, into a
-    tokens column that both its occurrence set and, with a lexicon, its
-    synonym variants read.
+    k = 1..#text(c), in one slot layout fixed at the table's first mask
+    (see ``charmask``). Every per-line feature is a column indexed by
+    line, each entry built on first read: the tokens of a translation
+    line, the occurrence sets of both corpora, the rows of ratios and of
+    LCS lengths, a target's position masks, and the character masks of
+    each line, each target and, with a lexicon, each line's synonym
+    variants. ``forget`` drops entries a caller will not read again.
     """
 
     def __init__(
@@ -243,15 +238,39 @@ class PairScores:
         self.trans = trans
         self.target = target
         self.context = context
-        stopwords = context.stopwords
+        stopwords, lexicon, cap = context.stopwords, context.lexicon, context.cap
         words = self._trans_tokens = _Column(lambda i: tokenize(trans[i]))
         self._trans_sets = _Column(lambda i: occurrence_set(words[i], stopwords))
         self._target_sets = _Column(lambda j: occurrence_set(tokenize(target[j]), stopwords))
         self._rows = _Column(lambda i: ({}, {}))  # (j, k) -> block ratio, LCS length
         self._target_masks = _Column(lambda j: position_masks(target[j]))
+        masks = []  # the table's mask function, made at its first mask
+
+        def masked(text: str) -> tuple[str, int]:
+            if not masks:
+                from .charmask import highest_counts, masker
+
+                masks.append(masker(highest_counts(trans, target, lexicon)))
+            return masks[0](text)
+
+        plains = self._trans_chars = _Column(lambda i: (masked(trans[i]),))
+        self._target_chars = _Column(lambda j: masked(target[j]))
+
+        def variants(i: int) -> list[tuple[str, int]]:
+            joined = dict.fromkeys(" ".join(v) for v in expand_sentence(words[i], lexicon, cap))
+            joined.pop(trans[i], None)
+            return [*plains[i], *map(masked, joined)]
+
+        self._variants = _Column(variants)
+        # kind -> line -> the (text, mask)s the tier compares: the line's own,
+        # then for the synonym tier its other distinct variants
+        self._texts = {
+            MATCHING_BLOCKS_RATIO: plains,
+            SYNONYM_RATIO: self._variants if lexicon else plains,
+        }
         self._columns = (
-            (self._trans_sets, self._rows, words),
-            (self._target_sets, self._target_masks),
+            (self._trans_sets, self._rows, words, plains, self._variants),
+            (self._target_sets, self._target_masks, self._target_chars),
         )
         self._forgotten = 0, 0  # the highest bounds ``forget`` was given
 
@@ -304,8 +323,8 @@ class PairScores:
                         rejected.append(j)
             else:
                 best_ratio, kind = self._best_ratio, comparator.kind
-                trans_chars, target_chars, variants = self._chars
-                texts = variants[i] if kind == SYNONYM_RATIO and variants else (trans_chars[i],)
+                target_chars = self._target_chars
+                texts = self._texts[kind][i]
                 union = 0
                 for _, mask in texts:
                     union |= mask
@@ -337,7 +356,7 @@ class PairScores:
         ``trans_below`` and of targets below ``target_below``, walking only
         the indices past the previous call's bounds. An entry read again is
         rebuilt from the texts, so forgetting changes cost, never a score.
-        The character masks are kept."""
+        The slot layout is kept, so a rebuilt mask has the same bits."""
         trans_from, target_from = self._forgotten
         trans_columns, target_columns = self._columns
         for index in range(trans_from, trans_below):
@@ -354,28 +373,6 @@ class PairScores:
             return token_overlap(self._trans_sets[i], self._target_sets[j])
         return self._best_ratio(i, j, kind, 0.0)
 
-    @cached_property
-    def _chars(self) -> tuple[list, list, list[list[tuple[str, int]]]]:
-        """Each translation line's and each target's text with its character
-        mask, and with a lexicon, per translation line, the texts the synonym
-        tier compares with their masks: the normalized text, then every other
-        distinct variant. One slot allocation covers every text, so a long
-        text does not lengthen the mask of another."""
-        lexicon, cap = self.context.lexicon, self.context.cap
-        others = []
-        if len(lexicon):
-            for i, text in enumerate(self.trans):
-                variants = expand_sentence(self._trans_tokens[i], lexicon, cap)
-                joined = dict.fromkeys(" ".join(variant) for variant in variants)
-                joined.pop(text, None)
-                others.append(joined)
-        texts = [*self.trans, *self.target, *dict.fromkeys(t for row in others for t in row)]
-        rows = list(zip(texts, _masks(texts)))
-        n, m = len(self.trans), len(self.target)
-        plains, masks = rows[:n], dict(rows[n + m :])
-        variants = [[plain, *((t, masks[t]) for t in row)] for plain, row in zip(plains, others)]
-        return plains, rows[n : n + m], variants
-
     def _best_ratio(self, i: int, j: int, kind: str, threshold: float) -> float | None:
         """The exact best ratio of ``kind``'s texts of line ``i`` against
         target ``j``, or None when it is below ``threshold``.
@@ -388,9 +385,8 @@ class PairScores:
         min(|a|, |b|), so no length bound would cut a text it keeps. The LCS
         is kept in the table; the character count is recounted on each call.
         """
-        trans_chars, target_chars, variants = self._chars
-        texts = variants[i] if kind == SYNONYM_RATIO and variants else (trans_chars[i],)
-        b, b_mask = target_chars[j]
+        texts = self._texts[kind][i]
+        b, b_mask = self._target_chars[j]
         b_len = len(b)
         row, lcs_row = self._rows[i]
         best = -1.0
@@ -426,40 +422,6 @@ class _Column(dict):
     def __missing__(self, index):
         value = self[index] = self.build(index)
         return value
-
-
-def _masks(texts: Sequence[str]) -> list[int]:
-    """Each text's character mask: slot (c, k) set for k = 1..#text(c), so
-    ``common_chars`` of two masks is sum_c min(#a(c), #b(c)).
-
-    Slots go in order of k, then of c: every (c, 1) first, then every
-    (c, 2), and so on. So a mask's highest bit depends on how often its own
-    characters repeat, not on the length of another text. The bits of c's
-    first n slots are built once per (c, n); a mask is the sum of its
-    characters' bits, which are disjoint.
-    """
-    rows = []
-    for text in texts:
-        chars = set(text)
-        rows.append(tuple(zip(chars, map(text.count, chars))))
-    counts = set().union(*rows)
-    need: dict[str, int] = {}
-    for char, n in counts:
-        need[char] = max(n, need.get(char, 0))
-    slots: dict[str, list[int]] = {}  # c -> slots of (c, 1), (c, 2), ...
-    order = sorted((k, char) for char, n in need.items() for k in range(1, n + 1))
-    for slot, (_, char) in enumerate(order):
-        slots.setdefault(char, []).append(slot)
-    get = {(char, n): _bits(slots[char][:n]) for char, n in counts}.__getitem__
-    return [sum(map(get, row)) for row in rows]
-
-
-def _bits(positions: Sequence[int]) -> int:
-    """The int whose set bits are ``positions`` (ascending)."""
-    buffer = bytearray(positions[-1] // 8 + 1)
-    for position in positions:
-        buffer[position >> 3] |= 1 << (position & 7)
-    return int.from_bytes(buffer, "little")
 
 
 def evaluate_chain(

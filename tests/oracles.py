@@ -61,6 +61,41 @@ def common_chars_oracle(a, b):
     return sum((Counter(a) & Counter(b)).values())
 
 
+def masks_oracle(texts):
+    """Each text's character mask, all texts laid out in one batch: slot
+    (c, k) set for k = 1..#text(c), so the popcount of two masks' AND is
+    sum_c min(#a(c), #b(c)).
+
+    Slots go in order of k, then of c: every (c, 1) first, then every
+    (c, 2), and so on. So a mask's highest bit depends on how often its own
+    characters repeat, not on the length of another text. The bits of c's
+    first n slots are built once per (c, n); a mask is the sum of its
+    characters' bits, which are disjoint.
+    """
+    rows = []
+    for text in texts:
+        chars = set(text)
+        rows.append(tuple(zip(chars, map(text.count, chars))))
+    counts = set().union(*rows)
+    need = {}
+    for char, n in counts:
+        need[char] = max(n, need.get(char, 0))
+    slots = {}  # c -> slots of (c, 1), (c, 2), ...
+    order = sorted((k, char) for char, n in need.items() for k in range(1, n + 1))
+    for slot, (_, char) in enumerate(order):
+        slots.setdefault(char, []).append(slot)
+    get = {(char, n): _bits_oracle(slots[char][:n]) for char, n in counts}.__getitem__
+    return [sum(map(get, row)) for row in rows]
+
+
+def _bits_oracle(positions):
+    """The int whose set bits are ``positions`` (ascending)."""
+    buffer = bytearray(positions[-1] // 8 + 1)
+    for position in positions:
+        buffer[position >> 3] |= 1 << (position & 7)
+    return int.from_bytes(buffer, "little")
+
+
 def char_count_bound(a, b):
     """Upper bound on the block ratio from character counts alone:
     2*sum_c min(#a(c), #b(c))/T (Ratcliff/Obershelp 1988; difflib's
@@ -347,6 +382,24 @@ def ngram_stats_oracle(hyp, ref, max_order):
         matches.append(sum((hyp_grams & ref_grams).values()))
         totals.append(sum(hyp_grams.values()))
     return tuple(matches), tuple(totals)
+
+
+def ngram_stats_sum(stats, max_order):
+    """Field-wise sum of n-gram statistics, each ``(matches, totals,
+    hyp_len, ref_len)`` with ``max_order`` matches and totals, as a plain
+    tuple of that shape: all zeros for none. Statistics of another order
+    are a ValueError."""
+    matches, totals = [0] * max_order, [0] * max_order
+    hyp_len = ref_len = 0
+    for part_matches, part_totals, part_hyp_len, part_ref_len in stats:
+        if len(part_matches) != max_order or len(part_totals) != max_order:
+            raise ValueError("n-gram statistics of another order")
+        for n in range(max_order):
+            matches[n] += part_matches[n]
+            totals[n] += part_totals[n]
+        hyp_len += part_hyp_len
+        ref_len += part_ref_len
+    return tuple(matches), tuple(totals), hyp_len, ref_len
 
 
 def bleu_direct(pairs, max_order=4):

@@ -698,8 +698,8 @@ def test_align_holds_only_the_window_of_its_own_table(monkeypatch):
     # While line i is decided, the table holds translation lines i..i+depth
     # and targets from the smallest one the window can still offer up to the
     # last that entered it: at most 2 * window + 2 when the corpora have
-    # equal lengths. The character masks are one batch over the corpus and
-    # are not counted.
+    # equal lengths. That holds for every column, the character masks and
+    # synonym variants of the three-tier chain included.
     window, depth = 20, 1
     peaks = []
 
@@ -707,22 +707,26 @@ def test_align_holds_only_the_window_of_its_own_table(monkeypatch):
         def accepted(self, i, pool, chain):
             found = super().accepted(i, pool, chain)
             peaks.append(table_entries(self))
+            masks.append((len(self._trans_chars), len(self._variants), len(self._target_chars)))
             return found
 
+    masks = []
     rng = random.Random(2000)
     words = ["ab", "cd", "ef", "gh", "ij", "kl"]
     lines = [" ".join(rng.choices(words, k=4)) for _ in range(2000)]
     target = Corpus("tgt", window_shuffled(lines, rng))
-    trans = Corpus("y", lines)
-    chain = ComparatorChain(
-        (Comparator("token_overlap", 0.99), Comparator("matching_blocks_ratio", 0.8))
-    )
+    trans = Corpus("y", [line.replace("ab", "ba") for line in lines])
+    chain = three_tier_chain(0.99, 0.8, 0.8)
+    config = AlignmentConfig(chain, window, depth, lexicon={"ba": ("ab", "b a"), "cd": ("dc",)})
     monkeypatch.setattr(sys.modules["transalign.align"], "PairScores", SpyScores)
-    result = align(trans, target, trans, AlignmentConfig(chain, window, depth))
+    result = align(trans, target, trans, config)
     assert result.counts()["A"] > 1000
     trans_peak, target_peak = map(max, zip(*peaks))
     assert trans_peak <= depth + 1
     assert window < target_peak <= 2 * window + 2
+    trans_masks, variants, target_masks = map(max, zip(*masks))
+    assert 0 < trans_masks <= depth + 1 and 0 < variants <= depth + 1
+    assert window < target_masks <= 2 * window + 2
 
 
 def test_a_table_passed_in_keeps_every_entry(monkeypatch):

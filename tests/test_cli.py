@@ -931,15 +931,17 @@ def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
     ]
 
     # The file provider reads its file as --trans does, so it loads the same
-    # modules: no transalign.translate.
+    # modules: no transalign.translate. The default chain has a character
+    # tier, which loads the character masks; the token tier alone does not.
     argv, _ = align_argv(tmp_path, path, path, path)
-    for argv in (argv, with_file_provider(argv, path)):
+    token_only = align_argv(tmp_path, path, path, path, extra=("--chain", "token_overlap:0.5"))[0]
+    for argv, masks in ((argv, True), (with_file_provider(argv, path), True), (token_only, False)):
         out = fresh_interpreter(
             f"import sys, transalign.cli; assert transalign.cli.main({argv!r}) == 0; " + loaded
         )
         assert out.splitlines()[-1].split() == [
-            "transalign", "transalign.align", "transalign.cli", "transalign.corpus",
-            "transalign.errors", "transalign.lexicon", "transalign.similarity",
+            "transalign", "transalign.align", *["transalign.charmask"] * masks, "transalign.cli",
+            "transalign.corpus", "transalign.errors", "transalign.lexicon", "transalign.similarity",
         ], argv
 
 

@@ -8,6 +8,7 @@ from oracles import (
     bleu_direct,
     levenshtein_matrix,
     ngram_stats_oracle,
+    ngram_stats_sum,
     score_oracle,
     ter_greedy_oracle,
     ter_oracle_edits,
@@ -140,10 +141,11 @@ def test_gold_scoring_refuses_an_unknown_outcome():
 
 
 def test_bleu_identity_corpus_is_exactly_one():
-    stats = NgramStats.zero(4)
-    for tokens in (["a", "b", "c"], ["d"], ["e", "f", "g", "h", "i"]):
-        stats = stats + bleu_stats(tokens, tokens, max_order=4)
-    assert bleu(stats) == 1.0
+    stats = [
+        bleu_stats(tokens, tokens, max_order=4)
+        for tokens in (["a", "b", "c"], ["d"], ["e", "f", "g", "h", "i"])
+    ]
+    assert bleu(NgramStats(*ngram_stats_sum(stats, 4))) == 1.0
 
 
 def test_bleu_bigram_brevity_fixture():
@@ -170,17 +172,12 @@ def test_bleu_stats_additive_over_random_splits():
             hyp = [rng.choice(vocab) for _ in range(rng.randrange(1, 9))]
             ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 9))]
             pairs.append((hyp, ref))
-        whole = NgramStats.zero(3)
-        for hyp, ref in pairs:
-            whole = whole + bleu_stats(hyp, ref, max_order=3)
+        stats = [bleu_stats(hyp, ref, max_order=3) for hyp, ref in pairs]
+        whole = NgramStats(*ngram_stats_sum(stats, 3))
         cut = rng.randrange(1, len(pairs))
-        left = NgramStats.zero(3)
-        for hyp, ref in pairs[:cut]:
-            left = left + bleu_stats(hyp, ref, max_order=3)
-        right = NgramStats.zero(3)
-        for hyp, ref in pairs[cut:]:
-            right = right + bleu_stats(hyp, ref, max_order=3)
-        assert left + right == whole
+        left = ngram_stats_sum(stats[:cut], 3)
+        right = ngram_stats_sum(stats[cut:], 3)
+        assert ngram_stats_sum([left, right], 3) == whole
         assert bleu(whole) == pytest.approx(
             bleu_direct(pairs, max_order=3), abs=1e-12
         )
@@ -194,10 +191,8 @@ def test_bleu_invariant_under_pair_reordering():
         for _ in range(12)
     ]
     def total(ps):
-        stats = NgramStats.zero(2)
-        for hyp, ref in ps:
-            stats = stats + bleu_stats(hyp, ref, max_order=2)
-        return bleu(stats)
+        stats = [bleu_stats(hyp, ref, max_order=2) for hyp, ref in ps]
+        return bleu(NgramStats(*ngram_stats_sum(stats, 2)))
     shuffled = list(pairs)
     rng.shuffle(shuffled)
     assert total(pairs) == total(shuffled)
@@ -205,7 +200,7 @@ def test_bleu_invariant_under_pair_reordering():
 
 def test_bleu_empty_hypothesis_corpus_errors():
     with pytest.raises(DataError):
-        bleu(NgramStats.zero(4))
+        bleu(NgramStats(*ngram_stats_sum([], 4)))
 
 
 def test_bleu_without_orders_errors():

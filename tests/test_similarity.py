@@ -11,6 +11,7 @@ from oracles import (
     common_chars_oracle,
     dice_overlap_oracle,
     lcs_oracle,
+    masks_oracle,
 )
 from transalign.align import select_candidate
 from transalign.corpus import Corpus, load_corpus, normalize, tokenize
@@ -310,10 +311,21 @@ def test_ratio_bound_is_never_below_the_oracle_ratio():
         assert bound <= (2.0 * min(len(a), len(b)) / total if total else 1.0)
 
 
+def masked_texts(scores):
+    """Every (text, mask) of a table, each column read in full: the
+    translation lines, the targets, then with a lexicon each line's other
+    variants."""
+    rows = [scores._trans_chars[i][0] for i in range(len(scores.trans))]
+    rows += [scores._target_chars[j] for j in range(len(scores.target))]
+    if scores.context.lexicon:
+        rows += [row for i in range(len(scores.trans)) for row in scores._variants[i][1:]]
+    return rows
+
+
 def test_mask_popcount_equals_the_character_count_oracle():
     # Random Unicode pairs (ASCII, Latin-1, Greek, CJK, a combining mark,
     # astral emoji) with repeats; either side may be empty. Both texts are
-    # masked in one batch, in either order.
+    # masked by one table, on either side.
     rng = random.Random(101)
     alphabet = "ab \u00e9\u00df\u03b1\u4e2d\u0301\U0001f600"
     for k in range(400):
@@ -322,10 +334,70 @@ def test_mask_popcount_equals_the_character_count_oracle():
             for _ in range(2)
         )
         expected = common_chars_oracle(a, b)
-        for batch in ([a, b], [b, a]):
-            masks = dict(zip(batch, sim._masks(batch)))
-            assert sim.common_chars(masks[a], masks[b]) == expected, (a, b, batch)
+        for trans, target in (((a,), (b,)), ((b,), (a,))):
+            masks = dict(masked_texts(PairScores(trans, target)))
+            assert sim.common_chars(masks[a], masks[b]) == expected, (a, b, trans)
             assert masks[a].bit_count() == len(a)
+
+
+def test_table_masks_equal_the_one_batch_oracle_without_a_lexicon():
+    # Without a lexicon the counting pass sees exactly the texts it masks,
+    # so every mask has the oracle's bits, whichever entry is read first
+    # and after a forgotten entry is rebuilt.
+    rng = random.Random(29)
+    src = load_corpus(FIXTURES / "parallel_1005.src", "src").normalized[:150]
+    tgt = load_corpus(FIXTURES / "parallel_1005.tgt", "tgt").normalized[:150]
+    alphabet = "ab \u00e9\u00df\u03b1\u4e2d\u0301\U0001f600"
+    noise = ["".join(rng.choices(alphabet, k=rng.randrange(0, 30))) for _ in range(50)]
+    trans, target = (*src, *noise[:25], "", "a" * 500), (*noise[25:], *tgt)
+    expected = masks_oracle([*trans, *target])
+    scores = PairScores(trans, target)
+    for j in reversed(range(len(target))):
+        assert scores._target_chars[j] == (target[j], expected[len(trans) + j])
+    assert [mask for _, mask in masked_texts(scores)] == expected
+    scores.forget(len(trans), len(target))
+    assert not any(map(len, [*scores._columns[0], *scores._columns[1]]))
+    assert [mask for _, mask in masked_texts(scores)] == expected
+
+
+def test_table_masks_with_a_lexicon_count_every_pair_exactly():
+    # The counting pass bounds each variant's counts from the line's joined
+    # tokens and the synonyms' gains, so variant masks may have slots the
+    # oracle lacks; every AND of two masks must still count exactly.
+    # Punctuated lines give joined tokens unlike the line, the last two
+    # with more spaces than any other text, and multi-word synonyms, ones
+    # with characters no line has, and ones shorter or longer than their
+    # headword change every count.
+    rng = random.Random(37)
+    lexicon = {
+        "ab": ("a b", "abab", "\u00df\u00df"),
+        "b": ("bbb", "b a b"),
+        "ba": ("a",),
+        "abb": ("b-b", "\u00e9"),
+    }
+    words = ["a", "b", "ab", "ba", "abb", "bb"]
+    marks = [" ", ", ", " - ", "! ", "/", "'' ", "_"]
+
+    def line():
+        text = rng.choice(words)
+        for _ in range(rng.randrange(0, 5)):
+            text += rng.choice(marks) + rng.choice(words)
+        return normalize(text + rng.choice(["", ".", "?!"]))
+
+    for cap in (1, 3, 64):
+        trans = [line() for _ in range(25)] + ["-".join(["ab"] * 20), ",".join(["bb"] * 16)]
+        target = [line() for _ in range(25)]
+        scores = PairScores(trans, target, ChainContext(lexicon=lexicon, cap=cap))
+        rows = masked_texts(scores)
+        if cap == 64:
+            texts = [text for text, _ in rows[len(trans) + len(target) :]]
+            assert any("a b" in text for text in texts) and any("\u00df" in text for text in texts)
+            assert any(" ".join(tokenize(a)) in texts for a in trans)
+        for text, mask in rows:
+            assert mask.bit_count() == len(text), text
+        for a, a_mask in rows:
+            for b, b_mask in rows:
+                assert sim.common_chars(a_mask, b_mask) == common_chars_oracle(a, b), (a, b)
 
 
 def test_a_long_line_leaves_every_other_mask_small():
@@ -337,23 +409,25 @@ def test_a_long_line_leaves_every_other_mask_small():
     long_line = "a" * 100_000
     for trans, target, long_row in (((long_line, *src), tgt, 0), (src, (*tgt, long_line), 400)):
         scores = PairScores(trans, target)
-        rows = scores._chars[0] + scores._chars[1]
+        rows = masked_texts(scores)
         long_mask = rows.pop(long_row)[1]
         assert long_mask.bit_count() == 100_000
         assert max(mask.bit_length() for _, mask in rows) < 400
+        assert all(mask.bit_count() == len(text) for text, mask in rows)
         for text, mask in rows[:20]:
             assert sim.common_chars(mask, long_mask) == text.count("a")
 
 
 def test_a_long_line_leaves_every_variant_mask_small():
-    # The synonym variants are masked in the columns' batch, so the slot
-    # (t, 4) that only "the kitty sat" needs comes before the long line's
-    # later slots of "a".
+    # The counting pass bounds the variants' counts too, so the slot (t, 4)
+    # that only "the kitty sat" needs comes before the long line's later
+    # slots of "a".
     context = ChainContext(lexicon={"cat": ("kitty",)})
     scores = PairScores(("a" * 100_000, "the cat sat"), ("the dog sat",), context)
-    texts = scores._chars[2][1]
+    texts = scores._variants[1]
     assert [text for text, _ in texts] == ["the cat sat", "the kitty sat"]
     assert all(mask.bit_length() < 200 for _, mask in texts)
+    assert [mask.bit_count() for _, mask in texts] == [11, 13]
     best = max(ratio(text, "the dog sat") for text, _ in texts)
     assert scores.score(1, 0, "synonym_ratio") == best
 
