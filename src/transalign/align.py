@@ -11,6 +11,8 @@ the raw size difference between the two input files.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as quote  # the encoder's, with ensure_ascii=False
+from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
@@ -172,7 +174,10 @@ def align(
     to several runs that differ only in thresholds to score each pair
     once; such a table keeps every entry. By default a fresh one is used,
     and each line's and each target's entries are dropped once the window
-    has passed them, so it holds about the window, not the corpus.
+    has passed them, so it holds about the window, not the corpus. Either
+    way ``trans`` and ``target`` are told the first line they may still be
+    read at, by ``forget``, which a corpus read from its file
+    (``corpusfile.CorpusFile``) uses to hold only the window's lines.
     """
     if len(trans) != len(source):
         raise DataError(
@@ -221,8 +226,12 @@ def align(
             filled += 1
         else:
             decisions.append(AlignmentDecision(i, TRANSLATED, trans[i]))
-        if own_table:  # no later step reads line i or a target left of live
-            scores.forget(i + 1, live[0] if live else entering)
+        # no later step reads line i or a target left of live
+        low = live[0] if live else entering
+        if own_table:
+            scores.forget(i + 1, low)
+        trans.forget(i + 1)
+        target.forget(low)
     unmatched += live
     unmatched += range(entering, n_target)
     return AlignmentResult(tuple(decisions), tuple(unmatched))
@@ -236,8 +245,10 @@ def write_alignment(
     Output line i is ``source[i]`` and decision i's text, so ``source`` must
     be the corpus the result was aligned from (its line count is checked).
     Report: one record per decision with its details, then a trailer
-    object with the counts and the never-consumed target indices. Each
-    file is written line by line, in that order, the report last.
+    object with the counts and the never-consumed target indices, each
+    the bytes of ``json.JSONEncoder(ensure_ascii=False)``. Each file is
+    written line by line, in that order, the report last; ``source`` is
+    iterated once, while its file is written.
     """
     if len(source) != len(result.decisions):
         raise DataError(
@@ -248,12 +259,23 @@ def write_alignment(
 
     def records():
         for decision in result.decisions:
-            record: dict = {"source_index": decision.source_index, "outcome": decision.outcome}
-            if decision.outcome == ALIGNED:
-                record["target_index"] = decision.target_index
-                record["score"] = decision.score
-                record["comparator"] = decision.comparator
-            record["text"] = decision.text
+            i, outcome, text, j, score, comparator = decision
+            # The encoder's bytes, formatted directly when each field has
+            # the type align() gives it and the score is finite.
+            if type(i) is int and type(outcome) is str and type(text) is str:
+                if outcome != ALIGNED:
+                    yield f'{{"source_index": {i}, "outcome": {quote(outcome)}, "text": {quote(text)}}}\n'
+                    continue
+                if type(j) is int and type(score) is float and isfinite(score) and type(comparator) is str:
+                    yield (
+                        f'{{"source_index": {i}, "outcome": "{ALIGNED}", "target_index": {j}, '
+                        f'"score": {score!r}, "comparator": {quote(comparator)}, "text": {quote(text)}}}\n'
+                    )
+                    continue
+            record: dict = {"source_index": i, "outcome": outcome}
+            if outcome == ALIGNED:
+                record.update(target_index=j, score=score, comparator=comparator)
+            record["text"] = text
             yield encode(record) + "\n"
         yield encode(trailer) + "\n"
 

@@ -173,8 +173,8 @@ class Settings:
         return _lazy.TranslationCache(directory) if directory else None
 
     def provider(self):
-        """An ``HttpProvider``, or for ``file`` its translation file read as
-        ``--trans`` is: a ``Corpus`` in the target language."""
+        """An ``HttpProvider``, or for ``file`` the path of its translation
+        file, which exists."""
         settings = self.provider_settings()
         kind = self.get("provider")
         if kind is None:
@@ -183,8 +183,7 @@ class Settings:
             path = self.get("provider_path")
             if not path:
                 raise ConfigError("file provider needs a path (--provider-path)")
-            _require_file(path, "translation file")
-            return load_corpus(path, self.target_language())
+            return _require_file(path, "translation file")
         if kind == "http":
             optional = ("response_path", "max_concurrency", "timeout", "retries", "backoff")
             given = {key: settings[key] for key in optional if key in settings}
@@ -193,12 +192,14 @@ class Settings:
 
     def translation(self, provider, source: Corpus, stats: dict) -> Corpus:
         """``source`` translated by ``provider()``'s result, counts in ``stats``;
-        a ``file`` corpus is taken as it is, with no provider call and no cache."""
-        if not isinstance(provider, Corpus):
+        a ``file`` provider's file is loaded as it is, with no provider call
+        and no cache."""
+        if not isinstance(provider, str):
             return _lazy.translate_corpus(source, provider, self.cache(), self.target_language(), stats)
-        _require_translation(provider, source, self.get("provider_path"))
+        trans = load_corpus(provider, self.target_language())
+        _require_translation(trans, source, provider)
         stats.update(lines=len(source), provider_calls=0, cache_hits=0)
-        return provider
+        return trans
 
     def alignment_config(self) -> AlignmentConfig:
         given = {
@@ -211,11 +212,13 @@ class Settings:
         )
 
 
-def _require_file(path, description: str) -> None:
+def _require_file(path, description: str) -> str:
+    """``path``, which must name an existing file."""
     if not isinstance(path, str):
         raise ConfigError(f"{description} must be a path string, got {path!r}")
     if not Path(path).is_file():
         raise ConfigError(f"{description} not found: {path}")
+    return path
 
 
 def _require_translation(trans: Corpus, source: Corpus, path) -> None:
@@ -261,20 +264,26 @@ def cmd_translate(args) -> int:
 
 
 def cmd_align(args) -> int:
+    # Corpora checked in one pass, then read forward: align holds the
+    # lines of its window, and the source is read again as it is written.
+    from .corpusfile import CorpusFile
+
     settings = Settings(args)
     config = settings.alignment_config()  # reject bad thresholds before any I/O
     _require_file(args.source, "source file")
     _require_file(args.target, "target file")
-    source = load_corpus(args.source, settings.source_language())
-    target = load_corpus(args.target, settings.target_language())
+    if Path(args.out_source).exists() and Path(args.out_source).samefile(args.source):
+        raise ConfigError(f"--out-source {args.out_source} is the source file, read while it is written")
+    source = CorpusFile(args.source, settings.source_language())
+    target = CorpusFile(args.target, settings.target_language())
 
     trans_path = settings.get("trans")
-    if trans_path:
-        _require_file(trans_path, "translation file")
-        trans = load_corpus(trans_path, settings.target_language())
-        _require_translation(trans, source, trans_path)  # align()'s first check, naming the file
+    provider = _require_file(trans_path, "translation file") if trans_path else settings.provider()
+    if isinstance(provider, str):  # a translation file, from --trans or the file provider
+        trans = CorpusFile(provider, settings.target_language())
+        _require_translation(trans, source, provider)  # align()'s first check, naming the file
     else:
-        trans = settings.translation(settings.provider(), source, {})
+        trans = settings.translation(provider, source, {})
 
     result = _lazy.align(source, target, trans, config)
     _write_output(

@@ -152,6 +152,11 @@ class Corpus(Frozen):
     def __getitem__(self, index: int) -> str:
         return self.lines[index]
 
+    def forget(self, below: int) -> None:
+        """Nothing: a loaded corpus holds its lines. ``align`` calls this
+        with the first line it may still read, for corpora read from
+        their files (``corpusfile.CorpusFile``)."""
+
 
 def read_lines(path: str | os.PathLike, what: str, error: type[Exception]) -> list[str]:
     """Every line of a UTF-8 text file, empty ones included, so line n is
@@ -163,32 +168,44 @@ def read_lines(path: str | os.PathLike, what: str, error: type[Exception]) -> li
     a line raise ``error`` naming the ``what`` file, the last two with the
     number of the first line that has either.
     """
-    where = f"{path}: "
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise error(f"cannot read {what} file {path}: {exc}") from exc
-    if data.startswith(b"\xef\xbb\xbf"):
+        raise unreadable(path, what, error, exc) from exc
+    return decode_lines(data, 1, path, error)
+
+
+def unreadable(path, what: str, error: type[Exception], exc: OSError) -> Exception:
+    """The error for a ``what`` file that cannot be read."""
+    return error(f"cannot read {what} file {path}: {exc}")
+
+
+def decode_lines(data: bytes, lineno: int, path, error: type[Exception]) -> list[str]:
+    """``read_lines``'s lines of ``data``: the bytes of the file at
+    ``path`` from the start of line ``lineno`` to an LF or the file's end,
+    which no multi-byte sequence crosses."""
+    where = f"{path}: "
+    if lineno == 1 and data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # CR and LF are never part of a multi-byte sequence, so the lines
         # before the bad one decode; a CR inside one of them comes first.
-        _split_lines(data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), where, error)
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        _split_lines(data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), lineno, where, error)
+        lineno += data.count(b"\n", 0, exc.start)
         raise error(f"{where}invalid UTF-8 on line {lineno}: {exc.reason}") from exc
-    return _split_lines(text, where, error)
+    return _split_lines(text, lineno, where, error)
 
 
-def _split_lines(text: str, where: str, error: type[Exception]) -> list[str]:
+def _split_lines(text: str, lineno: int, where: str, error: type[Exception]) -> list[str]:
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # trailing newline, not an empty line
     if "\r" in text:
         lines = [line[:-1] if line[-1:] == "\r" else line for line in lines]
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(lines, start=lineno):
             if "\r" in line:
                 raise error(f"{where}line {lineno} contains a line-break character")
     return lines

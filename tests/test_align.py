@@ -22,6 +22,7 @@ from transalign.align import (
     write_alignment,
 )
 from transalign.corpus import Corpus, load_corpus, tokenize
+from transalign.corpusfile import CorpusFile
 from transalign.errors import ConfigError, DataError
 from transalign.lexicon import expand_sentence
 from transalign.similarity import ChainContext, Comparator, ComparatorChain, PairScores
@@ -435,6 +436,26 @@ def test_report_lines_equal_the_encoder_oracle_and_read_back(tmp_path):
     assert read_report(tmp_path / "r") == result
 
 
+def test_report_fields_of_other_types_are_written_as_the_encoder_writes_them(tmp_path):
+    # A library caller's result may hold a non-finite score, an int score,
+    # a bool index or str subclasses; each record is then the encoder's.
+    class Text(str):
+        pass
+
+    decisions = (
+        AlignmentDecision(0, ALIGNED, "a", 1, float("nan"), "token_overlap"),
+        AlignmentDecision(1, ALIGNED, "b", 2, float("-inf"), "token_overlap"),
+        AlignmentDecision(True, TRANSLATED, "c"),
+        AlignmentDecision(3, ALIGNED, Text('d "\u00e9"'), 4, 0.5, Text("x")),
+        AlignmentDecision(4, ALIGNED, "e", False, 1, "x"),
+        AlignmentDecision(5, Text(FILLED), "f"),
+    )
+    result = AlignmentResult(decisions, (0,))
+    written = report_bytes(result, Corpus("src", "abcdef"), tmp_path)
+    expected = "".join(report_lines_oracle(result.decisions, result.unmatched_target_indices))
+    assert written[2] == expected.encode("utf-8")
+
+
 def test_write_alignment_refuses_a_source_of_another_length(tmp_path):
     result = align(corpus("a b"), corpus("a b"), corpus("a b"), config_of())
     with pytest.raises(DataError):
@@ -694,39 +715,52 @@ def table_entries(scores):
     return tuple(max(map(len, columns)) for columns in scores._columns)
 
 
-def test_align_holds_only_the_window_of_its_own_table(monkeypatch):
+def test_align_holds_only_the_window_of_its_own_table(monkeypatch, tmp_path):
     # While line i is decided, the table holds translation lines i..i+depth
     # and targets from the smallest one the window can still offer up to the
     # last that entered it: at most 2 * window + 2 when the corpora have
     # equal lengths. That holds for every column, the character masks and
-    # synonym variants of the three-tier chain included.
-    window, depth = 20, 1
-    peaks = []
+    # synonym variants of the three-tier chain included, and for the lines
+    # that corpora read from their files hold.
+    depth = 1
 
     class SpyScores(PairScores):
         def accepted(self, i, pool, chain):
             found = super().accepted(i, pool, chain)
             peaks.append(table_entries(self))
             masks.append((len(self._trans_chars), len(self._variants), len(self._target_chars)))
+            assert set(trans._held) <= set(range(i - depth, i + depth + 1))
+            held.append((len(trans._held), len(target._held)))
             return found
 
-    masks = []
     rng = random.Random(2000)
     words = ["ab", "cd", "ef", "gh", "ij", "kl"]
     lines = [" ".join(rng.choices(words, k=4)) for _ in range(2000)]
-    target = Corpus("tgt", window_shuffled(lines, rng))
-    trans = Corpus("y", [line.replace("ab", "ba") for line in lines])
-    chain = three_tier_chain(0.99, 0.8, 0.8)
-    config = AlignmentConfig(chain, window, depth, lexicon={"ba": ("ab", "b a"), "cd": ("dc",)})
-    monkeypatch.setattr(sys.modules["transalign.align"], "PairScores", SpyScores)
-    result = align(trans, target, trans, config)
-    assert result.counts()["A"] > 1000
-    trans_peak, target_peak = map(max, zip(*peaks))
-    assert trans_peak <= depth + 1
-    assert window < target_peak <= 2 * window + 2
-    trans_masks, variants, target_masks = map(max, zip(*masks))
-    assert 0 < trans_masks <= depth + 1 and 0 < variants <= depth + 1
-    assert window < target_masks <= 2 * window + 2
+    for window in (20, 3):
+        peaks, masks, held = [], [], []
+        files = {
+            "tgt": window_shuffled(lines, rng, width=min(window, 10)),
+            "y": [line.replace("ab", "ba") for line in lines],
+        }
+        for name, corpus_lines in files.items():
+            (tmp_path / name).write_text("".join(line + "\n" for line in corpus_lines), encoding="utf-8")
+        target, trans = (CorpusFile(tmp_path / name, name) for name in files)
+        chain = three_tier_chain(0.99, 0.8, 0.8)
+        config = AlignmentConfig(chain, window, depth, lexicon={"ba": ("ab", "b a"), "cd": ("dc",)})
+        monkeypatch.setattr(sys.modules["transalign.align"], "PairScores", SpyScores)
+        result = align(CorpusFile(tmp_path / "y", "y"), target, trans, config)
+        assert result.counts()["A"] > 1000
+        trans_peak, target_peak = map(max, zip(*peaks))
+        assert trans_peak <= depth + 1
+        assert window < target_peak <= 2 * window + 2
+        trans_masks, variants, target_masks = map(max, zip(*masks))
+        assert 0 < trans_masks <= depth + 1 and 0 < variants <= depth + 1
+        assert window < target_masks <= 2 * window + 2
+        trans_held, target_held = map(max, zip(*held))
+        assert 0 < trans_held <= depth + 1
+        assert window < target_held <= 2 * window + 2, window
+        monkeypatch.undo()
+        assert result == align(*(Corpus(n, files[n]) for n in ("y", "tgt", "y")), config)
 
 
 def test_a_table_passed_in_keeps_every_entry(monkeypatch):

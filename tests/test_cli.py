@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from transalign.cli import main, parse_chain_spec
-from transalign.errors import ConfigError
+from transalign.errors import ConfigError, CorpusFormatError
 
 from test_translate import endpoint, mock_server  # noqa: F401 - mock_server is a fixture
 
@@ -362,6 +362,135 @@ def test_fixture_align_bytes_are_pinned(tmp_path, capsys, extra, report_sha256, 
     digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("r.jsonl", "s.txt", "t.txt")]
     assert digests == [report_sha256, ALIGNED_FIXTURE_SOURCE, target_sha256]
+
+
+def library_outputs(tmp_path, source, target, trans, extra=()):
+    """The bytes ``align()`` and ``write_alignment`` write for the corpora
+    ``load_corpus`` reads, with the settings ``extra`` gives the CLI."""
+    from transalign import AlignmentConfig, align, load_stopwords, load_synonyms, write_alignment
+    from transalign.corpus import load_corpus
+
+    options = dict(zip(extra[::2], extra[1::2]))
+    config = AlignmentConfig(
+        parse_chain_spec(options.get("--chain", "token_overlap:0.99,matching_blocks_ratio:0.85")),
+        window=int(options.get("--window", 20)),
+        stopwords=load_stopwords(options["--stopwords"]) if "--stopwords" in options else frozenset(),
+        lexicon=load_synonyms(options["--synonyms"]) if "--synonyms" in options else {},
+    )
+    corpora = [load_corpus(path, "x") for path in (source, target, trans)]
+    out = tmp_path / "library"
+    out.mkdir(exist_ok=True)
+    paths = [out / name for name in ("s.txt", "t.txt", "r.jsonl")]
+    write_alignment(align(*corpora, config), corpora[0], *paths)
+    return [path.read_bytes() for path in paths]
+
+
+def cli_outputs(argv, out):
+    assert main(argv) == 0
+    return [(out / name).read_bytes() for name in ("s.txt", "t.txt", "r.jsonl")]
+
+
+LEXICON_OPTIONS = (
+    "--stopwords", str(FIXTURES / "stopwords_en.txt"), "--synonyms", str(FIXTURES / "synonyms_en.tsv"),
+    "--chain", "token_overlap:0.99,matching_blocks_ratio:0.85,synonym_ratio:0.85",
+)
+
+
+@pytest.mark.parametrize("extra", [(), LEXICON_OPTIONS], ids=["default-chain", "lexicon"])
+def test_fixture_files_align_as_the_loaded_corpora_do(tmp_path, capsys, extra):
+    # CI's two chains on the fixture: the command reads its files forward,
+    # through --trans and through the file provider alike, and writes the
+    # bytes of align() over the loaded corpora.
+    source, target = str(FIXTURES / "parallel_1005.src"), str(FIXTURES / "parallel_1005.tgt")
+    expected = library_outputs(tmp_path, source, target, source, extra)
+    argv, out = align_argv(tmp_path, source, target, source, extra=extra)
+    assert cli_outputs(argv, out) == expected
+    argv, out = align_argv(tmp_path, source, target, source, "provider", extra=extra)
+    assert cli_outputs(with_file_provider(argv, source), out) == expected
+
+
+def test_oracle_corpora_align_from_files_as_loaded(tmp_path, capsys):
+    from test_align import differential_corpora
+
+    for seed in range(4):
+        trans, target = differential_corpora(seed)  # no empty lines
+        paths = {}
+        for name, lines in (("src", [f"zrodlo {i}" for i in range(len(trans))]),
+                            ("tgt", target), ("trans", trans)):
+            paths[name] = write(tmp_path, f"{name}{seed}.txt", lines)
+        for extra in (("--window", "3"), ("--window", "0", "--chain", "token_overlap:0.5")):
+            expected = library_outputs(tmp_path, paths["src"], paths["tgt"], paths["trans"], extra)
+            argv, out = align_argv(tmp_path, paths["src"], paths["tgt"], paths["trans"], extra=extra)
+            assert cli_outputs(argv, out) == expected, (seed, extra)
+
+
+def read_nonempty(path):
+    return [line for line in Path(path).read_text(encoding="utf-8").split("\n") if line]
+
+
+def test_crlf_bom_and_empty_lines_align_from_files_as_loaded(tmp_path, capsys):
+    lines = distinct_lines(30)
+    paths = []
+    for name, data in (
+        ("src.txt", "\ufeff" + "\r\n".join(lines) + "\r\n"),
+        ("tgt.txt", "\n\n".join(lines[5:] + lines[:5]) + "\n\n"),
+        ("trans.txt", "\ufeff\n" + "\r\n\r\n".join(lines) + "\r"),  # no final LF
+    ):
+        (tmp_path / name).write_bytes(data.encode("utf-8"))
+        paths.append(str(tmp_path / name))
+    extra = ("--window", "6")
+    expected = library_outputs(tmp_path, *paths, extra)
+    argv, out = align_argv(tmp_path, *paths, extra=extra)
+    assert cli_outputs(argv, out) == expected
+    assert expected[0].decode("utf-8").splitlines() == lines
+
+
+@pytest.mark.parametrize("bad", [b"fine\nbad \xff byte\n", b"fine\n\nlone\rcr\n", b"\xc5"])
+@pytest.mark.parametrize("which", ["source", "target", "trans"])
+def test_align_reports_a_bad_corpus_file_before_writing(tmp_path, capsys, which, bad):
+    from transalign.corpus import load_corpus
+
+    lines = distinct_lines(3)
+    paths = {name: write(tmp_path, f"{name}.txt", lines) for name in ("source", "target", "trans")}
+    Path(paths[which]).write_bytes(bad)
+    with pytest.raises(CorpusFormatError) as expected:
+        load_corpus(paths[which], "x")
+    argv, out = align_argv(tmp_path, paths["source"], paths["target"], paths["trans"])
+    (out / "t.txt").write_bytes(b"old target\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert sorted(path.name for path in out.iterdir()) == ["t.txt"]
+    assert (out / "t.txt").read_bytes() == b"old target\n"
+
+
+@pytest.mark.parametrize("which, kept", [("target", 100), ("source", 100), ("source", 400)])
+def test_align_reports_a_file_changed_after_its_check(tmp_path, capsys, monkeypatch, which, kept):
+    from transalign import corpusfile
+
+    lines = distinct_lines(300)
+    paths = {name: write(tmp_path, f"{name}.txt", lines) for name in ("source", "target", "trans")}
+    checked = corpusfile.CorpusFile.__init__
+
+    def check_then_change(self, path, language):
+        checked(self, path, language)
+        if path == paths[which]:
+            write(tmp_path, f"{which}.txt", distinct_lines(400)[:kept])
+
+    monkeypatch.setattr(corpusfile.CorpusFile, "__init__", check_then_change)
+    argv, _ = align_argv(tmp_path, paths["source"], paths["target"], paths["trans"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {paths[which]}: the file changed while it was read (it had 300 lines)\n"
+
+
+def test_align_refuses_to_write_over_its_source(tmp_path, capsys):
+    lines = distinct_lines(3)
+    source = write(tmp_path, "src.txt", lines)
+    argv, out = align_argv(tmp_path, source, source, source)
+    argv[argv.index("--out-source") + 1] = source
+    assert main(argv) == 1
+    assert "is the source file" in capsys.readouterr().err
+    assert read_nonempty(source) == lines and list(out.iterdir()) == []
 
 
 def perturbed(line, rng):
@@ -931,7 +1060,8 @@ def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
     ]
 
     # The file provider reads its file as --trans does, so it loads the same
-    # modules: no transalign.translate. The default chain has a character
+    # modules: no transalign.translate. Both read through the forward
+    # reader, transalign.corpusfile. The default chain has a character
     # tier, which loads the character masks; the token tier alone does not.
     argv, _ = align_argv(tmp_path, path, path, path)
     token_only = align_argv(tmp_path, path, path, path, extra=("--chain", "token_overlap:0.5"))[0]
@@ -941,7 +1071,8 @@ def test_each_import_and_command_loads_only_what_it_runs(tmp_path):
         )
         assert out.splitlines()[-1].split() == [
             "transalign", "transalign.align", *["transalign.charmask"] * masks, "transalign.cli",
-            "transalign.corpus", "transalign.errors", "transalign.lexicon", "transalign.similarity",
+            "transalign.corpus", "transalign.corpusfile", "transalign.errors", "transalign.lexicon",
+            "transalign.similarity",
         ], argv
 
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from oracles import load_lines_oracle, tokenize_oracle, tokenize_pattern_oracle
+from transalign import corpusfile
 from transalign.corpus import Corpus, load_corpus, normalize, save_corpus, tokenize
 from transalign.errors import CorpusFormatError, DataError
 
@@ -189,7 +190,10 @@ def random_corpus_file(rng):
     return bom + b"".join(pieces) + rng.choice(FILE_ENDINGS)
 
 
-def test_load_corpus_equals_line_by_line_oracle_on_random_files(tmp_path):
+def test_load_corpus_equals_line_by_line_oracle_on_random_files(tmp_path, monkeypatch):
+    # The forward reader checks and reads the file a few bytes at a time
+    # here, so lines and bad bytes fall across its blocks' ends; it raises
+    # load_corpus's errors and reads load_corpus's lines.
     rng = random.Random(113)
     outcomes = {"lines": 0, "utf8": 0, "cr": 0}
     path = tmp_path / "random.txt"
@@ -197,10 +201,14 @@ def test_load_corpus_equals_line_by_line_oracle_on_random_files(tmp_path):
         data = random_corpus_file(rng)
         path.write_bytes(data)
         lines, skipped, bad_line = load_lines_oracle(data)
+        monkeypatch.setattr(corpusfile, "BLOCK", rng.randrange(1, 12))
         try:
             corpus = load_corpus(path, "x")
         except CorpusFormatError as exc:
             message = str(exc)
+            with pytest.raises(CorpusFormatError) as forward:
+                corpusfile.CorpusFile(path, "x")
+            assert str(forward.value) == message
             assert message.startswith(f"{path}: "), (data, message)
             message = message.removeprefix(f"{path}: ")
             assert int(re.search(r"line (\d+)", message).group(1)) == bad_line, (data, message)
@@ -208,5 +216,34 @@ def test_load_corpus_equals_line_by_line_oracle_on_random_files(tmp_path):
         else:
             assert bad_line is None, data
             assert (list(corpus), corpus.skipped_lines) == (lines, skipped), data
+            forward = corpusfile.CorpusFile(path, "x")
+            assert len(forward) == len(lines) and list(forward) == lines, data
+            assert [forward[i] for i in range(len(lines))] == lines, data
+            assert list(forward.normalized) == list(corpus.normalized), data
             outcomes["lines"] += 1
     assert min(outcomes.values()) > 300, outcomes
+
+
+def test_a_corpus_file_holds_only_the_lines_not_forgotten(tmp_path):
+    path = tmp_path / "lines.txt"
+    lines = [f"Line {i}" for i in range(50)]
+    path.write_text("\n\n".join(lines), encoding="utf-8")
+    forward = corpusfile.CorpusFile(path, "x")
+    assert forward[3] == "Line 3" and forward.normalized[5] == "line 5"
+    assert sorted(forward._held) == [0, 1, 2, 3, 4, 5]
+    forward.forget(4)
+    assert sorted(forward._held) == [4, 5] and forward[4] == "Line 4"
+    # A forgotten line is read again from the file's top, and held from
+    # there on until it is forgotten again.
+    assert forward[1] == "Line 1" and forward.normalized[2] == "line 2"
+    assert sorted(forward._held) == [1, 2]
+    assert list(forward) == lines and len(forward) == 50
+    with pytest.raises(IndexError):
+        forward[50]
+
+
+def test_a_corpus_file_drops_a_bom_only_at_the_start(tmp_path, monkeypatch):
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeffone\n\ufefftwo\n".encode("utf-8"))
+    monkeypatch.setattr(corpusfile, "BLOCK", 4)
+    assert list(corpusfile.CorpusFile(path, "x")) == list(load_corpus(path, "x")) == ["one", "\ufefftwo"]
