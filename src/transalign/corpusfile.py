@@ -75,11 +75,11 @@ class CorpusFile:
             raise self._changed()
 
     def __getitem__(self, index: int) -> str:
-        line = self._held.get(index)
-        if line is None:
+        try:
+            return self._held[index]
+        except KeyError:
             self._read(index)
-            line = self._held[index]
-        return line
+            return self._held[index]
 
     def _read(self, index: int) -> None:
         """Read on to line ``index`` and hold each line read, with its
@@ -92,20 +92,25 @@ class CorpusFile:
             normalized.clear()
             self._first = self._next = index
             self._rest = islice(self._lines(), index, None)
-        rest = self._rest
-        while self._next <= index:
+        rest, at = self._rest, self._next
+        while at <= index:
             line = next(rest, None)
             if line is None:
                 raise self._changed()
-            held[self._next], normalized[self._next] = line, normalize(line)
-            self._next += 1
+            held[at] = line
+            normalized[at] = text = normalize(line)
+            at += 1
+        self._next = at
+        return text
 
     def forget(self, below: int) -> None:
         """Drop the held lines below line ``below``."""
-        held, normalized = self._held, self.normalized
-        for index in range(self._first, min(below, self._next)):
-            del held[index], normalized[index]
-            self._first = index + 1
+        first = self._first
+        if below > first:
+            held, normalized, below = self._held, self.normalized, min(below, self._next)
+            for index in range(first, below):
+                del held[index], normalized[index]
+            self._first = below
 
 
 class _Normalized(dict):
@@ -119,8 +124,7 @@ class _Normalized(dict):
         self.lines = lines
 
     def __missing__(self, index: int) -> str:
-        self.lines._read(index)
-        return self[index]
+        return self.lines._read(index)
 
     def __len__(self) -> int:
         return len(self.lines)
