@@ -174,9 +174,9 @@ def align(
     to several runs that differ only in thresholds to score each pair
     once; such a table keeps every entry. By default a fresh one is used,
     and each line's and each target's entries are dropped once the window
-    has passed them, so it holds about the window, not the corpus. Either
-    way ``trans`` and ``target`` are told the first line they may still be
-    read at, by ``forget``, which a corpus read from its file
+    has passed them, so it holds about the window, not the corpus; then
+    ``trans`` and ``target`` are also told the first line each may still
+    be read at, by ``forget``, which a corpus read from its file
     (``corpusfile.CorpusFile``) uses to hold only the window's lines.
     """
     if len(trans) != len(source):
@@ -226,12 +226,11 @@ def align(
             filled += 1
         else:
             decisions.append(AlignmentDecision(i, TRANSLATED, trans[i]))
-        # no later step reads line i or a target left of live
-        low = live[0] if live else entering
-        if own_table:
+        if own_table:  # no later step reads line i or a target left of live
+            low = live[0] if live else entering
             scores.forget(i + 1, low)
-        trans.forget(i + 1)
-        target.forget(low)
+            trans.forget(i + 1)
+            target.forget(low)
     unmatched += live
     unmatched += range(entering, n_target)
     return AlignmentResult(tuple(decisions), tuple(unmatched))
