@@ -81,9 +81,9 @@ class CorpusFile:
             self._read(index)
             return self._held[index]
 
-    def _read(self, index: int) -> None:
-        """Read on to line ``index`` and hold each line read, with its
-        normalized text."""
+    def _read(self, index: int) -> str:
+        """Read on to line ``index``, hold each line read with its
+        normalized text, and return line ``index``'s normalized text."""
         if not 0 <= index < self._count:
             raise IndexError(f"line index {index} out of range")
         held, normalized = self._held, self.normalized
