@@ -14,6 +14,7 @@ from collections import Counter
 from typing import Callable, Sequence
 
 from .corpus import tokenize
+from .similarity import _Column
 
 
 def highest_counts(
@@ -76,24 +77,14 @@ def masker(highest: dict[str, int]) -> Callable[[str], tuple[str, int]]:
     order = sorted((k, char) for char, n in highest.items() for k in range(1, n + 1))
     for slot, (_, char) in enumerate(order):
         slots.setdefault(char, []).append(slot)
-    get = _Bits(slots).__getitem__
+    # (c, n) -> the bits of c's first n slots, each built on first read
+    get = _Column(lambda key: _bits(slots[key[0]][: key[1]])).__getitem__
     return lambda text: (text, sum(map(get, Counter(text).items())))
 
 
-class _Bits(dict):
-    """(c, n) -> the int with the bits of c's first n slots set, each built
-    the first time it is read."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: dict[str, list[int]]):
-        self.slots = slots
-
-    def __missing__(self, key: tuple[str, int]) -> int:
-        char, n = key
-        positions = self.slots[char][:n]
-        buffer = bytearray(positions[-1] // 8 + 1)
-        for position in positions:
-            buffer[position >> 3] |= 1 << (position & 7)
-        value = self[key] = int.from_bytes(buffer, "little")
-        return value
+def _bits(positions: list[int]) -> int:
+    """The int with the bits at ``positions``, ascending, set."""
+    buffer = bytearray(positions[-1] // 8 + 1)
+    for position in positions:
+        buffer[position >> 3] |= 1 << (position & 7)
+    return int.from_bytes(buffer, "little")

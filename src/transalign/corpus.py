@@ -158,31 +158,48 @@ class Corpus(Frozen):
         their files (``corpusfile.CorpusFile``)."""
 
 
-def read_lines(path: str | os.PathLike, what: str, error: type[Exception]) -> list[str]:
-    """Every line of a UTF-8 text file, empty ones included, so line n is
-    item n-1: the line rules of every file the toolkit reads.
+BLOCK = 1 << 14  # bytes ``read_blocks`` reads, decodes and checks at a time
+
+
+def read_blocks(path: str | os.PathLike, what: str, error: type[Exception]) -> "Iterator[list[str]]":
+    """Every line of a UTF-8 text file, empty ones included, in lists of
+    the lines that end within each ``BLOCK`` bytes read, each list checked
+    as it is read: the line rules of every file the toolkit reads.
 
     LF and CRLF line endings are both accepted (one CR before each LF, or
     at the very end, is part of the line ending), and a UTF-8 BOM is
     dropped. An unreadable file, invalid UTF-8 and a carriage return inside
     a line raise ``error`` naming the ``what`` file, the last two with the
-    number of the first line that has either.
+    number of the first line that has either. The bytes since the last LF
+    are kept as pieces and joined once, so a long line costs its length.
     """
+    lineno, rest = 1, []
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            for data in iter(lambda: handle.read(BLOCK), b""):
+                cut = data.rfind(b"\n") + 1
+                if cut:
+                    rest.append(data[:cut])
+                    block = decode_lines(b"".join(rest), lineno, path, error)
+                    lineno += len(block)
+                    rest = [data[cut:]]
+                    yield block
+                else:
+                    rest.append(data)
     except OSError as exc:
-        raise unreadable(path, what, error, exc) from exc
-    return decode_lines(data, 1, path, error)
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    last = b"".join(rest)
+    if last:  # a last line without LF
+        yield decode_lines(last, lineno, path, error)
 
 
-def unreadable(path, what: str, error: type[Exception], exc: OSError) -> Exception:
-    """The error for a ``what`` file that cannot be read."""
-    return error(f"cannot read {what} file {path}: {exc}")
+def read_lines(path: str | os.PathLike, what: str, error: type[Exception]) -> list[str]:
+    """``read_blocks``'s lines in one list, so line n is item n-1."""
+    return [line for block in read_blocks(path, what, error) for line in block]
 
 
 def decode_lines(data: bytes, lineno: int, path, error: type[Exception]) -> list[str]:
-    """``read_lines``'s lines of ``data``: the bytes of the file at
+    """``read_blocks``'s lines of ``data``: the bytes of the file at
     ``path`` from the start of line ``lineno`` to an LF or the file's end,
     which no multi-byte sequence crosses."""
     where = f"{path}: "

@@ -411,16 +411,16 @@ class PairScores:
 
 
 class _Column(dict):
-    """Entries by index, each built by ``build(index)`` on first read. A
-    dict, so reading an entry that is there costs one dict lookup."""
+    """Entries by index or other key, each built by ``build(key)`` on first
+    read. A dict, so reading an entry that is there costs one dict lookup."""
 
     __slots__ = ("build",)
 
     def __init__(self, build):
         self.build = build
 
-    def __missing__(self, index):
-        value = self[index] = self.build(index)
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
         return value
 
 

@@ -268,22 +268,26 @@ def translate_corpus(
     reassembled strictly by index. Any provider failure (after the
     provider's own retries) aborts the whole translation, reporting the
     smallest failing line index; there is no partial output, but every
-    line that did translate is cached first, so a rerun resumes.
+    line that did translate is cached first, so a rerun resumes. An empty
+    translation, from the provider or the cache, fails its line and is not
+    cached: an empty line is no line of a corpus file.
     """
     pair = (corpus.language, target_language)
     translations: dict[str, str] = {}
     todo: dict[str, int] = {}  # each uncached text and its first line index
+    failures: list[tuple[int, Exception]] = []
     for index, text in enumerate(corpus):
         if text in translations or text in todo:
             continue
         cached = cache.get(text, pair) if cache is not None else None
         if cached is None:
             todo[text] = index
-        else:
+        elif cached:
             translations[text] = cached
+        else:
+            failures.append((index, DataError("the cached translation is empty")))
     cache_hits = len(translations)
 
-    failures: list[tuple[int, Exception]] = []
     if todo:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -291,7 +295,10 @@ def translate_corpus(
             futures = {text: pool.submit(provider.translate_line, text, *pair) for text in todo}
             for text, future in futures.items():
                 try:
-                    translations[text] = future.result()
+                    translation = future.result()
+                    if not translation:
+                        raise ProviderResponseError("the provider's translation is empty")
+                    translations[text] = translation
                 except Exception as exc:  # noqa: BLE001 - every failure aborts
                     failures.append((todo[text], exc))
     if cache is not None:

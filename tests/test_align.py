@@ -729,8 +729,8 @@ def test_align_holds_only_the_window_of_its_own_table(monkeypatch, tmp_path):
             found = super().accepted(i, pool, chain)
             peaks.append(table_entries(self))
             masks.append((len(self._trans_chars), len(self._variants), len(self._target_chars)))
-            assert set(trans._held) <= set(range(i - depth, i + depth + 1))
-            held.append((len(trans._held), len(target._held)))
+            assert set(trans.normalized.raw) <= set(range(i - depth, i + depth + 1))
+            held.append((len(trans.normalized.raw), len(target.normalized.raw)))
             return found
 
     rng = random.Random(2000)

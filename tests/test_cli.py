@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import logging
@@ -409,6 +410,29 @@ def test_fixture_files_align_as_the_loaded_corpora_do(tmp_path, capsys, extra):
     assert cli_outputs(with_file_provider(argv, source), out) == expected
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files through /proc/self/fd")
+def test_align_closes_its_corpus_files_when_it_returns(tmp_path, capsys):
+    # A corpus read from its file holds no reference cycle, so dropping it
+    # closes its file at once, without the cycle collector.
+    source, target = FIXTURES / "parallel_1005.src", FIXTURES / "parallel_1005.tgt"
+    trans = tmp_path / "trans.txt"
+    trans.write_bytes(source.read_bytes())
+    argv, _ = align_argv(tmp_path, str(source), str(target), str(trans))
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        opened = set()
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                opened.add(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:  # the descriptor that listed the directory
+                pass
+    finally:
+        gc.enable()
+    assert not opened & {os.path.realpath(path) for path in (source, target, trans)}
+
+
 def test_oracle_corpora_align_from_files_as_loaded(tmp_path, capsys):
     from test_align import differential_corpora
 
@@ -669,6 +693,22 @@ def test_provider_failure_exit_code(tmp_path):
          "--out", str(tmp_path / "out.txt")]
     )
     assert code == 3
+
+
+def test_an_empty_translation_exits_three_and_writes_nothing(tmp_path, capsys, mock_server):
+    # Saved and read back, an empty translation would leave one line fewer
+    # than the source; aligned, an output target one line fewer than the
+    # output source.
+    source = write(tmp_path, "src.txt", ["one", "is empty", "three"])
+    provider = ["--provider", "http", "--endpoint", endpoint(mock_server, "/empty")]
+    out = tmp_path / "out.txt"
+    assert main(["translate", "--source", source, *provider, "--out", str(out)]) == 3
+    argv, run = align_argv(tmp_path, source, source, source)
+    at = argv.index("--trans")
+    assert main(argv[:at] + provider + argv[at + 2 :]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: translation failed at line index 1: ") == 2, err
+    assert not out.exists() and list(run.iterdir()) == []
 
 
 def test_usage_errors_exit_one(capsys):

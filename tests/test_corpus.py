@@ -201,7 +201,7 @@ def test_load_corpus_equals_line_by_line_oracle_on_random_files(tmp_path, monkey
         data = random_corpus_file(rng)
         path.write_bytes(data)
         lines, skipped, bad_line = load_lines_oracle(data)
-        monkeypatch.setattr(corpusfile, "BLOCK", rng.randrange(1, 12))
+        monkeypatch.setattr("transalign.corpus.BLOCK", rng.randrange(1, 12))
         try:
             corpus = load_corpus(path, "x")
         except CorpusFormatError as exc:
@@ -230,13 +230,15 @@ def test_a_corpus_file_holds_only_the_lines_not_forgotten(tmp_path):
     path.write_text("\n\n".join(lines), encoding="utf-8")
     forward = corpusfile.CorpusFile(path, "x")
     assert forward[3] == "Line 3" and forward.normalized[5] == "line 5"
-    assert sorted(forward._held) == [0, 1, 2, 3, 4, 5]
+    assert sorted(forward.normalized.raw) == [0, 1, 2, 3, 4, 5]
     forward.forget(4)
-    assert sorted(forward._held) == [4, 5] and forward[4] == "Line 4"
-    # A forgotten line is read again from the file's top, and held from
-    # there on until it is forgotten again.
-    assert forward[1] == "Line 1" and forward.normalized[2] == "line 2"
-    assert sorted(forward._held) == [1, 2]
+    assert sorted(forward.normalized.raw) == [4, 5] and forward[4] == "Line 4"
+    # A forgotten line cannot be read again.
+    with pytest.raises(IndexError):
+        forward[1]
+    with pytest.raises(IndexError):
+        forward.normalized[2]
+    assert sorted(forward.normalized.raw) == [4, 5]
     assert list(forward) == lines and len(forward) == 50
     with pytest.raises(IndexError):
         forward[50]
@@ -245,5 +247,24 @@ def test_a_corpus_file_holds_only_the_lines_not_forgotten(tmp_path):
 def test_a_corpus_file_drops_a_bom_only_at_the_start(tmp_path, monkeypatch):
     path = tmp_path / "bom.txt"
     path.write_bytes("\ufeffone\n\ufefftwo\n".encode("utf-8"))
-    monkeypatch.setattr(corpusfile, "BLOCK", 4)
+    monkeypatch.setattr("transalign.corpus.BLOCK", 4)
     assert list(corpusfile.CorpusFile(path, "x")) == list(load_corpus(path, "x")) == ["one", "\ufefftwo"]
+
+
+def test_a_long_line_reads_in_time_linear_in_its_length(tmp_path, monkeypatch):
+    # The bytes of a line with no LF yet are kept as pieces and joined
+    # once, so a 4 MiB first line read 64 bytes at a time takes well under
+    # a second; copying the line so far at every block takes many.
+    monkeypatch.setattr("transalign.corpus.BLOCK", 64)
+    path = tmp_path / "long.txt"
+    long_line = "Ab cd " * ((4 << 20) // 6)
+    path.write_text(long_line + "\n\nshort\n", encoding="utf-8")
+    start = time.perf_counter()
+    lines = list(load_corpus(path, "x"))
+    assert time.perf_counter() - start < 2.0
+    assert lines == [long_line, "short"]
+    start = time.perf_counter()
+    forward = corpusfile.CorpusFile(path, "x")
+    read = [forward[0], forward[1]]
+    assert time.perf_counter() - start < 2.0
+    assert read == lines and len(forward) == 2

@@ -240,6 +240,8 @@ class MockHandler(BaseHTTPRequestHandler):
                 return self._send(200, "late")
             if route == "/badjson":
                 return self._send(200, "{not json")
+            if route == "/empty":  # no translation for a text holding "empty"
+                return self._send(200, "" if "empty" in text else "echo:" + text)
             if route == "/breaks":
                 return self._send(200, "cr\rcrlf\r\nlf\nsep\u2028" + text)
             return self._send(404, "no such route")
@@ -382,3 +384,46 @@ def test_cli_translate_over_http_in_a_fresh_process(mock_server, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8") == "echo:first line\necho:second line\n"
+
+
+class EmptyProvider(TranslationProvider):
+    """Uppercases input, but answers ``""`` for a text in ``empty``."""
+
+    def __init__(self, *empty):
+        self.empty = set(empty)
+        self.asked = []
+
+    def translate_line(self, text, source_language, target_language):
+        self.asked.append(text)
+        return "" if text in self.empty else text.upper()
+
+
+def test_an_empty_translation_fails_its_line_and_is_not_cached(tmp_path):
+    # An empty line is no line of a translation file: saved and read back,
+    # it would leave one translation fewer than source lines.
+    cache = TranslationCache(tmp_path / "cache")
+    with pytest.raises(TranslationFailedError) as err:
+        translate_corpus(corpus("a", "b", "c"), EmptyProvider("b"), cache=cache)
+    assert err.value.line_index == 1
+    assert isinstance(err.value.cause, ProviderResponseError)
+    reloaded = TranslationCache(tmp_path / "cache")
+    assert [reloaded.get(text, ("pl", "tgt")) for text in "abc"] == ["A", None, "C"]
+
+
+def test_an_empty_cached_translation_fails_at_the_smallest_index(tmp_path):
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "pl-tgt.tsv").write_text("b\t\nd\tD\n", encoding="utf-8")
+    provider = EmptyProvider("c")
+    with pytest.raises(TranslationFailedError) as err:
+        translate_corpus(corpus("a", "b", "c", "d"), provider, cache=TranslationCache(tmp_path / "cache"))
+    assert err.value.line_index == 1 and isinstance(err.value.cause, DataError)
+    assert sorted(provider.asked) == ["a", "c"]  # a cached line is not asked again
+    assert TranslationCache(tmp_path / "cache").get("a", ("pl", "tgt")) == "A"
+
+
+def test_http_empty_answer_fails_its_line(mock_server):
+    provider = HttpProvider(endpoint=endpoint(mock_server, "/empty"))
+    with pytest.raises(TranslationFailedError) as err:
+        translate_corpus(corpus("one", "is empty", "three"), provider)
+    assert err.value.line_index == 1
+    assert isinstance(err.value.cause, ProviderResponseError)
