@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring as quote  # the encoder's, with ensure_ascii=False
 from math import isfinite
-from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, Frozen
+from .corpus import Corpus, Frozen, read_lines, write_lines
 from .errors import ConfigError, DataError
 from .lexicon import DEFAULT_CAP, EMPTY_LEXICON, EMPTY_STOPWORDS
 from .similarity import (
@@ -246,8 +245,9 @@ def write_alignment(
     Report: one record per decision with its details, then a trailer
     object with the counts and the never-consumed target indices, each
     the bytes of ``json.JSONEncoder(ensure_ascii=False)``. Each file is
-    written line by line, in that order, the report last; ``source`` is
-    iterated once, while its file is written.
+    written by ``corpus.write_lines``, in that order, the report last, so
+    an unwritable path is a ``ConfigError``; ``source`` is iterated once,
+    while its file is written.
     """
     if len(source) != len(result.decisions):
         raise DataError(
@@ -283,8 +283,7 @@ def write_alignment(
         (out_target_path, (decision.text + "\n" for decision in result.decisions)),
         (report_path, records()),
     ):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        write_lines(path, lines)
 
 
 def read_report(report_path) -> AlignmentResult:
@@ -297,13 +296,13 @@ def read_report(report_path) -> AlignmentResult:
     ``comparator``; other records keep only their outcome and text. The
     aligned records' target indices and the trailer's ``unmatched_targets``
     are distinct ints >= 0, as each target line is consumed at most once.
-    Anything else is a ``DataError``.
+    The file is read by ``corpus.read_lines``. Anything else is a
+    ``DataError``.
     """
+    lines = read_lines(report_path, "report", DataError)
     try:
-        # Split on LF only: text fields may hold U+2028 and the like raw.
-        lines = Path(report_path).read_text(encoding="utf-8").split("\n")
         objects = [json.loads(line) for line in lines if line.strip()]
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"malformed report {report_path}: {exc}") from exc
     if not objects:
         raise DataError(f"empty report file: {report_path}")

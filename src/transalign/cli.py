@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import Corpus, load_corpus, save_corpus
+from .corpus import Corpus, load_corpus, save_corpus, write_lines
 from .errors import ConfigError, DataError, ProviderError
 
 # These names are read from the package, which imports their submodule on
@@ -228,14 +228,6 @@ def _require_translation(trans: Corpus, source: Corpus, path) -> None:
                         f"but the source corpus has {len(source)}")
 
 
-def _write_output(write, *args) -> None:
-    """Run one output writer; a path that cannot be written is a ConfigError."""
-    try:
-        write(*args)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
@@ -257,7 +249,7 @@ def cmd_translate(args) -> int:
     corpus = load_corpus(args.source, settings.source_language())
     stats: dict = {}
     translated = settings.translation(provider, corpus, stats)
-    _write_output(save_corpus, translated, args.out)
+    save_corpus(translated, args.out)
     if args.stats:
         _print_json(stats)
     return EXIT_OK
@@ -272,8 +264,6 @@ def cmd_align(args) -> int:
     config = settings.alignment_config()  # reject bad thresholds before any I/O
     _require_file(args.source, "source file")
     _require_file(args.target, "target file")
-    if Path(args.out_source).exists() and Path(args.out_source).samefile(args.source):
-        raise ConfigError(f"--out-source {args.out_source} is the source file, read while it is written")
     source = CorpusFile(args.source, settings.source_language())
     target = CorpusFile(args.target, settings.target_language())
 
@@ -286,9 +276,7 @@ def cmd_align(args) -> int:
         trans = settings.translation(provider, source, {})
 
     result = _lazy.align(source, target, trans, config)
-    _write_output(
-        _lazy.write_alignment, result, source, args.out_source, args.out_target, args.report
-    )
+    _lazy.write_alignment(result, source, args.out_source, args.out_target, args.report)
     _print_json({**result.counts(), "unmatched_targets": len(result.unmatched_target_indices)})
     return EXIT_OK
 
@@ -363,8 +351,7 @@ def cmd_tune(args) -> int:
     payload = report.as_json_dict()
     payload["config_fragment"] = report.config_fragment()
     if args.out:
-        text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-        _write_output(Path(args.out).write_text, text, "utf-8")
+        write_lines(args.out, [json.dumps(payload, ensure_ascii=False, indent=2) + "\n"])
     _print_json(payload)
     return EXIT_OK
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 import unicodedata
 from functools import cached_property
 
-from .errors import CorpusFormatError
+from .errors import ConfigError, CorpusFormatError
 
 # Maximal runs of letters/digits/apostrophes that hold at least one letter or
 # digit; everything else separates tokens. ``tokenize`` first turns each
@@ -64,8 +65,8 @@ class Value:
     """Base of a plain value class: ``==``, ``repr``, ``_replace``, copying
     and pickling over ``_fields``, the names of its constructor arguments,
     which it stores under the same names. Two values are equal when they
-    are of the same class and ``_key()`` is equal. Not hashable, as it may
-    change. A copy or an unpickled value is built by ``__init__`` again."""
+    are of the same class and their fields are equal. Not hashable, as it
+    may change. A copy or an unpickled value is built by ``__init__`` again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -79,12 +80,10 @@ class Value:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
-    _key = _values  # what == compares
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._values() == other._values()
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
@@ -100,13 +99,13 @@ class Value:
 
 class Frozen(Value):
     """A ``Value`` whose attributes cannot be assigned or deleted once
-    ``__init__`` has set them with ``_set``. Hashed by ``_key()``, so it is
-    hashable when its compared fields are."""
+    ``__init__`` has set them with ``_set``. Hashed by its fields, so it
+    is hashable when they are."""
 
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -120,23 +119,18 @@ class Corpus(Frozen):
 
     ``lines`` may be any iterable of strings and is stored as a tuple; a
     line holding a CR or LF is a ``CorpusFormatError``, since each line is
-    one output pair. ``skipped_lines`` reports the 1-based numbers of empty
-    input lines that were dropped during loading; equality and hashing
-    ignore it.
+    one output pair.
     """
 
     # No __slots__: ``normalized`` is cached in the instance's __dict__.
-    _fields = ("language", "lines", "skipped_lines")
+    _fields = ("language", "lines")
 
-    def __init__(self, language: str, lines: "Iterable[str]", skipped_lines: "Iterable[int]" = ()):
+    def __init__(self, language: str, lines: "Iterable[str]"):
         lines = tuple(lines)
         for index, line in enumerate(lines):
             if "\n" in line or "\r" in line:
                 raise CorpusFormatError(f"line index {index} contains a line-break character")
-        self._set(language, lines, tuple(skipped_lines))
-
-    def _key(self) -> tuple:
-        return self.language, self.lines
+        self._set(language, lines)
 
     @cached_property
     def normalized(self) -> tuple[str, ...]:
@@ -229,20 +223,52 @@ def _split_lines(text: str, lineno: int, where: str, error: type[Exception]) -> 
 
 
 def load_corpus(path: str | os.PathLike, language: str) -> Corpus:
-    """Load one line per non-empty line of a UTF-8 text file.
-
-    The file is read by ``read_lines``, whose errors are
-    ``CorpusFormatError``s. Empty lines are dropped; their 1-based line
-    numbers end up in ``Corpus.skipped_lines``.
-    """
-    lines = read_lines(path, "corpus", CorpusFormatError)
-    if "" not in lines:
-        return Corpus(language, lines)
-    skipped = tuple(lineno for lineno, line in enumerate(lines, start=1) if not line)
-    return Corpus(language, [line for line in lines if line], skipped)
+    """Load one line per non-empty line of a UTF-8 text file, read by
+    ``read_lines``, whose errors are ``CorpusFormatError``s."""
+    return Corpus(language, filter(None, read_lines(path, "corpus", CorpusFormatError)))
 
 
 def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
-    """Write the corpus to ``path`` as UTF-8, one raw line each, LF-terminated."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("".join(line + "\n" for line in corpus))
+    """Write the corpus to ``path`` by ``write_lines``, one raw line each."""
+    write_lines(path, (line + "\n" for line in corpus))
+
+
+def write_lines(path: str | os.PathLike, lines: "Iterable[str]") -> None:
+    """Write the strings of ``lines``, each line with its LF, to ``path``
+    as UTF-8: the one writer of every file the toolkit writes.
+
+    They go into a new sibling temp file, which is flushed, synced and
+    renamed onto ``path`` (onto what a symbolic link names), so ``path``
+    holds its old bytes or all the new ones; any exception before the
+    rename removes the temp file. A replaced file keeps its permission
+    bits, and one its user may not write is refused. A path that exists
+    and is not a regular file (a FIFO, a device, ``/dev/stdout`` on a pipe)
+    is written in place. An ``OSError`` is a ``ConfigError`` naming ``path``.
+    """
+    try:
+        try:  # stat follows /dev/fd/N to the pipe; realpath would not
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(lines)
+            return
+        real = os.path.realpath(path)
+        if mode is not None and not os.access(real, os.W_OK):
+            raise ConfigError(f"cannot write {path}: Permission denied")
+        temp = f"{real}.{os.urandom(6).hex()}.tmp"
+        handle = open(temp, "x", encoding="utf-8", newline="")
+        try:
+            with handle:
+                if mode is not None:  # a new file gets open()'s mode
+                    os.chmod(temp, stat.S_IMODE(mode))
+                handle.writelines(lines)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, real)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import threading
 import time
 import urllib.parse
 from pathlib import Path
 
-from .corpus import Corpus, Value
+from .corpus import Corpus, Value, write_lines
 from .errors import (
     ConfigError,
     DataError,
@@ -114,6 +113,7 @@ def _single_request(provider: HttpProvider, url: str) -> str:
         with urllib.request.urlopen(url, timeout=provider.timeout) as response:
             body = response.read().decode("utf-8")
     except urllib.error.HTTPError as exc:
+        exc.close()  # it holds the response's socket
         raise ProviderStatusError(f"endpoint returned status {exc.code}: {url}") from exc
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise ProviderTimeoutError(f"endpoint unreachable or timed out: {exc}") from exc
@@ -227,31 +227,18 @@ class TranslationCache:
             self._load_pair(pair)[text] = translation
 
     def save(self) -> None:
-        """Write every loaded pair's file; an unwritable path is a ``ConfigError``."""
-        import tempfile  # loads shutil and random too; only a save needs it
-
+        """Write every loaded pair's file by ``corpus.write_lines``; an
+        unwritable path is a ``ConfigError``."""
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            with self._lock:
-                for pair, table in self._pairs.items():
-                    lines = "".join(
-                        f"{_escape(source)}\t{_escape(translation)}\n"
-                        for source, translation in sorted(table.items())
-                    )
-                    handle = tempfile.NamedTemporaryFile(
-                        "w", encoding="utf-8", dir=self.directory, suffix=".tmp", delete=False
-                    )
-                    try:
-                        with handle:
-                            handle.write(lines)
-                            handle.flush()
-                            os.fsync(handle.fileno())
-                        os.replace(handle.name, self._pair_file(pair))
-                    except BaseException:
-                        os.unlink(handle.name)
-                        raise
         except OSError as exc:
             raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
+        with self._lock:
+            for pair, table in self._pairs.items():
+                write_lines(self._pair_file(pair), (
+                    f"{_escape(source)}\t{_escape(translation)}\n"
+                    for source, translation in sorted(table.items())
+                ))
 
 
 def translate_corpus(

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import re
+import signal
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -389,6 +393,53 @@ def test_write_empty_result(tmp_path):
     assert out_t.read_bytes() == b""
     trailer = json.loads(report.read_text(encoding="utf-8").splitlines()[-1])
     assert trailer["A"] == trailer["T"] == trailer["D"] == trailer["L"] == 0
+
+
+KILLED_WRITER = """
+import os, signal, sys
+from transalign.align import TRANSLATED, AlignmentDecision, AlignmentResult, write_alignment
+
+class Source:  # kills its process before its last line
+    def __len__(self):
+        return 20000
+
+    def __iter__(self):
+        for i in range(19999):
+            yield f"line {i} " * 5
+        os.kill(os.getpid(), signal.SIGKILL)
+
+decisions = tuple(AlignmentDecision(i, TRANSLATED, "x") for i in range(20000))
+write_alignment(AlignmentResult(decisions, ()), Source(), *sys.argv[1:])
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL")
+def test_a_writer_killed_mid_file_leaves_the_old_files(tmp_path):
+    # Killed while it streams its first output, the child leaves every
+    # output as it was; its temp file may stay, as nothing can remove it.
+    outputs = [tmp_path / name for name in ("s.txt", "t.txt", "r.jsonl")]
+    for path in outputs:
+        path.write_bytes(b"old\n")
+    repo = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WRITER, *map(str, outputs)],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert [path.read_bytes() for path in outputs] == [b"old\n"] * 3
+    left = {path.name for path in tmp_path.iterdir()} - {path.name for path in outputs}
+    assert all(name.startswith("s.txt.") and name.endswith(".tmp") for name in left), left
+
+
+def test_read_report_reads_by_the_corpus_line_rules(tmp_path):
+    src = corpus("a b", "c d", language="src")
+    result = align(src, src, src, config_of(threshold=1.0))
+    report = report_bytes(result, src, tmp_path)[2]
+    (tmp_path / "bom").write_bytes(b"\xef\xbb\xbf" + report.replace(b"\n", b"\r\n"))
+    assert read_report(tmp_path / "bom") == result
+    with pytest.raises(DataError, match=f"^cannot read report file {re.escape(str(tmp_path))}: "):
+        read_report(tmp_path)  # a directory
 
 
 def test_fixture_report_round_trip_rewrites_every_file(tmp_path):

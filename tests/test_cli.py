@@ -1,12 +1,16 @@
+import errno
 import gc
 import hashlib
+import importlib
 import json
 import logging
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -507,14 +511,122 @@ def test_align_reports_a_file_changed_after_its_check(tmp_path, capsys, monkeypa
     assert err == f"error: {paths[which]}: the file changed while it was read (it had 300 lines)\n"
 
 
-def test_align_refuses_to_write_over_its_source(tmp_path, capsys):
-    lines = distinct_lines(3)
-    source = write(tmp_path, "src.txt", lines)
-    argv, out = align_argv(tmp_path, source, source, source)
-    argv[argv.index("--out-source") + 1] = source
+def fixture_align_argv(tmp_path, subdir="run"):
+    """``align_argv`` for the 1005-line fixture, its source as translation."""
+    source = str(FIXTURES / "parallel_1005.src")
+    return align_argv(tmp_path, source, str(FIXTURES / "parallel_1005.tgt"), source, subdir)
+
+
+def fresh_fixture_outputs(tmp_path):
+    """The directory of a fixture run into new paths."""
+    argv, out = fixture_align_argv(tmp_path, "fresh")
+    assert main(argv) == 0
+    return out
+
+
+OUTPUTS = ("s.txt", "t.txt", "r.jsonl")  # in the order align writes them
+
+
+def old_outputs(out):
+    """Give ``out``'s three outputs bytes of an earlier run; return them."""
+    for name in OUTPUTS:
+        (out / name).write_bytes(f"old {name}\n".encode())
+    return {name: (out / name).read_bytes() for name in OUTPUTS}
+
+
+def test_align_interrupted_in_the_report_keeps_the_old_report(tmp_path, monkeypatch):
+    argv, out = fixture_align_argv(tmp_path)
+    old = old_outputs(out)
+    align_module = importlib.import_module("transalign.align")
+    quote, calls = align_module.quote, []
+
+    def interrupting(text):
+        calls.append(text)
+        if len(calls) == 1000:
+            raise KeyboardInterrupt
+        return quote(text)
+
+    monkeypatch.setattr(align_module, "quote", interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert (out / "r.jsonl").read_bytes() == old["r.jsonl"]
+    assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS)
+
+
+def test_align_failing_to_replace_its_second_output_exits_one(tmp_path, capsys, monkeypatch):
+    fresh = fresh_fixture_outputs(tmp_path)
+    argv, out = fixture_align_argv(tmp_path)
+    old = old_outputs(out)
+    replace, calls = os.replace, []
+
+    def failing_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_second)
     assert main(argv) == 1
-    assert "is the source file" in capsys.readouterr().err
-    assert read_nonempty(source) == lines and list(out.iterdir()) == []
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / 't.txt'}: ")
+    assert (out / "s.txt").read_bytes() == (fresh / "s.txt").read_bytes()
+    assert [(out / name).read_bytes() for name in OUTPUTS[1:]] == [old[name] for name in OUTPUTS[1:]]
+    assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS)
+
+
+def test_align_out_source_may_name_the_source(tmp_path, capsys):
+    # The source is read from its old file while the new one is written.
+    fresh = fresh_fixture_outputs(tmp_path)
+    source = tmp_path / "src.txt"
+    source.write_bytes((FIXTURES / "parallel_1005.src").read_bytes())
+    argv, out = align_argv(tmp_path, str(source), str(FIXTURES / "parallel_1005.tgt"), str(source))
+    argv[argv.index("--out-source") + 1] = str(source)
+    assert main(argv) == 0
+    assert (out / "r.jsonl").read_bytes() == (fresh / "r.jsonl").read_bytes()
+    assert source.read_bytes() == (fresh / "s.txt").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh", "run", "src.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_align_writes_a_fifo_report_in_place(tmp_path):
+    fresh = fresh_fixture_outputs(tmp_path)
+    argv, out = fixture_align_argv(tmp_path)
+    fifo = out / "r.jsonl"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        try:  # a reader still waiting for a writer gets an empty FIFO
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join(timeout=60)
+    assert not reader.is_alive() and received == [(fresh / "r.jsonl").read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_align_writes_its_report_to_dev_stdout_on_a_pipe(tmp_path):
+    # /dev/stdout links to "pipe:[N]", which no path resolves to; the
+    # report must go into the pipe, not into a temp file beside the link.
+    fresh = fresh_fixture_outputs(tmp_path)
+    argv, out = fixture_align_argv(tmp_path)
+    argv[argv.index("--report") + 1] = "/dev/stdout"
+    repo = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transalign.cli", *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = (fresh / "r.jsonl").read_bytes()
+    assert proc.stdout.startswith(report)
+    assert json.loads(proc.stdout[len(report):])["L"] == 1005
+    assert sorted(path.name for path in out.iterdir()) == ["s.txt", "t.txt"]
 
 
 def perturbed(line, rng):
@@ -1051,8 +1163,8 @@ LOADED_ON_USE = (
 
 def test_cli_import_leaves_the_http_client_unloaded():
     # The HTTP client and the thread pool load only when a provider is
-    # called, tempfile only when the translation cache is saved, difflib
-    # only when the block kernel runs; a fresh interpreter shows what
+    # called, difflib only when the block kernel runs, and tempfile never
+    # loads from the package; a fresh interpreter shows what
     # importing the CLI loads. -S keeps site's .pth files from importing
     # these modules before the check starts.
     repo = Path(__file__).resolve().parents[1]

@@ -1,13 +1,15 @@
+import os
 import random
 import re
+import stat
 import time
 
 import pytest
 
 from oracles import load_lines_oracle, tokenize_oracle, tokenize_pattern_oracle
 from transalign import corpusfile
-from transalign.corpus import Corpus, load_corpus, normalize, save_corpus, tokenize
-from transalign.errors import CorpusFormatError, DataError
+from transalign.corpus import Corpus, load_corpus, normalize, save_corpus, tokenize, write_lines
+from transalign.errors import ConfigError, CorpusFormatError, DataError
 
 
 def test_normalize_collapses_case_and_whitespace():
@@ -125,6 +127,55 @@ def test_load_save_round_trip(tmp_path):
     assert out.read_bytes() == body.encode("utf-8")
 
 
+def test_write_lines_follows_links_and_keeps_permission_bits(tmp_path):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_bytes(b"old\n")
+    real.chmod(0o600)
+    link.symlink_to(real)
+    write_lines(link, iter(["new\n", "lines\n"]))
+    assert link.is_symlink() and real.read_bytes() == b"new\nlines\n"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    with open(tmp_path / "probe.txt", "w"):  # the mode open() gives a new file
+        pass
+    write_lines(tmp_path / "new.txt", [])
+    assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "probe.txt").stat().st_mode
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "link.txt", "new.txt", "probe.txt", "real.txt"
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_write_lines_writes_a_pipe_named_by_dev_fd_in_place():
+    read_end, write_end = os.pipe()
+    try:
+        write_lines(f"/dev/fd/{write_end}", ["over\n", "the pipe\n"])
+        os.close(write_end)
+        write_end = None
+        with os.fdopen(read_end, "rb") as reader:
+            read_end = None
+            assert reader.read() == b"over\nthe pipe\n"
+    finally:
+        for fd in (read_end, write_end):
+            if fd is not None:
+                os.close(fd)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_write_lines_refuses_a_read_only_file(tmp_path):
+    path = tmp_path / "kept.txt"
+    path.write_bytes(b"old\n")
+    path.chmod(0o444)
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(path))}: Permission denied$"):
+        write_lines(path, ["new\n"])
+    assert path.read_bytes() == b"old\n" and [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+
+def test_save_corpus_to_an_unwritable_path_is_a_config_error(tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(path))}: "):
+        save_corpus(Corpus("en", ["a"]), path)
+
+
 def test_load_accepts_crlf_and_bom(tmp_path):
     path = tmp_path / "win.txt"
     path.write_bytes(b"\xef\xbb\xbfone\r\ntwo\r\n")
@@ -132,12 +183,11 @@ def test_load_accepts_crlf_and_bom(tmp_path):
     assert list(corpus) == ["one", "two"]
 
 
-def test_load_skips_empty_lines_and_records_them(tmp_path):
+def test_load_skips_empty_lines(tmp_path):
     path = tmp_path / "gappy.txt"
     path.write_text("a\n\nb\n\n\nc\n", encoding="utf-8")
     corpus = load_corpus(path, "en")
     assert list(corpus) == ["a", "b", "c"]
-    assert corpus.skipped_lines == (2, 4, 5)
 
 
 def test_load_no_trailing_newline(tmp_path):
@@ -200,7 +250,7 @@ def test_load_corpus_equals_line_by_line_oracle_on_random_files(tmp_path, monkey
     for _ in range(3000):
         data = random_corpus_file(rng)
         path.write_bytes(data)
-        lines, skipped, bad_line = load_lines_oracle(data)
+        lines, _, bad_line = load_lines_oracle(data)
         monkeypatch.setattr("transalign.corpus.BLOCK", rng.randrange(1, 12))
         try:
             corpus = load_corpus(path, "x")
@@ -215,7 +265,7 @@ def test_load_corpus_equals_line_by_line_oracle_on_random_files(tmp_path, monkey
             outcomes["utf8" if "UTF-8" in message else "cr"] += 1
         else:
             assert bad_line is None, data
-            assert (list(corpus), corpus.skipped_lines) == (lines, skipped), data
+            assert list(corpus) == lines, data
             forward = corpusfile.CorpusFile(path, "x")
             assert len(forward) == len(lines) and list(forward) == lines, data
             assert [forward[i] for i in range(len(lines))] == lines, data

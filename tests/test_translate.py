@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,12 +6,12 @@ import sys
 import threading
 import time
 import urllib.parse
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-import transalign.translate as translate_module
 from transalign.corpus import Corpus
 from transalign.errors import (
     DataError,
@@ -154,7 +155,7 @@ def test_interrupted_cache_save_keeps_the_previous_file(tmp_path, monkeypatch):
     def interrupted(src, dst):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(translate_module.os, "replace", interrupted)
+    monkeypatch.setattr(os, "replace", interrupted)
     cache.put("b", ("pl", "en"), "B")
     with pytest.raises(KeyboardInterrupt):
         cache.save()
@@ -331,6 +332,18 @@ def test_http_404_fails_without_retry(mock_server):
         http_translate("w", ("pl", "en"), provider)
     hits = [r for r in mock_server.state["requests"] if "/nowhere" in r]
     assert len(hits) == 1
+
+
+def test_http_error_answers_leave_no_socket_open(mock_server):
+    # An HTTPError holds its response's socket; a 500 and a 404 both close it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for route in ("/flaky", "/nowhere"):
+            provider = HttpProvider(endpoint=endpoint(mock_server, route), retries=0)
+            with pytest.raises(ProviderStatusError):
+                http_translate("v", ("pl", "en"), provider)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_http_malformed_json_fails_without_retry(mock_server):

@@ -38,11 +38,11 @@ def context(cap=8):
     return ChainContext(stopwords=stopwords(), lexicon=lexicon(), cap=cap)
 
 
-def test_corpus_equality_ignores_skipped_lines_and_equal_corpora_hash_equal():
-    loaded = Corpus(language="en", lines=["a", "b"], skipped_lines=[2])
+def test_equal_corpora_are_equal_and_hash_equal():
+    loaded = Corpus(language="en", lines=["a", "b"])
     built = Corpus("en", ("a", "b"))
     assert loaded == built and hash(loaded) == hash(built)
-    assert loaded.lines == ("a", "b") and loaded.skipped_lines == (2,)
+    assert loaded.lines == ("a", "b")
     assert loaded != Corpus("de", ("a", "b")) and loaded != Corpus("en", ("a",))
     assert len({loaded, built}) == 1
 
@@ -138,7 +138,7 @@ def test_records_show_their_fields():
 
 
 @pytest.mark.parametrize("value", [
-    Corpus("en", ("a", "b"), (2,)), stopwords(), lexicon(), COMPARATOR, CHAIN, context(),
+    Corpus("en", ("a", "b")), stopwords(), lexicon(), COMPARATOR, CHAIN, context(),
     AlignmentConfig(CHAIN, window=3, stopwords=stopwords()),
     HttpProvider("http://localhost/{text}", retries=0),
 ])
