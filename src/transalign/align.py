@@ -110,7 +110,9 @@ def select_candidate(
     scores: PairScores,
 ) -> tuple[int, ChainDecision] | None:
     """Best accepted target index in ``pool`` for translation line ``i``,
-    with its decision, or None. One table call scores the whole pool.
+    with its decision, or None. One table call scores the whole pool; it
+    leaves out only hits that score below another's, so the choice is what
+    scoring every target would give.
 
     Raw scores are compared whichever tier accepted them: a block ratio of
     0.9 beats a token Dice of 0.8. Ties on score break toward the smallest

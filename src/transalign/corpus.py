@@ -240,7 +240,8 @@ def write_lines(path: str | os.PathLike, lines: "Iterable[str]") -> None:
     They go into a new sibling temp file, which is flushed, synced and
     renamed onto ``path`` (onto what a symbolic link names), so ``path``
     holds its old bytes or all the new ones; any exception before the
-    rename removes the temp file. A replaced file keeps its permission
+    rename removes the temp file. Then the directory is synced, so the
+    rename survives a power loss. A replaced file keeps its permission
     bits, and one its user may not write is refused. A path that exists
     and is not a regular file (a FIFO, a device, ``/dev/stdout`` on a pipe)
     is written in place. An ``OSError`` is a ``ConfigError`` naming ``path``.
@@ -270,5 +271,10 @@ def write_lines(path: str | os.PathLike, lines: "Iterable[str]") -> None:
         except BaseException:
             os.unlink(temp)
             raise
+        directory = os.open(os.path.dirname(real), os.O_RDONLY | os.O_DIRECTORY)
+        try:  # the rename is durable once its directory is synced
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -277,10 +277,12 @@ class PairScores:
     def accepted(
         self, i: int, pool: Sequence[int], chain: ComparatorChain
     ) -> list[tuple[int, float, Comparator]]:
-        """Each target index in ``pool`` that ``chain`` accepts for
-        translation line ``i``, as ``(j, score, comparator)`` with the first
-        accepting tier and its exact score: grouped by tier, each group in
-        pool order.
+        """The targets in ``pool`` that ``chain`` accepts for translation
+        line ``i`` and that can still win, as ``(j, score, comparator)``
+        with the first accepting tier and its exact score: every hit of a
+        tier before the last, each in pool order, then the last tier's hits
+        that reach its bar, by descending bound. So every hit with the
+        highest score is there, for ``select_candidate``'s tie-break.
 
         The chain runs tier by tier over the whole pool, and each tier
         scores only the targets the earlier tiers rejected. Each tier first
@@ -299,11 +301,21 @@ class PairScores:
         Only the targets that pass reach ``_best_ratio``, which runs the
         block kernel only on texts whose own bounds reach the threshold
         and, among synonym variants, exceed the best score found so far.
-        Every cut is exact: a skipped target or text can neither reach the
-        threshold nor raise the maximum.
+        A ratio tier that is the chain's last keeps a bar instead of its
+        threshold: the threshold, or the best score an earlier tier
+        accepted if higher. It visits the targets whose bound reaches the
+        bar by descending bound, ties by index, stops at the first bound
+        strictly below the bar and raises the bar to each score it accepts
+        (top-k pruning; Xiao et al., ICDE 2009). Every cut is exact: a
+        skipped target or text can neither reach the threshold nor the
+        maximum, and a tie with the maximum is never cut.
         """
         found = []
-        for comparator in chain:
+        comparators = chain.comparators
+        # A tier listed twice is one object, so its first copy keeps the
+        # bar; that is exact, as the second would accept nothing it rejects.
+        last = comparators[-1]
+        for comparator in comparators:
             if not pool:
                 break
             threshold = comparator.threshold
@@ -329,24 +341,43 @@ class PairScores:
                 for _, mask in texts:
                     union |= mask
                 n_min = min(len(text) for text, _ in texts)
-                for j in pool:
-                    b, b_mask = target_chars[j]
-                    total = n_min + len(b)
-                    if total and 2.0 * common_chars(union, b_mask) / total < threshold:
-                        rejected.append(j)
-                        continue
-                    score = best_ratio(i, j, kind, threshold)
-                    if score is None:
-                        rejected.append(j)
-                    else:
-                        found.append((j, score, comparator))
+                if comparator is not last:
+                    for j in pool:
+                        b, b_mask = target_chars[j]
+                        total = n_min + len(b)
+                        if total and 2.0 * common_chars(union, b_mask) / total < threshold:
+                            rejected.append(j)
+                            continue
+                        score = best_ratio(i, j, kind, threshold)
+                        if score is None:
+                            rejected.append(j)
+                        else:
+                            found.append((j, score, comparator))
+                else:  # only the targets that can still win
+                    bar = max([threshold] + [hit[1] for hit in found])
+                    bounds = []
+                    for j in pool:
+                        b, b_mask = target_chars[j]
+                        total = n_min + len(b)
+                        bound = 2.0 * common_chars(union, b_mask) / total if total else 1.0
+                        if bound >= bar:
+                            bounds.append((-bound, j))
+                    bounds.sort()
+                    for negated, j in bounds:
+                        if -negated < bar:
+                            break
+                        score = best_ratio(i, j, kind, bar)
+                        if score is not None:
+                            found.append((j, score, comparator))
+                            bar = score
             pool = rejected
         return found
 
     def decide(self, i: int, j: int, chain: ComparatorChain) -> ChainDecision | None:
         """The first tier of ``chain`` that accepts translation line ``i``
         against target line ``j``, with its exact score; None if none does.
-        The one-target case of ``accepted``."""
+        The one-target case of ``accepted``, where no other target raises
+        the last tier's bar."""
         for _, score, comparator in self.accepted(i, (j,), chain):
             return ChainDecision(True, score, comparator)
         return None

@@ -118,6 +118,29 @@ def lcs_oracle(a, b):
     return table[len(a)][len(b)]
 
 
+def pick_oracle(hits, expected):
+    """The ``(j, score, comparator)`` hit a line takes: the highest score,
+    then the nearest to ``expected``, then the lowest index; None if none."""
+    if not hits:
+        return None
+    return min(hits, key=lambda hit: (-hit[1], abs(hit[0] - expected), hit[0]))
+
+
+def check_pool_hits(hits, reference, last):
+    """Assert what a pool call must return against ``reference``, every
+    ``(j, score, comparator)`` hit of its chain scored pair by pair: each
+    target at most once and only reference hits, exact scores included;
+    every hit of a tier other than ``last``, the chain's last comparator;
+    and every hit whose score is the reference maximum. Returns how many
+    reference hits ``hits`` leaves out."""
+    assert len({j for j, _, _ in hits}) == len(hits), hits
+    assert set(hits) <= set(reference), (hits, reference)
+    top = max((score for _, score, _ in reference), default=None)
+    kept = [hit for hit in reference if hit[2] is not last or hit[1] == top]
+    assert set(kept) <= set(hits), (hits, reference)
+    return len(reference) - len(hits)
+
+
 def score_oracle(aligned, misaligned, translated, disproportion, total):
     """Eq-style integer score via rational arithmetic, no float anywhere."""
     value = Fraction(

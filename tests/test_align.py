@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import transalign.similarity as sim
-from oracles import align_oracle, char_count_bound, report_lines_oracle
+from oracles import (
+    align_oracle,
+    char_count_bound,
+    check_pool_hits,
+    pick_oracle,
+    report_lines_oracle,
+)
 from transalign.align import (
     ALIGNED,
     FILLED,
@@ -29,7 +35,13 @@ from transalign.corpus import Corpus, load_corpus, tokenize
 from transalign.corpusfile import CorpusFile
 from transalign.errors import ConfigError, DataError
 from transalign.lexicon import expand_sentence
-from transalign.similarity import ChainContext, Comparator, ComparatorChain, PairScores
+from transalign.similarity import (
+    ChainContext,
+    ChainDecision,
+    Comparator,
+    ComparatorChain,
+    PairScores,
+)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -642,7 +654,7 @@ def test_ratio_tiers_equal_the_kernel_on_every_drift_pair():
     # table per threshold keeps every cut in play. ``length_cut`` counts the
     # pairs a length bound min(|a|, |b|) would cut: the character count is
     # at most that, so the count bound cuts each of them too.
-    length_cut = 0
+    length_cut = left_out = 0
     for seed in range(2):
         _, trans, tgt, extras = drift_corpora(seed)
         context = ChainContext(**extras)
@@ -664,12 +676,19 @@ def test_ratio_tiers_equal_the_kernel_on_every_drift_pair():
                 for i, a in enumerate(trans.normalized):
                     pool = range(len(tgt))
                     found = [(j, exact[i, j], comparator) for j in pool if exact[i, j] >= threshold]
-                    assert scores.accepted(i, pool, chain) == found, (seed, kind, threshold, i)
+                    hits = scores.accepted(i, pool, chain)
+                    left_out += check_pool_hits(hits, found, comparator)
+                    expected = i * len(tgt) / len(trans)
+                    pick = pick_oracle(found, expected)
+                    chosen = select_candidate(i, list(pool), expected, chain, scores)
+                    assert chosen == (pick and (pick[0], ChainDecision(True, *pick[1:]))), (
+                        seed, kind, threshold, i,
+                    )
                     n = len(a)
                     length_cut += sum(
                         2 * min(n, len(b)) < threshold * (n + len(b)) for b in tgt.normalized
                     )
-    assert length_cut > 100
+    assert length_cut > 100 and left_out > 100, (length_cut, left_out)
 
 
 def test_fixture_ratio_runs_only_where_the_bound_reaches_the_threshold(monkeypatch):

@@ -144,6 +144,49 @@ def test_write_lines_follows_links_and_keeps_permission_bits(tmp_path):
     ]
 
 
+def test_write_lines_syncs_the_file_then_renames_then_syncs_the_directory(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+        real_fsync(fd)
+
+    def recording_replace(source, destination):
+        events.append(("replace", os.stat(source).st_ino, os.fspath(destination)))
+        real_replace(source, destination)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    write_lines(path, ["new\n"])
+    inode = path.stat().st_ino
+    assert events == [
+        ("fsync", False, inode),
+        ("replace", inode, str(path)),
+        ("fsync", True, tmp_path.stat().st_ino),
+    ]
+    assert path.read_bytes() == b"new\n"
+
+
+def test_write_lines_failing_to_sync_the_directory_is_a_config_error(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    real_fsync = os.fsync
+
+    def fsync_files_only(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(5, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_files_only)
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(path))}: Input/output error$"):
+        write_lines(path, ["new\n"])
+    # The rename came first and the directory was closed: the file is whole.
+    assert path.read_bytes() == b"new\n" and [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_write_lines_writes_a_pipe_named_by_dev_fd_in_place():
     read_end, write_end = os.pipe()

@@ -8,10 +8,12 @@ import transalign.similarity as sim
 from oracles import (
     brute_ratio,
     char_count_bound,
+    check_pool_hits,
     common_chars_oracle,
     dice_overlap_oracle,
     lcs_oracle,
     masks_oracle,
+    pick_oracle,
 )
 from transalign.align import select_candidate
 from transalign.corpus import Corpus, load_corpus, normalize, tokenize
@@ -616,6 +618,8 @@ def random_line(rng):
 
 
 def test_pool_call_accepts_what_decide_and_evaluate_chain_accept():
+    # ``decide`` on a fresh table is the reference: one target per call, so
+    # no other target can raise its last tier's bar.
     rng = random.Random(83)
     no_lexicon = ChainContext(stopwords=CHAIN_CONTEXT.stopwords, cap=CHAIN_CONTEXT.cap)
     hits = picks = 0
@@ -629,11 +633,9 @@ def test_pool_call_accepts_what_decide_and_evaluate_chain_accept():
                 pool = rng.sample(range(len(target)), rng.randint(0, len(target)))
                 accepted = scores.accepted(i, pool, chain)
                 fresh = PairScores(trans.normalized, target.normalized, context)
-                decided = {j: fresh.decide(i, j, chain) for j in pool}
-                assert len({j for j, _, _ in accepted}) == len(accepted)
-                assert {j: ChainDecision(True, s, c) for j, s, c in accepted} == {
-                    j: d for j, d in decided.items() if d is not None
-                }, (trans[i], [target[j] for j in pool], chain)
+                decided = [(j, fresh.decide(i, j, chain)) for j in pool]
+                reference = [(j, d.score, d.comparator) for j, d in decided if d is not None]
+                check_pool_hits(accepted, reference, chain.comparators[-1])
                 hits += len(accepted)
 
                 expected = rng.randrange(2 * len(target)) / 2
@@ -647,6 +649,38 @@ def test_pool_call_accepts_what_decide_and_evaluate_chain_accept():
                 else:
                     assert chosen is None
     assert hits > 300 and picks > 100
+
+
+def test_last_tier_keeps_every_target_that_ties_the_best_score():
+    # Targets 0 and 2 copy the line, so both bound and score 1.0; target 1
+    # is an anagram, whose bound is 1.0 too, equal to the best score, but
+    # whose ratio is lower. The last tier visits them in bound order, 0, 1,
+    # 2, and its bar stands at 1.0 after target 0; only a strict skip
+    # still scores target 2, the copy nearer the expected position.
+    line = "the cat sat"
+    target = [line, "sat the tac", line, "a dog"]
+    assert [char_count_bound(line, b) for b in target[:3]] == [1.0] * 3
+    assert ratio(line, target[1]) < 1.0
+    for threshold in (0.5, 1.0):
+        for tiers in (("matching_blocks_ratio",), ("synonym_ratio",)):
+            chain = ComparatorChain(tuple(Comparator(kind, threshold) for kind in tiers))
+            comparator = chain.comparators[0]
+            scores = PairScores((line,), target)
+            assert scores.accepted(0, range(4), chain) == [(0, 1.0, comparator), (2, 1.0, comparator)]
+            chosen = select_candidate(0, [0, 1, 2, 3], 2.0, chain, PairScores((line,), target))
+            assert chosen == (2, ChainDecision(True, 1.0, comparator))
+    # An earlier tier's best hit sets the bar: "ab cd" has token Dice 0.5
+    # with target 0, and with target 1 a ratio and a bound of exactly 0.5.
+    chain = ComparatorChain(
+        (Comparator("token_overlap", 0.5), Comparator("matching_blocks_ratio", 0.3))
+    )
+    token, blocks = chain.comparators
+    target = ["cd xyzw", "abq"]
+    assert char_count_bound("ab cd", "abq") == ratio("ab cd", "abq") == 0.5
+    scores = PairScores(("ab cd",), target)
+    assert scores.accepted(0, [0, 1], chain) == [(0, 0.5, token), (1, 0.5, blocks)]
+    chosen = select_candidate(0, [0, 1], 1.0, chain, PairScores(("ab cd",), target))
+    assert chosen == (1, ChainDecision(True, 0.5, blocks))
 
 
 def accepted_reference(scores, i, pool, chain):
@@ -716,10 +750,16 @@ def test_pool_pre_tests_accept_what_scoring_every_pair_accepts():
                     for i in range(len(trans)):
                         pool = rng.sample(range(len(target)), rng.randint(1, len(target)))
                         fresh = PairScores(trans, target, context)
-                        expected = accepted_reference(scores, i, pool, run)
-                        assert fresh.accepted(i, pool, run) == expected, (trans[i], pool, run)
-                        assert scores.accepted(i, pool, run) == expected
-                        for j, score, comparator in expected:
+                        reference = accepted_reference(scores, i, pool, run)
+                        last = run.comparators[-1]
+                        got = fresh.accepted(i, pool, run)
+                        cases["left out"] += check_pool_hits(got, reference, last)
+                        assert scores.accepted(i, pool, run) == got
+                        expected = rng.randrange(2 * len(target)) / 2
+                        pick = pick_oracle(reference, expected)
+                        chosen = select_candidate(i, pool, expected, run, fresh)
+                        assert chosen == (pick and (pick[0], ChainDecision(True, *pick[1:])))
+                        for j, score, comparator in got:
                             cases[comparator.kind, score == 1.0] += 1
                             cases["at threshold"] += score == comparator.threshold
     assert min(cases.values()) > 20, cases

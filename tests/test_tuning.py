@@ -367,3 +367,80 @@ def test_table_shared_down_descending_thresholds_matches_fresh_tables(monkeypatc
 
     monkeypatch.setattr(tuning, "align", align_on_fresh_table)
     assert tune_chain(job) == shared
+
+
+def tuner_job(seed, kinds, lexicon, window, lookahead):
+    """``drift_job``'s dev set drawn from ``seed``, tuned over the ``kinds``
+    tiers; with ``lexicon``, each cut-off word maps back to its gold word
+    and a few decoy synonyms are added."""
+    rng = random.Random(seed)
+    words = ["".join(rng.choice("abcdefg") for _ in range(4)) for _ in range(40)]
+    gold = [" ".join(rng.sample(words, 5)) + f" n{i}" for i in range(30)]
+    trans = [line[: -rng.randrange(1, 6)] if rng.random() < 0.5 else line for line in gold]
+    target = list(gold)
+    for start in range(0, 30, 6):
+        block = target[start : start + 6]
+        rng.shuffle(block)
+        target[start : start + 6] = block
+    entries = {}
+    if lexicon:
+        for line, gold_line in zip(trans, gold):
+            for word, gold_word in zip(line.split(), gold_line.split()):
+                if word != gold_word:
+                    entries[word] = (gold_word,)
+        for word in rng.sample(words, 8):
+            entries.setdefault(word, (rng.choice(words),))
+    chain = ComparatorChain(tuple(Comparator(kind, 0.9) for kind in kinds))
+    return TuningJob(
+        source=corpus([f"zrodlo {i}" for i in range(30)], "src"),
+        target=corpus(target[:-2], "tgt"),
+        trans=corpus(trans, "tgt"),
+        gold=gold,
+        config=AlignmentConfig(
+            chain=chain, window=window, lookahead_depth=lookahead, lexicon=entries
+        ),
+        bounds=[(0.3, 1.0)] * len(chain),
+        resolution=1 / 8,
+    )
+
+
+def test_every_tuned_threshold_aligns_as_on_a_fresh_table(monkeypatch):
+    # The last tier scores only the targets that can still beat its bar, so
+    # an evaluation leaves out LCS entries a later one may need; each
+    # threshold vector the tuner aligned must still give the decisions and
+    # S of a fresh table, both during the run and on the finished table.
+    lcs_calls = Counter()
+    real_lcs = sim.lcs_length
+
+    def counting_lcs(a, b, b_masks=None):
+        lcs_calls[run] += 1
+        return real_lcs(a, b, b_masks)
+
+    monkeypatch.setattr(sim, "lcs_length", counting_lcs)
+    chains = [
+        ("matching_blocks_ratio",),
+        ("token_overlap", "synonym_ratio"),
+        ("token_overlap", "matching_blocks_ratio", "synonym_ratio"),
+    ]
+    vectors = 0
+    for seed, kinds in enumerate(chains):
+        for lexicon in (False, True):
+            for window in (0, 3, 20):
+                for lookahead in (0, 1, 2):
+                    run = seed, lexicon, window, lookahead
+                    job = tuner_job(seed, kinds, lexicon, window, lookahead)
+                    tune_chain(job)
+                    run = "fresh"
+                    for thresholds, score in job.scored.items():
+                        chain = job.config.chain
+                        for position, threshold in enumerate(thresholds):
+                            chain = chain.with_threshold(position, threshold)
+                        config = job.config._replace(chain=chain)
+                        fresh = align(job.source, job.target, job.trans, config)
+                        assert evaluate_against_gold(fresh, job.gold).score == score
+                        on_job = align(job.source, job.target, job.trans, config, job.scores)
+                        assert on_job == fresh, (kinds, lexicon, window, lookahead, thresholds)
+                        vectors += 1
+    assert vectors > 500
+    # Without the bar, this tuning run computes 1,032 LCS lengths.
+    assert lcs_calls[2, True, 20, 1] == 454, lcs_calls[2, True, 20, 1]
